@@ -124,10 +124,10 @@ class PointwiseFeatureSet:
             raise ContractError("per-point channels must match the row count")
 
 
-def _rapid_job(args) -> RapidMatrix:
+def _rapid_job(args, timings: Optional[dict] = None) -> RapidMatrix:
     pts, refl, k, delta, roi_id = args
     local = PointCloud(points=pts, remission=refl)
-    return rapid(np.arange(len(local)), local, k, delta, roi_id=roi_id)
+    return rapid(np.arange(len(local)), local, k, delta, roi_id=roi_id, timings=timings)
 
 
 def _plan_jobs(
@@ -171,15 +171,7 @@ def _run_jobs(
         for sub, k, roi_id in jobs
     ]
     if workers <= 1:
-        out = []
-        for payload in payloads:
-            pts, refl, k, delta_, roi_id = payload
-            local = PointCloud(points=pts, remission=refl)
-            out.append(
-                rapid(np.arange(len(local)), local, k, delta_, roi_id=roi_id,
-                      timings=timings)
-            )
-        return out
+        return [_rapid_job(payload, timings) for payload in payloads]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_rapid_job, payloads, chunksize=8))
 

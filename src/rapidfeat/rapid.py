@@ -8,11 +8,12 @@ matrix is sorted lexicographically by rows, entries beyond an outlier
 threshold are substituted, and survivors are min-max normalized, which makes
 the result invariant to rigid motions and to point storage order.
 
-Neighbor selection is two-pass: a coordinate-only KNN defines the pair set
-from which the reflectivity scale is computed (the map g needs the distance
-range, which needs neighbor pairs), then candidates from a pool of the 4k
-coordinate-nearest points are re-ranked under the full 4D metric. The pool is
-tie-inclusive at its boundary so matrix values never depend on storage order.
+Neighbor selection is two exact k-depth KNN passes. The first, over the
+coordinates, defines the pair set from which the reflectivity scale is
+computed (the map g needs the distance range, which needs neighbor pairs).
+The second runs over the embedding (x, y, z, g(r)); its k smallest
+distances are the row. Both passes are exact to depth k, so matrix values
+never depend on storage order.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ import numpy as np
 from .cloud import PointCloud
 from .errors import ContractError, InsufficientPointsError
 from .geometry import MetricEmbedding, NeighborList, nearest_candidate_rows
-
-POOL_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -246,11 +245,9 @@ def _rapid_rows(
     refl = cloud.remission[anchors]
 
     t0 = time.perf_counter()
-    n_pool = min(POOL_FACTOR * k, u - 1)
     # Only distance values reach the matrix (tied candidates carry equal
     # values), so the index tie-break pass is unnecessary here.
-    idx_rows, d2_rows = nearest_candidate_rows(pts, n_pool, tie_break=False)
-    t0 = _tick(timings, "knn", t0)
+    _, d2_rows = nearest_candidate_rows(pts, k, tie_break=False)
 
     # Coordinate k-NN pairs define the scale of the reflectivity map.
     knn_d2 = d2_rows[:, :k]
@@ -262,15 +259,10 @@ def _rapid_rows(
     )
     g = np.asarray(reflectivity_map(refl, scale))
 
-    # Tie-inclusive pool of coordinate-nearest candidates, re-ranked in 4D.
-    pool_cut = d2_rows[:, n_pool - 1]
-    in_pool = d2_rows <= pool_cut[:, None]
-    dg = g[idx_rows] - g[:, None]
-    rho2 = np.where(in_pool, d2_rows + dg * dg, np.inf)
-
-    order = np.argsort(rho2, axis=1, kind="stable")
-    rows = np.sqrt(np.take_along_axis(rho2, order[:, :k], axis=1))
-    _tick(timings, "sort", t0)
+    # The row: the k smallest distances in the 4D embedding (x, y, z, g(r)).
+    _, rho2 = nearest_candidate_rows(np.column_stack([pts, g]), k, tie_break=False)
+    rows = np.sqrt(rho2[:, :k])
+    _tick(timings, "knn", t0)
     return rows, anchors, scale
 
 
@@ -323,6 +315,7 @@ def rapid(
             values = np.where(outlier, 1.0, (rows - lo) / (hi - lo))
         else:
             values = np.where(outlier, 1.0, 0.0)
+    t0 = _tick(timings, "normalize", t0)
     values, anchors = _lexsorted(values, anchors)
-    _tick(timings, "normalize", t0)
+    _tick(timings, "sort", t0)
     return RapidMatrix(values=values, roi_id=roi_id, k=k, scale=scale, anchors=anchors)

@@ -364,10 +364,7 @@ def _matrix_from_record(rec: dict, payload: bytes) -> RapidMatrix:
 
 def save_features(matrices: Sequence[RapidMatrix], path: PathLike) -> None:
     """Persist RAPiD matrices; the round trip is lossless at float32."""
-    builder = _PayloadBuilder()
-    records = [_matrix_record(builder, m) for m in matrices]
-    header = {"kind": "rapid-features", "meta": {}, "records": records}
-    _write_container(path, header, b"".join(builder.chunks))
+    save_feature_file(path, matrices)
 
 
 @dataclass(frozen=True)
@@ -403,30 +400,45 @@ def save_feature_file(
     _write_container(path, header, b"".join(builder.chunks))
 
 
+# Dotted key paths each feature record type needs for decoding.
+_RECORD_KEYS = {
+    "matrix": "roi_id k scale.r_min scale.r_max scale.d_min scale.d_max "
+    "arrays.values arrays.anchors",
+    "pointwise": "arrays.values arrays.roi arrays.valid_width",
+}
+
+
+def _check_record(path: PathLike, rec) -> None:
+    """FormatError unless rec has a known type and every key it needs."""
+    kind = rec.get("type") if isinstance(rec, dict) else None
+    if not isinstance(kind, str) or kind not in _RECORD_KEYS:
+        raise FormatError(f"{path}: unknown record type {kind!r}")
+    for key in _RECORD_KEYS[kind].split():
+        node = rec
+        for part in key.split("."):
+            node = node.get(part) if isinstance(node, dict) else None
+        if node is None:
+            raise FormatError(f"{path}: {kind} record lacks {key!r}")
+
+
 def load_feature_file(path: PathLike) -> FeatureFile:
     header, payload = _read_container(path)
     if header.get("kind") != "rapid-features":
         raise FormatError(f"{path}: container holds {header.get('kind')!r}, not features")
     matrices = []
-    pointwise = None
+    arrays = None
     for rec in header.get("records", []):
+        _check_record(path, rec)
         if rec["type"] == "matrix":
             matrices.append(_matrix_from_record(rec, payload))
-        elif rec["type"] == "pointwise":
-            pointwise = PointwiseFeatureSet(
-                values=_read_array(payload, rec["arrays"]["values"]).astype(np.float64),
-                roi=_read_array(payload, rec["arrays"]["roi"]).astype(np.int32),
-                valid_width=_read_array(payload, rec["arrays"]["valid_width"]).astype(
-                    np.int32
-                ),
-            )
         else:
-            raise FormatError(f"{path}: unknown record type {rec['type']!r}")
-    if pointwise is not None:
+            arrays = rec["arrays"]
+    pointwise = None
+    if arrays is not None:
         pointwise = PointwiseFeatureSet(
-            values=pointwise.values,
-            roi=pointwise.roi,
-            valid_width=pointwise.valid_width,
+            values=_read_array(payload, arrays["values"]).astype(np.float64),
+            roi=_read_array(payload, arrays["roi"]).astype(np.int32),
+            valid_width=_read_array(payload, arrays["valid_width"]).astype(np.int32),
             matrices=tuple(matrices),
         )
     return FeatureFile(

@@ -332,6 +332,18 @@ class TestHeatmap:
         assert raw.startswith(b"P5\n4 6\n255\n")
         assert set(raw.split(b"255\n", 1)[1]) == {255}
 
+    def test_record_missing_keys_is_data_error(self, tmp_path, capsys):
+        from rapidfeat.scene_io import _write_container
+
+        feat = tmp_path / "corrupt.rapd"
+        header = {"kind": "rapid-features", "records": [{"type": "matrix", "roi_id": "x"}]}
+        _write_container(feat, header, b"")
+        code = main(["heatmap", str(feat), "--roi", "x", "--out", str(tmp_path / "i.pgm")])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "lacks 'k'" in err
+        assert "Traceback" not in err
+
     def test_unknown_roi(self, tmp_path, config_file):
         main(["extract", "--config", str(config_file())])
         out = tmp_path / "img.pgm"

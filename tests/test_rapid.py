@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rapidfeat import (
     ContractError,
@@ -11,15 +13,18 @@ from rapidfeat import (
     ReflectivityScale,
     RigidTransform,
     compute_scale,
+    c_rapid,
     knn_brute,
+    r_rapid,
     rapid,
     rapid_unnormalized,
     reflectivity_map,
+    reflectivity_metric,
     rho,
     select_k,
 )
 
-from conftest import random_cloud
+from conftest import random_cloud, small_geometry
 
 
 def collinear_cloud(reflectivity=0.7):
@@ -293,8 +298,18 @@ class TestRapidInvariances:
             assert np.abs(m.values - m_s.values).max() <= 1e-12
 
 
+def assert_rows_match_4d_brute(cloud, subset, k):
+    """rapid_unnormalized rows equal knn_brute distances under the 4D metric
+    at the region's own scale, row by row in the returned anchor order."""
+    rows, anchors, scale = rapid_unnormalized(subset, cloud, k)
+    lists = knn_brute(anchors, cloud, k, reflectivity_metric(scale))
+    oracle = np.stack([nl.distances for nl in lists])
+    assert np.abs(rows - oracle).max() <= 1e-12
+
+
 class TestPoolMatchesExhaustive4D:
-    """The 4k coordinate pool re-ranked in 4D equals exhaustive 4D ranking."""
+    """Rows are the k smallest 4D distances inside the region, exactly as an
+    exhaustive 4D ranking gives them; no coordinate pre-selection."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_regions(self, seed):
@@ -312,6 +327,45 @@ class TestPoolMatchesExhaustive4D:
         rows, _, _ = rapid_unnormalized(sub, scene_cloud, 7)
         expected, _ = exhaustive_rapid_rows(scene_cloud, sub, 7)
         assert np.abs(rows - expected).max() <= 1e-12
+
+    def test_every_scene_region(self, scene_cloud):
+        # ring000-close has rows whose 4D neighbors are far from their
+        # coordinate neighbors; any coordinate pre-selection misses them.
+        config = RangeAwareConfig()
+        features = (
+            r_rapid(scene_cloud, small_geometry(), config),
+            c_rapid(scene_cloud, config),
+        )
+        roi_ids = [m.roi_id for f in features for m in f.matrices]
+        assert "ring000-close" in roi_ids
+        for f in features:
+            for mat in f.matrices:
+                assert_rows_match_4d_brute(scene_cloud, mat.anchors, mat.k)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        clusters=st.integers(1, 4),
+        size=st.integers(8, 80),
+        spread=st.sampled_from([1e-3, 0.05, 0.5]),
+        levels=st.integers(2, 4),
+        k=st.sampled_from([3, 5, 10]),
+    )
+    def test_clustered_mixed_reflectivity(self, seed, clusters, size, spread, levels, k):
+        # Tight clusters whose points carry a few distinct reflectivity levels
+        # plus a continuous tail: the 4D nearest neighbor of a point is often
+        # a same-level point far away in coordinates.
+        rng = np.random.default_rng(seed)
+        centers = rng.uniform(-5.0, 5.0, size=(clusters, 3))
+        pts = np.concatenate(
+            [c + rng.normal(0.0, spread, size=(size, 3)) for c in centers]
+        )
+        n = len(pts)
+        refl = rng.choice(np.linspace(0.0, 1.0, levels), size=n)
+        tail = rng.random(n) < 0.2
+        refl[tail] = rng.uniform(0.0, 1.0, int(tail.sum()))
+        cloud = PointCloud(points=pts, remission=refl)
+        assert_rows_match_4d_brute(cloud, np.arange(n), min(k, n - 1))
 
 
 class TestSelectK:

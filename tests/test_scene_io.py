@@ -26,6 +26,8 @@ from rapidfeat import (
     synthesize_scene,
 )
 from rapidfeat.scene_io import (
+    _read_container,
+    _write_container,
     load_feature_file,
     save_feature_file,
     load_tensors,
@@ -237,6 +239,25 @@ class TestFeatureContainer:
         path.write_bytes(raw[: len(raw) - 10])
         with pytest.raises(FormatError):
             load_features(path)
+
+    def test_record_missing_keys(self, tmp_path, rng):
+        path = tmp_path / "m.rapd"
+        save_features([random_matrix(rng, 3, 2)], path)
+        header, payload = _read_container(path)
+        good = header["records"][0]
+        bad_records = [
+            {k: v for k, v in good.items() if k != "type"},
+            {k: v for k, v in good.items() if k != "k"},
+            {**good, "scale": {"r_min": 0.0}},
+            {**good, "arrays": "values"},
+            {**good, "type": ["matrix"]},
+            {"type": "pointwise", "arrays": {"values": good["arrays"]["values"]}},
+            ["matrix"],
+        ]
+        for rec in bad_records:
+            _write_container(path, {**header, "records": [rec]}, payload)
+            with pytest.raises(FormatError):
+                load_feature_file(path)
 
     def test_pointwise_record_roundtrip(self, tmp_path, scene_cloud):
         from rapidfeat import RangeAwareConfig, r_rapid
