@@ -6,8 +6,16 @@ softmax computed independently inside each voxel group, and scatter-summed
 into a voxel-wise tensor. The inner stage compresses the feature width with
 linear+batchnorm stages, exchanges information between neighboring voxels
 with two depthwise 3x3x3 convolutions over the sparse voxel grid, and
-reconstructs the width with linear stages. The point decoder broadcasts
-voxel features back to points and attends them against point-side queries.
+reconstructs the width with linear stages. The convolutions share one kernel
+map per voxel grid: the (destination, source) voxel pairs of each of the 27
+offsets, found once with a sorted-code lookup (the MinkowskiEngine idiom).
+The point decoder broadcasts voxel features back to points and attends them
+against point-side queries.
+
+The contrastive loss pairs every point with its coordinate-nearest point of
+the same class and of any other class. The pairs come from exact per-class
+KD-tree queries through the library's one KNN routine, so the loss costs
+O(m log m) per class instead of the O(m^2) of an all-pairs scan.
 
 Everything here is pure forward math with explicit weights; there is no
 training loop. Reductions run in a fixed order so results do not depend on
@@ -18,6 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Optional, Union
 
@@ -25,6 +34,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import ContractError
+from .geometry import nearest_candidate_rows
 from . import scene_io
 
 _ACTIVATIONS = {
@@ -90,6 +100,24 @@ class VoxelGroups:
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.point_voxel, minlength=self.num_voxels)
+
+    @cached_property
+    def kernel_map(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per 3x3x3 offset, in product((-1, 0, 1), repeat=3) order, the
+        (destination, source) voxel indices with source = destination +
+        offset. Built once per grid and shared by every convolution on it;
+        destinations ascend within each offset."""
+        coords = self.voxel_coords
+        lo = coords.min(axis=0) - 1
+        extent = coords.max(axis=0) - lo + 3
+        codes = np.ravel_multi_index((coords - lo).T, extent)
+        pairs = []
+        for offset in product((-1, 0, 1), repeat=3):
+            nb_codes = np.ravel_multi_index((coords + offset - lo).T, extent)
+            pos = np.minimum(np.searchsorted(codes, nb_codes), len(codes) - 1)
+            dst = np.flatnonzero(codes[pos] == nb_codes)
+            pairs.append((dst, pos[dst]))
+        return tuple(pairs)
 
 
 def voxelize(
@@ -371,25 +399,18 @@ def vsa_encode(
 
 
 def _sparse_depthwise_conv(
-    x: np.ndarray, coords: np.ndarray, kernel: np.ndarray
+    x: np.ndarray,
+    kernel_map: tuple[tuple[np.ndarray, np.ndarray], ...],
+    kernel: np.ndarray,
 ) -> np.ndarray:
     """Depthwise 3x3x3 convolution over occupied voxels; absent neighbors
-    contribute zero. coords must be lexicographically sorted."""
-    c = len(coords)
+    contribute zero. kernel_map is VoxelGroups.kernel_map of x's grid."""
     if kernel.shape[:2] != x.shape[1:] or kernel.shape[2:] != (3, 3, 3):
         raise ContractError("kernel must be (l, d', 3, 3, 3) matching the input")
-    lo = coords.min(axis=0) - 1
-    extent = coords.max(axis=0) - lo + 3
-    codes = np.ravel_multi_index((coords - lo).T, extent)
+    taps = kernel.reshape(kernel.shape[:2] + (27,))
     out = np.zeros_like(x)
-    for dx, dy, dz in product((-1, 0, 1), repeat=3):
-        nb = coords + np.array([dx, dy, dz])
-        nb_codes = np.ravel_multi_index((nb - lo).T, extent)
-        pos = np.searchsorted(codes, nb_codes)
-        pos_c = np.minimum(pos, c - 1)
-        found = codes[pos_c] == nb_codes
-        taps = kernel[:, :, dx + 1, dy + 1, dz + 1]
-        out[found] += x[pos_c[found]] * taps
+    for i, (dst, src) in enumerate(kernel_map):
+        out[dst] += x[src] * taps[:, :, i]
     return out
 
 
@@ -412,8 +433,8 @@ def inner_bottleneck(
         x = norm(lin(x))
     hbar = x
     act = _ACTIVATIONS[weights.activation]
-    y = _sparse_depthwise_conv(hbar, groups.voxel_coords, weights.ffn_conv1)
-    y = _sparse_depthwise_conv(act(y), groups.voxel_coords, weights.ffn_conv2)
+    y = _sparse_depthwise_conv(hbar, groups.kernel_map, weights.ffn_conv1)
+    y = _sparse_depthwise_conv(act(y), groups.kernel_map, weights.ffn_conv2)
     for lin in weights.inner_decoder:
         if y.shape[-1] != lin.weight.shape[0]:
             raise ContractError("inner decoder stage width mismatch")
@@ -466,25 +487,27 @@ def _similarity(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
     raise ContractError(f"unknown similarity {kind!r}")
 
 
-def _nearest_in_mask(
-    points: np.ndarray, eligible: np.ndarray, chunk: int = 256
-) -> np.ndarray:
-    """Per point, the (distance, index)-smallest point among eligible[i, :].
+def _class_pairs(points: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the (distance, index)-smallest other point of its own class
+    (pos) and of any other class (neg); -1 where no such point exists.
 
-    eligible is an (m, m) boolean matrix; rows with no eligible point get -1.
-    Exhaustive by design: tie-breaks must match the enumeration oracle.
+    Each class is one depth-1 self query on its members and one depth-1
+    query of its members against the points of every other class. Members
+    are ascending point indices, so the row-index tie-break of
+    nearest_candidate_rows is the ascending point-index tie-break.
     """
-    m = len(points)
-    out = np.full(m, -1, dtype=np.int64)
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        diff = points[lo:hi, None, :] - points[None, :, :]
-        d2 = np.einsum("abc,abc->ab", diff, diff)
-        d2[~eligible[lo:hi]] = np.inf
-        best = np.argmin(d2, axis=1)  # first minimum: ties by ascending index
-        has = d2[np.arange(hi - lo), best] < np.inf
-        out[lo:hi] = np.where(has, best, -1)
-    return out
+    pos = np.full(len(points), -1, dtype=np.int64)
+    neg = np.full(len(points), -1, dtype=np.int64)
+    for c in np.unique(labels):
+        inside = labels == c
+        members, others = np.flatnonzero(inside), np.flatnonzero(~inside)
+        if len(members) > 1:
+            idx, _ = nearest_candidate_rows(points[members], 1)
+            pos[members] = members[idx[:, 0]]
+        if len(others) > 0:
+            idx, _ = nearest_candidate_rows(points[others], 1, queries=points[members])
+            neg[members] = others[idx[:, 0]]
+    return pos, neg
 
 
 def contrastive_loss(
@@ -498,9 +521,11 @@ def contrastive_loss(
 
     For each point, the positive pair is the coordinate-nearest point of the
     same class and the negative pair the coordinate-nearest point of a
-    different class; a term is skipped when no such point exists. When no
-    point has a negative pair (single-class input), the loss degrades to
-    positive terms only and a RuntimeWarning is emitted.
+    different class, ties broken by ascending point index; a term is skipped
+    when no such point exists. When no point has a negative pair
+    (single-class input), the loss degrades to positive terms only and a
+    RuntimeWarning is emitted. Pairs come from exact per-class KD-tree
+    queries, O(m log m) per class in time and O(m) in memory.
     """
     h = np.asarray(embeddings, dtype=np.float64)
     p = np.asarray(points, dtype=np.float64)
@@ -508,11 +533,7 @@ def contrastive_loss(
     m = len(h)
     if len(p) != m or len(y) != m:
         raise ContractError("embeddings, points, and labels must align")
-    same = y[:, None] == y[None, :]
-    np.fill_diagonal(same, False)
-    diff_class = y[:, None] != y[None, :]
-    pos = _nearest_in_mask(p, same)
-    neg = _nearest_in_mask(p, diff_class)
+    pos, neg = _class_pairs(p, y)
     if np.all(neg < 0):
         warnings.warn(
             "all points share one class; contrastive loss uses positive terms only",

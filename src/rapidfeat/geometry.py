@@ -141,24 +141,27 @@ def _refine_ties(
 
 
 def _brute_candidate_rows(
-    x: np.ndarray, tie_break: bool, chunk: int = 512
+    x: np.ndarray, tie_break: bool, queries: Optional[np.ndarray] = None, chunk: int = 512
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full sorted candidate rows by exhaustive pairwise evaluation.
 
-    Returns (idx, d2) of shape (u, u); the trailing column of each row is the
-    anchor itself pushed to the end with d2 = inf. Candidates enumerate in
+    Returns (idx, d2) with one row per query over all u rows of x. Without
+    queries the anchors are x itself and the trailing column of each row is
+    the anchor pushed to the end with d2 = inf. Candidates enumerate in
     index order, so a stable sort by d2 already breaks ties by index and the
     tie_break flag only matters for callers that reorder candidates first.
     """
-    u, _ = x.shape
-    idx_out = np.empty((u, u), dtype=np.int64)
-    d2_out = np.empty((u, u), dtype=np.float64)
+    q = x if queries is None else queries
+    u = len(x)
+    idx_out = np.empty((len(q), u), dtype=np.int64)
+    d2_out = np.empty((len(q), u), dtype=np.float64)
     base = np.arange(u, dtype=np.int64)
-    for lo in range(0, u, chunk):
-        hi = min(lo + chunk, u)
-        diff = x[lo:hi, None, :] - x[None, :, :]
+    for lo in range(0, len(q), chunk):
+        hi = min(lo + chunk, len(q))
+        diff = q[lo:hi, None, :] - x[None, :, :]
         d2 = np.einsum("abc,abc->ab", diff, diff)
-        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        if queries is None:
+            d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
         order = np.argsort(d2, axis=1, kind="stable")
         idx_out[lo:hi] = base[order]
         d2_out[lo:hi] = np.take_along_axis(d2, order, axis=1)
@@ -166,7 +169,7 @@ def _brute_candidate_rows(
 
 
 def _tree_candidate_rows(
-    x: np.ndarray, n: int, tie_break: bool
+    x: np.ndarray, n: int, tie_break: bool, queries: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted candidate rows via KD-tree retrieval plus exact re-ranking.
 
@@ -177,16 +180,18 @@ def _tree_candidate_rows(
     exactly the n smallest and that every candidate tied with the n-th
     distance was retrieved.
     """
+    q = x if queries is None else queries
     u = len(x)
     tree = cKDTree(x, leafsize=32)
     m = min(u, n + 4)
     self_idx = np.arange(u, dtype=np.int64)
     while True:
-        d_tree, idx = tree.query(x, k=m)
+        d_tree, idx = tree.query(q, k=m)
         idx = idx.astype(np.int64)
-        diff = x[idx] - x[:, None, :]
+        diff = x[idx] - q[:, None, :]
         d2 = np.einsum("abc,abc->ab", diff, diff)
-        d2[idx == self_idx[:, None]] = np.inf
+        if queries is None:
+            d2[idx == self_idx[:, None]] = np.inf
         order = np.argsort(d2, axis=1, kind="stable")
         d2_s = np.take_along_axis(d2, order, axis=1)
         idx_s = np.take_along_axis(idx, order, axis=1)
@@ -202,23 +207,30 @@ def _tree_candidate_rows(
 
 
 def nearest_candidate_rows(
-    x: np.ndarray, n: int, tie_break: bool = True
+    x: np.ndarray,
+    n: int,
+    tie_break: bool = True,
+    queries: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-anchor candidates sorted by squared distance, exact to depth n.
 
-    x is an (u, D) embedding; n must satisfy 1 <= n <= u - 1. Rows may be
-    wider than n; entries beyond the guaranteed depth only serve tie
-    inclusion at the n-th distance, which the retrieval bound covers. With
-    tie_break=True equal distances are ordered by ascending candidate index;
-    value-only consumers can skip that pass since tied entries carry equal
-    distances either way.
+    x is an (u, D) embedding. Without queries every row of x is an anchor,
+    its own row is excluded, and n must satisfy 1 <= n <= u - 1. With an
+    (a, D) queries array the anchors are the query rows, ranked against
+    every row of x with no exclusion, and 1 <= n <= u. Rows may be wider
+    than n; entries beyond the guaranteed depth only serve tie inclusion at
+    the n-th distance, which the retrieval bound covers. With tie_break=True
+    equal distances are ordered by ascending row index of x; value-only
+    consumers can skip that pass since tied entries carry equal distances
+    either way.
     """
     u = len(x)
-    if not 1 <= n <= u - 1:
-        raise ContractError(f"need 1 <= n <= u-1, got n={n}, u={u}")
-    if u <= BRUTE_FORCE_CUTOFF or n >= u - 1:
-        return _brute_candidate_rows(x, tie_break)
-    return _tree_candidate_rows(x, n, tie_break)
+    depth = u - 1 if queries is None else u
+    if not 1 <= n <= depth:
+        raise ContractError(f"need 1 <= n <= {depth}, got n={n}, u={u}")
+    if u <= BRUTE_FORCE_CUTOFF or n >= depth:
+        return _brute_candidate_rows(x, tie_break, queries)
+    return _tree_candidate_rows(x, n, tie_break, queries)
 
 
 def _as_subset(subset: Sequence[int] | np.ndarray) -> np.ndarray:

@@ -5,6 +5,10 @@ ring channel when present) or into semantic classes, each region is further
 split into range bands, and per-region RAPiD matrices are scattered back to
 their anchor points as a fixed-width pointwise feature set. Sparse regions
 fall back along the configured k chain and finally to all-padding rows.
+
+With more than one worker, regions are dispatched one per task, largest
+first (ties in plan order), and written back in plan order, so the output
+bytes and the order of roi ids do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -172,8 +176,14 @@ def _run_jobs(
     ]
     if workers <= 1:
         return [_rapid_job(payload, timings) for payload in payloads]
+    # One region per task, largest first: a task holding several big
+    # regions would keep one worker busy while the others idle.
+    order = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][0]))
+    matrices: list[Optional[RapidMatrix]] = [None] * len(jobs)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_rapid_job, payloads, chunksize=8))
+        for i, mat in zip(order, pool.map(_rapid_job, [payloads[i] for i in order])):
+            matrices[i] = mat
+    return matrices
 
 
 def _scatter(

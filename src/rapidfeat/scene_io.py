@@ -15,6 +15,7 @@ On-disk formats:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -320,14 +321,36 @@ def _read_container(path: PathLike) -> tuple[dict, bytes]:
         header = json.loads(raw[12 : 12 + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: corrupt header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
     return header, raw[12 + head_len :]
 
 
+def _records(path: PathLike, header: dict) -> list:
+    records = header.get("records", [])
+    if not isinstance(records, list):
+        raise FormatError(f"{path}: records is not a list")
+    return records
+
+
+# Payload dtypes the container writers emit.
+_DTYPES = ("<f4", "<f8", "<i4", "<i8")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _read_array(payload: bytes, desc: dict) -> np.ndarray:
+    if not isinstance(desc, dict) or desc.get("dtype") not in _DTYPES:
+        raise FormatError(f"bad array descriptor {desc!r}: unknown dtype")
+    shape, start = desc.get("shape"), desc.get("offset")
+    if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
+        raise FormatError(f"bad array descriptor {desc!r}: shape")
+    if not _is_count(start):
+        raise FormatError(f"bad array descriptor {desc!r}: offset")
     dtype = np.dtype(desc["dtype"])
-    shape = tuple(desc["shape"])
-    nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
-    start = desc["offset"]
+    nbytes = dtype.itemsize * math.prod(shape)
     if start + nbytes > len(payload):
         raise FormatError("truncated payload")
     return np.frombuffer(payload[start : start + nbytes], dtype=dtype).reshape(shape)
@@ -427,7 +450,7 @@ def load_feature_file(path: PathLike) -> FeatureFile:
         raise FormatError(f"{path}: container holds {header.get('kind')!r}, not features")
     matrices = []
     arrays = None
-    for rec in header.get("records", []):
+    for rec in _records(path, header):
         _check_record(path, rec)
         if rec["type"] == "matrix":
             matrices.append(_matrix_from_record(rec, payload))
@@ -468,7 +491,7 @@ def load_tensors(path: PathLike) -> tuple[dict[str, np.ndarray], dict]:
         raise FormatError(f"{path}: container holds {header.get('kind')!r}, not weights")
     tensors = {
         rec["name"]: _read_array(payload, rec["arrays"]["data"]).astype(np.float64)
-        for rec in header.get("records", [])
+        for rec in _records(path, header)
     }
     return tensors, header.get("meta", {})
 

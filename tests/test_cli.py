@@ -37,6 +37,14 @@ SCENE = {
 }
 
 
+def _with_descriptor(header, **fields):
+    """Header whose first record's values descriptor has fields replaced."""
+    rec = header["records"][0]
+    values = {**rec["arrays"]["values"], **fields}
+    arrays = {**rec["arrays"], "values": values}
+    return {**header, "records": [{**rec, "arrays": arrays}]}
+
+
 @pytest.fixture
 def config_file(tmp_path):
     def write(**extra):
@@ -158,11 +166,11 @@ class TestExtract:
         assert main(["extract", "--config", str(path)]) == EXIT_DATA
 
     def test_workers_flag_same_bytes(self, config_file, tmp_path):
-        path = config_file()
+        path = config_file(output={"class_features": str(tmp_path / "c.rapd")})
         main(["extract", "--config", str(path)])
-        first = (tmp_path / "r.rapd").read_bytes()
+        first = [(tmp_path / name).read_bytes() for name in ("r.rapd", "c.rapd")]
         main(["extract", "--config", str(path), "--workers", "2"])
-        assert (tmp_path / "r.rapd").read_bytes() == first
+        assert [(tmp_path / name).read_bytes() for name in ("r.rapd", "c.rapd")] == first
 
     def test_prints_region_statistics(self, config_file, capsys):
         main(["extract", "--config", str(config_file())])
@@ -343,6 +351,35 @@ class TestHeatmap:
         err = capsys.readouterr().err
         assert "lacks 'k'" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda header: [],
+            lambda header: {**header, "records": 5},
+            lambda header: _with_descriptor(header, dtype="bogus"),
+            lambda header: _with_descriptor(header, offset=-16),
+        ],
+        ids=["header-list", "records-int", "dtype-bogus", "offset-negative"],
+    )
+    def test_malformed_header_is_data_error(self, tmp_path, capsys, corrupt):
+        from rapidfeat import RapidMatrix, ReflectivityScale, save_features
+        from rapidfeat.scene_io import _read_container, _write_container
+
+        feat = tmp_path / "bad.rapd"
+        mat = RapidMatrix(
+            values=np.ones((3, 2)),
+            roi_id="x",
+            k=2,
+            scale=ReflectivityScale(0, 1, 0, 1),
+            anchors=np.arange(3),
+        )
+        save_features([mat], feat)
+        header, payload = _read_container(feat)
+        _write_container(feat, corrupt(header), payload)
+        code = main(["heatmap", str(feat), "--roi", "x", "--out", str(tmp_path / "i.pgm")])
+        assert code == EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_unknown_roi(self, tmp_path, config_file):
         main(["extract", "--config", str(config_file())])

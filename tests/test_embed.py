@@ -1,7 +1,11 @@
 """Voxel attention forward math and the embedding losses."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rapidfeat import (
     ContractError,
@@ -18,7 +22,14 @@ from rapidfeat import (
     vsa_decode,
     vsa_encode,
 )
-from rapidfeat.embed import LinearStage, _similarity
+from rapidfeat.embed import (
+    LinearStage,
+    _class_pairs,
+    _similarity,
+    _sparse_depthwise_conv,
+)
+
+from conftest import kitti_style_scan
 
 
 def make_instance(seed, m=40, d_in=8, dims=None, voxel=0.6):
@@ -206,6 +217,62 @@ class TestInnerBottleneck:
         assert np.array_equal(hv_hat[1], [[10.0, 20.0]])  # no +x neighbor
 
 
+def conv_oracle(x, coords, kernel):
+    """Depthwise 3x3x3 convolution with one sorted-code lookup per offset."""
+    c = len(coords)
+    lo = coords.min(axis=0) - 1
+    extent = coords.max(axis=0) - lo + 3
+    codes = np.ravel_multi_index((coords - lo).T, extent)
+    out = np.zeros_like(x)
+    for dx, dy, dz in product((-1, 0, 1), repeat=3):
+        nb = coords + np.array([dx, dy, dz])
+        nb_codes = np.ravel_multi_index((nb - lo).T, extent)
+        pos = np.searchsorted(codes, nb_codes)
+        pos_c = np.minimum(pos, c - 1)
+        found = codes[pos_c] == nb_codes
+        taps = kernel[:, :, dx + 1, dy + 1, dz + 1]
+        out[found] += x[pos_c[found]] * taps
+    return out
+
+
+def grid_groups(coords):
+    """Voxel groups whose voxel coordinates are exactly the given integers."""
+    return voxelize(np.asarray(coords, dtype=np.float64) + 0.5, 1.0)
+
+
+class TestKernelMapConv:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300), span=st.integers(0, 12), seed=st.integers(0, 2 ** 31))
+    def test_matches_searchsorted_oracle(self, n, span, seed):
+        rng = np.random.default_rng(seed)
+        groups = grid_groups(rng.integers(-span, span + 1, size=(n, 3)))
+        x = rng.normal(size=(groups.num_voxels, 2, 3))
+        kernel = rng.normal(size=(2, 3, 3, 3, 3))
+        got = _sparse_depthwise_conv(x, groups.kernel_map, kernel)
+        assert got.tobytes() == conv_oracle(x, groups.voxel_coords, kernel).tobytes()
+
+    def test_single_voxel_uses_center_tap(self, rng):
+        groups = grid_groups([[4, -2, 7]])
+        x = rng.normal(size=(1, 2, 3))
+        kernel = rng.normal(size=(2, 3, 3, 3, 3))
+        got = _sparse_depthwise_conv(x, groups.kernel_map, kernel)
+        assert np.array_equal(got, x * kernel[:, :, 1, 1, 1])
+
+    def test_isolated_voxels(self, rng):
+        coords = 3 * rng.integers(-5, 6, size=(40, 3))
+        groups = grid_groups(coords)
+        assert all(len(dst) == 0 for i, (dst, _) in enumerate(groups.kernel_map) if i != 13)
+        x = rng.normal(size=(groups.num_voxels, 2, 3))
+        kernel = rng.normal(size=(2, 3, 3, 3, 3))
+        got = _sparse_depthwise_conv(x, groups.kernel_map, kernel)
+        assert got.tobytes() == conv_oracle(x, groups.voxel_coords, kernel).tobytes()
+        assert np.array_equal(got, x * kernel[:, :, 1, 1, 1])
+
+    def test_map_built_once_per_grid(self, rng):
+        groups = grid_groups(rng.integers(0, 4, size=(20, 3)))
+        assert groups.kernel_map is groups.kernel_map
+
+
 class TestVsaDecode:
     def test_single_point_single_latent(self):
         dims = EmbeddingDims(latents=1, width=4, reduced=4, stages=1)
@@ -281,6 +348,72 @@ def oracle_contrastive(embeddings, points, labels, alpha, sim):
     return total / m
 
 
+def nearest_in_mask(points, eligible, chunk=256):
+    """Per point, the (distance, index)-smallest point among eligible[i, :];
+    -1 where none is eligible. Exhaustive over an (m, m) mask."""
+    m = len(points)
+    out = np.full(m, -1, dtype=np.int64)
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        diff = points[lo:hi, None, :] - points[None, :, :]
+        d2 = np.einsum("abc,abc->ab", diff, diff)
+        d2[~eligible[lo:hi]] = np.inf
+        best = np.argmin(d2, axis=1)  # first minimum: ties by ascending index
+        has = d2[np.arange(hi - lo), best] < np.inf
+        out[lo:hi] = np.where(has, best, -1)
+    return out
+
+
+def mask_pairs(points, labels):
+    same = labels[:, None] == labels[None, :]
+    np.fill_diagonal(same, False)
+    diff_class = labels[:, None] != labels[None, :]
+    return nearest_in_mask(points, same), nearest_in_mask(points, diff_class)
+
+
+class TestClassPairs:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(1, 200),
+        span=st.integers(0, 6),
+        classes=st.integers(1, 5),
+        singletons=st.integers(0, 3),
+        seed=st.integers(0, 2 ** 31),
+    )
+    def test_integer_grid_matches_mask_oracle(self, m, span, classes, singletons, seed):
+        # integer grids: duplicate points and exact distance ties everywhere
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, span + 1, size=(m, 3)).astype(np.float64)
+        labels = rng.integers(0, classes, m)
+        k = min(singletons, m)
+        labels[:k] = 100 + np.arange(k)
+        pos, neg = _class_pairs(pts, labels)
+        pos_o, neg_o = mask_pairs(pts, labels)
+        assert np.array_equal(pos, pos_o)
+        assert np.array_equal(neg, neg_o)
+
+    def test_continuous_cloud_tree_path(self, rng):
+        pts = rng.normal(size=(600, 3))
+        labels = rng.integers(0, 4, 600)
+        pos, neg = _class_pairs(pts, labels)
+        pos_o, neg_o = mask_pairs(pts, labels)
+        assert np.array_equal(pos, pos_o) and np.array_equal(neg, neg_o)
+
+    def test_single_class(self, rng):
+        pts = rng.integers(0, 3, size=(150, 3)).astype(np.float64)
+        labels = np.full(150, 7)
+        pos, neg = _class_pairs(pts, labels)
+        assert np.all(neg == -1)
+        assert np.array_equal(pos, mask_pairs(pts, labels)[0])
+
+    def test_single_member_classes(self):
+        # point 3 is equally far from points 0, 1 and 2: the lowest index wins
+        pts = np.array([[0.0, 0, 0], [0.0, 0, 0], [1.0, 0, 0], [0.5, 0, 0]])
+        pos, neg = _class_pairs(pts, np.array([5, 6, 5, 7]))
+        assert pos.tolist() == [2, -1, 0, -1]
+        assert neg.tolist() == [1, 0, 3, 0]
+
+
 class TestContrastiveLoss:
     def test_separable_classes_zero_loss(self):
         # identical embeddings within class, orthogonal across classes
@@ -326,6 +459,13 @@ class TestContrastiveLoss:
     def test_alignment_contract(self, rng):
         with pytest.raises(ContractError):
             contrastive_loss(rng.normal(size=(3, 2)), rng.normal(size=(4, 3)), [0, 1, 2])
+
+    def test_full_120k_scan(self, rng):
+        # all-pairs masks would need ~14 GB each at this size
+        cloud = kitti_style_scan(seed=77, beams=64, per_beam=1875)
+        labels = np.digitize(cloud.points[:, 2], [-1.5, -0.5, 0.5])
+        emb = rng.normal(size=(len(cloud), 8))
+        assert np.isfinite(contrastive_loss(emb, cloud.points, labels))
 
 
 class TestReconstructionLoss:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rapidfeat import (
     ContractError,
@@ -251,3 +253,58 @@ class TestCandidateRows:
         cloud = random_cloud(rng, 10)
         emb = euclidean_metric()(cloud, np.arange(10))
         assert emb.shape == (10, 3)
+
+
+def cross_set_oracle(x, queries, n):
+    """Per query, the n rows of x with the smallest (d2, index), by a full
+    ranking of every row."""
+    idx = np.empty((len(queries), n), dtype=np.int64)
+    d2 = np.empty((len(queries), n))
+    for a, q in enumerate(queries):
+        diff = x - q
+        dist = np.einsum("ij,ij->i", diff, diff)
+        order = np.lexsort((np.arange(len(x)), dist))[:n]
+        idx[a], d2[a] = order, dist[order]
+    return idx, d2
+
+
+class TestCrossSetRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        u=st.integers(1, 200),
+        a=st.integers(1, 40),
+        depth=st.integers(1, 6),
+        span=st.integers(0, 8),
+        seed=st.integers(0, 2 ** 31),
+    )
+    def test_integer_grid_matches_full_ranking(self, u, a, depth, span, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, span + 1, size=(u, 3)).astype(np.float64)
+        q = rng.integers(0, span + 1, size=(a, 3)).astype(np.float64)
+        n = min(depth, u)
+        idx, d2 = nearest_candidate_rows(x, n, queries=q)
+        want_idx, want_d2 = cross_set_oracle(x, q, n)
+        assert np.array_equal(idx[:, :n], want_idx)
+        assert np.array_equal(d2[:, :n], want_d2)
+
+    def test_continuous_tree_path(self, rng):
+        x = rng.normal(size=(500, 4))
+        q = rng.normal(size=(90, 4))
+        idx, d2 = nearest_candidate_rows(x, 7, queries=q)
+        want_idx, want_d2 = cross_set_oracle(x, q, 7)
+        assert np.array_equal(idx[:, :7], want_idx)
+        assert np.array_equal(d2[:, :7], want_d2)
+
+    def test_query_on_a_row_of_x_is_not_excluded(self, rng):
+        x = rng.normal(size=(100, 3))
+        idx, d2 = nearest_candidate_rows(x, 1, queries=x[[5, 60]])
+        assert idx[:, 0].tolist() == [5, 60] and np.all(d2[:, 0] == 0.0)
+
+    def test_depth_bounds(self, rng):
+        x = rng.normal(size=(5, 3))
+        with pytest.raises(ContractError):
+            nearest_candidate_rows(x, 6, queries=x[:2])
+        with pytest.raises(ContractError):
+            nearest_candidate_rows(x, 0, queries=x[:2])
+        idx, _ = nearest_candidate_rows(x, 5, queries=x[:2])
+        assert sorted(idx[0].tolist()) == [0, 1, 2, 3, 4]

@@ -277,6 +277,34 @@ class TestCRapid:
         assert fs.valid_width[30] == 0
 
 
+class TestWorkerDispatch:
+    def test_largest_region_not_first_same_output(self):
+        # ring 0 / class 1 are small; the biggest region comes second in plan
+        # order, so largest-first dispatch reorders the jobs
+        rng = np.random.default_rng(21)
+        sizes = (30, 400, 120)
+        n = sum(sizes)
+        ang = rng.uniform(0, 2 * np.pi, n)
+        dist = rng.uniform(5.0, 60.0, n)
+        pts = np.stack([dist * np.cos(ang), dist * np.sin(ang), rng.normal(0, 0.3, n)], axis=1)
+        ids = np.repeat(np.arange(3), sizes).astype(np.int32)
+        cloud = PointCloud(
+            points=pts, remission=rng.uniform(0, 1, n), ring=ids, label=ids + 1
+        )
+        config = RangeAwareConfig(k_close=5, k_mid=4, k_far=3)
+        for run in (
+            lambda w: r_rapid(cloud, SensorGeometry(3, 0.1, 0.1), config, workers=w),
+            lambda w: c_rapid(cloud, config, workers=w),
+        ):
+            one, two = run(1), run(2)
+            assert one.values.tobytes() == two.values.tobytes()
+            assert np.array_equal(one.valid_width, two.valid_width)
+            assert [m.roi_id for m in one.matrices] == [m.roi_id for m in two.matrices]
+            for a, b in zip(one.matrices, two.matrices):
+                assert np.array_equal(a.anchors, b.anchors)
+                assert a.values.tobytes() == b.values.tobytes()
+
+
 class TestSyntheticRingAssignment:
     def test_rings_come_from_quantization(self):
         geometry = small_geometry()

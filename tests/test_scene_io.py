@@ -259,6 +259,46 @@ class TestFeatureContainer:
             with pytest.raises(FormatError):
                 load_feature_file(path)
 
+    def test_malformed_header(self, tmp_path, rng):
+        path = tmp_path / "h.rapd"
+        save_features([random_matrix(rng, 3, 2)], path)
+        header, payload = _read_container(path)
+        for bad in ([], "rapid-features", 3, None):
+            _write_container(path, bad, payload)
+            with pytest.raises(FormatError):
+                load_feature_file(path)
+        for records in (5, "matrix", {"type": "matrix"}):
+            _write_container(path, {**header, "records": records}, payload)
+            with pytest.raises(FormatError):
+                load_feature_file(path)
+
+    def test_malformed_array_descriptor(self, tmp_path, rng):
+        path = tmp_path / "d.rapd"
+        save_features([random_matrix(rng, 3, 2)], path)
+        header, payload = _read_container(path)
+        rec = header["records"][0]
+        desc = rec["arrays"]["values"]
+        bad_descriptors = [
+            {**desc, "dtype": "bogus"},
+            {**desc, "dtype": "|O"},
+            {**desc, "dtype": None},
+            {k: v for k, v in desc.items() if k != "dtype"},
+            {**desc, "offset": -16},
+            {**desc, "offset": 1.5},
+            {**desc, "offset": "0"},
+            {**desc, "offset": True},
+            {**desc, "shape": [3, -2]},
+            {**desc, "shape": [3.0, 2]},
+            {**desc, "shape": "3x2"},
+            {**desc, "shape": [2 ** 62, 2 ** 62]},
+            [desc],
+        ]
+        for bad in bad_descriptors:
+            arrays = {**rec["arrays"], "values": bad}
+            _write_container(path, {**header, "records": [{**rec, "arrays": arrays}]}, payload)
+            with pytest.raises(FormatError):
+                load_feature_file(path)
+
     def test_pointwise_record_roundtrip(self, tmp_path, scene_cloud):
         from rapidfeat import RangeAwareConfig, r_rapid
 
@@ -289,6 +329,20 @@ class TestTensorContainer:
         assert set(loaded) == set(tensors)
         for name in tensors:
             assert np.array_equal(loaded[name], tensors[name])
+
+    def test_malformed_records(self, tmp_path, rng):
+        path = tmp_path / "w.rapd"
+        save_tensors(path, {"t": rng.normal(size=3)}, {})
+        header, payload = _read_container(path)
+        desc = header["records"][0]["arrays"]["data"]
+        for records in (5, {"t": 1}):
+            _write_container(path, {**header, "records": records}, payload)
+            with pytest.raises(FormatError):
+                load_tensors(path)
+        bad = {"type": "tensor", "name": "t", "arrays": {"data": {**desc, "offset": -8}}}
+        _write_container(path, {**header, "records": [bad]}, payload)
+        with pytest.raises(FormatError):
+            load_tensors(path)
 
     def test_kind_mismatch(self, tmp_path, rng):
         path = tmp_path / "w.rapd"
