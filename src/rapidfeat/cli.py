@@ -22,10 +22,10 @@ from . import scene_io
 from .cloud import PointCloud
 from .config import RunConfig, config_echo
 from .errors import RapidError
-from .geometry import RigidTransform, range_of
+from .geometry import RigidTransform
 from .metrics import ConfusionMatrix, accumulate, iou, miou
-from .partition import PointwiseFeatureSet, _plan_jobs, c_rapid, partition_rings, r_rapid
-from .rapid import band_indices, rapid
+from .partition import PointwiseFeatureSet, c_rapid, r_rapid
+from .rapid import rapid
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,30 +114,15 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _frozen_jobs(cloud: PointCloud, config: RunConfig):
-    """Region subsets and k values pinned on the input cloud, so transformed
-    reruns recompute the same regions (range bands depend on |p|)."""
-    rings = partition_rings(cloud, config.sensor)
-    band = band_indices(np.asarray(range_of(cloud.points)), config.rapid)
-    jobs, _ = _plan_jobs(rings.members, band, config.rapid, "ring")
-    return jobs
-
-
-def _matrices_for_jobs(cloud: PointCloud, jobs, delta: float) -> list[np.ndarray]:
-    out = []
-    for sub, k, roi_id in jobs:
-        local = PointCloud(points=cloud.points[sub], remission=cloud.remission[sub])
-        out.append(rapid(np.arange(len(local)), local, k, delta, roi_id=roi_id).values)
-    return out
-
-
 def cmd_check_invariance(args: argparse.Namespace) -> int:
     config = RunConfig.load(args.config, _config_overrides(args))
     if args.trials < 1:
         raise _UsageError("--trials must be >= 1")
     cloud = _load_cloud(config)
-    jobs = _frozen_jobs(cloud, config)
-    baseline = _matrices_for_jobs(cloud, jobs, config.rapid.delta)
+    # Regions are frozen on the input cloud, so transformed reruns recompute
+    # the same regions (range bands depend on |p|).
+    baseline = r_rapid(cloud, config.sensor, config.rapid, workers=config.workers)
+    delta = config.rapid.delta
     rng = np.random.default_rng(config.seed)
     worst = 0.0
     for trial in range(args.trials):
@@ -148,10 +133,9 @@ def cmd_check_invariance(args: argparse.Namespace) -> int:
             moved = cloud.with_points(cloud.points * factor)
         else:
             moved = cloud.with_points(RigidTransform.random(rng).apply(cloud.points))
-        for base, values in zip(
-            baseline, _matrices_for_jobs(moved, jobs, config.rapid.delta)
-        ):
-            worst = max(worst, float(np.abs(values - base).max()))
+        for mat in baseline.matrices:
+            values = rapid(np.sort(mat.anchors), moved, mat.k, delta).values
+            worst = max(worst, float(np.abs(values - mat.values).max()))
     print(f"max feature deviation over {args.trials} trials: {worst:.3e}")
     if worst > args.tolerance:
         print(f"deviation exceeds tolerance {args.tolerance:.1e}", file=sys.stderr)
@@ -237,7 +221,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
-    matrices = scene_io.load_features(args.features)
+    matrices = scene_io.load_feature_file(args.features).matrices
     match = [m for m in matrices if m.roi_id == args.roi]
     if not match:
         available = ", ".join(m.roi_id for m in matrices[:12])

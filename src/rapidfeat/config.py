@@ -13,17 +13,12 @@ has a default; CLI flags override file values. Defaults:
     rapid.k_close / k_mid / k_far                 10 / 7 / 5
     rapid.band_edges                              [20.0, 50.0] meters
     rapid.delta                                   2.0 meters
-    voxel_size                                    0.2 meters
-    embedding.latents / width / reduced / stages  4 / 16 / 8 / 2
-    embedding.activation                          "relu"
-    fusion.ratio                                  4
-    loss.alpha / loss.lambda / loss.sim           0.5 / 0.1 / "cosine"
     eval.num_classes / eval.ignore                20 / [0]
     workers                                       1
     seed                                          0
 
-The k triple (10, 7, 5) suits 64-beam scans and (8, 6, 3) suits 32-beam
-scans; both load through the same file.
+Keys outside this list are ignored. The k triple (10, 7, 5) suits 64-beam
+scans and (8, 6, 3) suits 32-beam scans; both load through the same file.
 """
 
 from __future__ import annotations
@@ -35,7 +30,6 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .cloud import SensorGeometry
-from .embed import EmbeddingDims
 from .errors import ContractError
 from .rapid import RangeAwareConfig
 
@@ -58,16 +52,6 @@ def defaults() -> dict:
             "band_edges": [20.0, 50.0],
             "delta": 2.0,
         },
-        "voxel_size": 0.2,
-        "embedding": {
-            "latents": 4,
-            "width": 16,
-            "reduced": 8,
-            "stages": 2,
-            "activation": "relu",
-        },
-        "fusion": {"ratio": 4},
-        "loss": {"alpha": 0.5, "lambda": 0.1, "sim": "cosine"},
         "eval": {"num_classes": 20, "ignore": [0]},
         "workers": 1,
         "seed": 0,
@@ -95,17 +79,10 @@ class RunConfig:
     class_features_out: Optional[str]
     sensor: SensorGeometry
     rapid: RangeAwareConfig
-    voxel_size: float
-    embedding: EmbeddingDims
-    fusion_ratio: int
-    alpha: float
-    lam: float
-    sim: str
     eval_num_classes: int
     eval_ignore: tuple[int, ...]
     workers: int
     seed: int
-    raw: dict
 
     @classmethod
     def load(
@@ -153,14 +130,6 @@ class RunConfig:
             k_far=int(rap["k_far"]),
             delta=float(rap["delta"]),
         )
-        emb = doc["embedding"]
-        dims = EmbeddingDims(
-            latents=int(emb["latents"]),
-            width=int(emb["width"]),
-            reduced=int(emb["reduced"]),
-            stages=int(emb["stages"]),
-            activation=emb["activation"],
-        )
         return cls(
             scan=doc["input"]["scan"],
             labels=doc["input"]["labels"],
@@ -169,17 +138,10 @@ class RunConfig:
             class_features_out=doc["output"]["class_features"],
             sensor=geometry,
             rapid=rapid_cfg,
-            voxel_size=float(doc["voxel_size"]),
-            embedding=dims,
-            fusion_ratio=int(doc["fusion"]["ratio"]),
-            alpha=float(doc["loss"]["alpha"]),
-            lam=float(doc["loss"]["lambda"]),
-            sim=doc["loss"]["sim"],
             eval_num_classes=int(doc["eval"]["num_classes"]),
             eval_ignore=tuple(int(i) for i in doc["eval"]["ignore"]),
             workers=int(doc["workers"]),
             seed=int(doc["seed"]),
-            raw=doc,
         )
 
 

@@ -4,7 +4,8 @@ Two KNN routes are provided with identical contracts: :func:`knn_brute` is a
 straightforward chunked pairwise implementation that serves as the oracle, and
 :func:`knn_indexed` is the accelerated path. Both rank neighbors by ascending
 metric distance with ties broken by ascending point index, and the accelerated
-path must agree with the oracle bit for bit.
+path must agree with the oracle bit for bit. Both build their neighbor lists
+the same way and differ only in the routine that produces candidate rows.
 
 Metrics are expressed as embeddings: a metric is a callable mapping
 ``(cloud, subset) -> (n, D) float64`` such that the metric distance between
@@ -141,15 +142,14 @@ def _refine_ties(
 
 
 def _brute_candidate_rows(
-    x: np.ndarray, tie_break: bool, queries: Optional[np.ndarray] = None, chunk: int = 512
+    x: np.ndarray, queries: Optional[np.ndarray] = None, chunk: int = 512
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full sorted candidate rows by exhaustive pairwise evaluation.
 
     Returns (idx, d2) with one row per query over all u rows of x. Without
     queries the anchors are x itself and the trailing column of each row is
     the anchor pushed to the end with d2 = inf. Candidates enumerate in
-    index order, so a stable sort by d2 already breaks ties by index and the
-    tie_break flag only matters for callers that reorder candidates first.
+    index order, so a stable sort by d2 already breaks ties by index.
     """
     q = x if queries is None else queries
     u = len(x)
@@ -229,7 +229,7 @@ def nearest_candidate_rows(
     if not 1 <= n <= depth:
         raise ContractError(f"need 1 <= n <= {depth}, got n={n}, u={u}")
     if u <= BRUTE_FORCE_CUTOFF or n >= depth:
-        return _brute_candidate_rows(x, tie_break, queries)
+        return _brute_candidate_rows(x, queries)
     return _tree_candidate_rows(x, n, tie_break, queries)
 
 
@@ -256,6 +256,35 @@ def _neighbor_lists(
     return lists
 
 
+def _knn_lists(
+    subset: Sequence[int] | np.ndarray,
+    cloud: PointCloud,
+    k: int,
+    metric: Optional[MetricEmbedding],
+    candidate_rows: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]],
+) -> list[NeighborList]:
+    """Neighbor lists of every subset point from sorted candidate rows.
+
+    Candidates are evaluated in ascending cloud-level index order, so the
+    row routine's index tie-break is the cloud-level one.
+    """
+    idx = _as_subset(subset)
+    if len(idx) < k + 1:
+        raise InsufficientPointsError(
+            f"subset of {len(idx)} points cannot supply k={k} neighbors"
+        )
+    metric = metric or euclidean_metric()
+    x = np.asarray(metric(cloud, idx), dtype=np.float64)
+    order = np.argsort(idx, kind="stable")
+    if np.any(np.diff(idx[order]) == 0):
+        raise ContractError("subset contains duplicate indices")
+    idx_rows, d2_rows = candidate_rows(x[order], k)
+    inv = np.empty_like(order)
+    inv[order] = np.arange(len(order))
+    lists = _neighbor_lists(idx[order], idx_rows, d2_rows, k)
+    return [lists[inv[a]] for a in range(len(idx))]
+
+
 def knn_brute(
     subset: Sequence[int] | np.ndarray,
     cloud: PointCloud,
@@ -268,22 +297,7 @@ def knn_brute(
     ascending point index. Raises InsufficientPointsError when the subset has
     fewer than k+1 points.
     """
-    idx = _as_subset(subset)
-    if len(idx) < k + 1:
-        raise InsufficientPointsError(
-            f"subset of {len(idx)} points cannot supply k={k} neighbors"
-        )
-    metric = metric or euclidean_metric()
-    x = np.asarray(metric(cloud, idx), dtype=np.float64)
-    # Tie-break is by cloud-level point index: evaluate candidates in that order.
-    order = np.argsort(idx, kind="stable")
-    if np.any(np.diff(idx[order]) == 0):
-        raise ContractError("subset contains duplicate indices")
-    idx_rows, d2_rows = _brute_candidate_rows(x[order], tie_break=True)
-    inv = np.empty_like(order)
-    inv[order] = np.arange(len(order))
-    lists = _neighbor_lists(idx[order], idx_rows, d2_rows, k)
-    return [lists[inv[a]] for a in range(len(idx))]
+    return _knn_lists(subset, cloud, k, metric, lambda x, _: _brute_candidate_rows(x))
 
 
 def knn_indexed(
@@ -298,18 +312,4 @@ def knn_indexed(
     re-ranks retrieved candidates with the same exact arithmetic as the brute
     route. Subsets below BRUTE_FORCE_CUTOFF go straight to brute force.
     """
-    idx = _as_subset(subset)
-    if len(idx) < k + 1:
-        raise InsufficientPointsError(
-            f"subset of {len(idx)} points cannot supply k={k} neighbors"
-        )
-    metric = metric or euclidean_metric()
-    x = np.asarray(metric(cloud, idx), dtype=np.float64)
-    order = np.argsort(idx, kind="stable")
-    if np.any(np.diff(idx[order]) == 0):
-        raise ContractError("subset contains duplicate indices")
-    idx_rows, d2_rows = nearest_candidate_rows(x[order], k, tie_break=True)
-    inv = np.empty_like(order)
-    inv[order] = np.arange(len(order))
-    lists = _neighbor_lists(idx[order], idx_rows, d2_rows, k)
-    return [lists[inv[a]] for a in range(len(idx))]
+    return _knn_lists(subset, cloud, k, metric, nearest_candidate_rows)

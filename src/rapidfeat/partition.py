@@ -219,6 +219,28 @@ def _scatter(
     )
 
 
+def _extract(
+    cloud: PointCloud,
+    members: dict[int, np.ndarray],
+    per_point: np.ndarray,
+    prefix: str,
+    config: RangeAwareConfig,
+    workers: int,
+    timings: Optional[dict],
+    t0: float,
+) -> PointwiseFeatureSet:
+    """RAPiD per (region x range band) of one partition, scattered back to
+    points. The partition stage is timed from t0, taken before partitioning."""
+    band = band_indices(np.asarray(range_of(cloud.points)), config)
+    jobs, _ = _plan_jobs(members, band, config, prefix)
+    if timings is not None:
+        timings["partition"] = timings.get("partition", 0.0) + (
+            time.perf_counter() - t0
+        )
+    matrices = _run_jobs(cloud, jobs, config.delta, workers, timings)
+    return _scatter(cloud, per_point, jobs, matrices, config)
+
+
 def r_rapid(
     cloud: PointCloud,
     geometry: SensorGeometry,
@@ -230,14 +252,9 @@ def r_rapid(
     points. Needs no labels."""
     t0 = time.perf_counter()
     rings = partition_rings(cloud, geometry)
-    band = band_indices(np.asarray(range_of(cloud.points)), config)
-    jobs, _ = _plan_jobs(rings.members, band, config, "ring")
-    if timings is not None:
-        timings["partition"] = timings.get("partition", 0.0) + (
-            time.perf_counter() - t0
-        )
-    matrices = _run_jobs(cloud, jobs, config.delta, workers, timings)
-    return _scatter(cloud, rings.per_point, jobs, matrices, config)
+    return _extract(
+        cloud, rings.members, rings.per_point, "ring", config, workers, timings, t0
+    )
 
 
 def c_rapid(
@@ -248,15 +265,8 @@ def c_rapid(
 ) -> PointwiseFeatureSet:
     """Intra-class features: RAPiD per (class x range band). Labels required
     (ground truth or externally supplied pseudo labels)."""
-    if cloud.label is None:
-        raise LabelsRequiredError("c_rapid requires per-point labels")
     t0 = time.perf_counter()
     classes = partition_classes(cloud)
-    band = band_indices(np.asarray(range_of(cloud.points)), config)
-    jobs, _ = _plan_jobs(classes.members, band, config, "class")
-    if timings is not None:
-        timings["partition"] = timings.get("partition", 0.0) + (
-            time.perf_counter() - t0
-        )
-    matrices = _run_jobs(cloud, jobs, config.delta, workers, timings)
-    return _scatter(cloud, classes.per_point, jobs, matrices, config)
+    return _extract(
+        cloud, classes.members, classes.per_point, "class", config, workers, timings, t0
+    )

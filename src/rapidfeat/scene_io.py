@@ -379,15 +379,10 @@ def _matrix_from_record(rec: dict, payload: bytes) -> RapidMatrix:
     return RapidMatrix(
         values=_read_array(payload, rec["arrays"]["values"]).astype(np.float64),
         roi_id=rec["roi_id"],
-        k=int(rec["k"]),
+        k=rec["k"],
         scale=ReflectivityScale(s["r_min"], s["r_max"], s["d_min"], s["d_max"]),
         anchors=_read_array(payload, rec["arrays"]["anchors"]).astype(np.int64),
     )
-
-
-def save_features(matrices: Sequence[RapidMatrix], path: PathLike) -> None:
-    """Persist RAPiD matrices; the round trip is lossless at float32."""
-    save_feature_file(path, matrices)
 
 
 @dataclass(frozen=True)
@@ -406,6 +401,8 @@ def save_feature_file(
     pointwise: Optional[PointwiseFeatureSet] = None,
     meta: Optional[dict] = None,
 ) -> None:
+    """Persist RAPiD matrices, plus an optional scan-level pointwise record
+    and provenance meta; the round trip is lossless at float32."""
     builder = _PayloadBuilder()
     records = [_matrix_record(builder, m) for m in matrices]
     if pointwise is not None:
@@ -423,35 +420,51 @@ def save_feature_file(
     _write_container(path, header, b"".join(builder.chunks))
 
 
-# Dotted key paths each feature record type needs for decoding.
+_NUMBER = (int, float)
+
+# Dotted key paths each record type needs for decoding, with their JSON types.
 _RECORD_KEYS = {
-    "matrix": "roi_id k scale.r_min scale.r_max scale.d_min scale.d_max "
-    "arrays.values arrays.anchors",
-    "pointwise": "arrays.values arrays.roi arrays.valid_width",
+    "matrix": {
+        "roi_id": str,
+        "k": int,
+        "scale.r_min": _NUMBER,
+        "scale.r_max": _NUMBER,
+        "scale.d_min": _NUMBER,
+        "scale.d_max": _NUMBER,
+        "arrays.values": dict,
+        "arrays.anchors": dict,
+    },
+    "pointwise": {"arrays.values": dict, "arrays.roi": dict, "arrays.valid_width": dict},
+    "tensor": {"name": str, "arrays.data": dict},
 }
 
 
-def _check_record(path: PathLike, rec) -> None:
-    """FormatError unless rec has a known type and every key it needs."""
+def _check_record(path: PathLike, rec, kinds: tuple[str, ...]) -> None:
+    """FormatError unless rec has one of the given types and every key it
+    needs, each of the JSON type that key takes."""
     kind = rec.get("type") if isinstance(rec, dict) else None
-    if not isinstance(kind, str) or kind not in _RECORD_KEYS:
-        raise FormatError(f"{path}: unknown record type {kind!r}")
-    for key in _RECORD_KEYS[kind].split():
+    if not isinstance(kind, str) or kind not in kinds:
+        raise FormatError(f"{path}: unexpected record type {kind!r}")
+    for key, expected in _RECORD_KEYS[kind].items():
         node = rec
         for part in key.split("."):
             node = node.get(part) if isinstance(node, dict) else None
         if node is None:
             raise FormatError(f"{path}: {kind} record lacks {key!r}")
+        if isinstance(node, bool) or not isinstance(node, expected):
+            raise FormatError(f"{path}: {kind} record has a malformed {key!r}")
 
 
 def load_feature_file(path: PathLike) -> FeatureFile:
+    """Decode a feature container; FormatError on any malformed header,
+    record or array descriptor."""
     header, payload = _read_container(path)
     if header.get("kind") != "rapid-features":
         raise FormatError(f"{path}: container holds {header.get('kind')!r}, not features")
     matrices = []
     arrays = None
     for rec in _records(path, header):
-        _check_record(path, rec)
+        _check_record(path, rec, ("matrix", "pointwise"))
         if rec["type"] == "matrix":
             matrices.append(_matrix_from_record(rec, payload))
         else:
@@ -469,11 +482,6 @@ def load_feature_file(path: PathLike) -> FeatureFile:
     )
 
 
-def load_features(path: PathLike) -> list[RapidMatrix]:
-    """Matrices of a feature container (pointwise records are skipped)."""
-    return list(load_feature_file(path).matrices)
-
-
 def save_tensors(path: PathLike, tensors: dict[str, np.ndarray], meta: dict) -> None:
     """Named float64 tensor records (weight files)."""
     builder = _PayloadBuilder()
@@ -489,10 +497,11 @@ def load_tensors(path: PathLike) -> tuple[dict[str, np.ndarray], dict]:
     header, payload = _read_container(path)
     if header.get("kind") != "weights":
         raise FormatError(f"{path}: container holds {header.get('kind')!r}, not weights")
-    tensors = {
-        rec["name"]: _read_array(payload, rec["arrays"]["data"]).astype(np.float64)
-        for rec in _records(path, header)
-    }
+    tensors = {}
+    for rec in _records(path, header):
+        _check_record(path, rec, ("tensor",))
+        data = _read_array(payload, rec["arrays"]["data"])
+        tensors[rec["name"]] = data.astype(np.float64)
     return tensors, header.get("meta", {})
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from rapidfeat import ConfusionMatrix, RunConfig, accumulate, miou, save_kitti_labels
 from rapidfeat.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
-from rapidfeat.scene_io import load_feature_file, load_features
+from rapidfeat.scene_io import load_feature_file, save_feature_file
 
 
 SCENE = {
@@ -45,6 +45,11 @@ def _with_descriptor(header, **fields):
     return {**header, "records": [{**rec, "arrays": arrays}]}
 
 
+def _with_field(header, **fields):
+    """Header whose first record has fields replaced."""
+    return {**header, "records": [{**header["records"][0], **fields}]}
+
+
 @pytest.fixture
 def config_file(tmp_path):
     def write(**extra):
@@ -75,8 +80,6 @@ class TestRunConfig:
         assert config.rapid.ks == (10, 7, 5)
         assert config.rapid.band_edges == (20.0, 50.0)
         assert config.rapid.delta == 2.0
-        assert config.alpha == 0.5 and config.lam == 0.1
-        assert config.fusion_ratio == 4
         assert config.workers == 1
 
     def test_file_overrides_defaults(self, tmp_path):
@@ -101,19 +104,24 @@ class TestRunConfig:
                 "band_edges": [15.0, 40.0],
                 "delta": 1.5,
             },
-            "voxel_size": 0.4,
-            "embedding": {"latents": 2, "width": 8, "reduced": 4, "stages": 1},
-            "fusion": {"ratio": 2},
-            "loss": {"alpha": 0.3, "lambda": 0.2, "sim": "dot"},
         }
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
         c = RunConfig.load(str(path))
         assert c.rapid.band_edges == (15.0, 40.0) and c.rapid.delta == 1.5
-        assert c.voxel_size == 0.4
-        assert (c.embedding.latents, c.embedding.width, c.embedding.reduced) == (2, 8, 4)
-        assert c.fusion_ratio == 2
-        assert (c.alpha, c.lam, c.sim) == (0.3, 0.2, "dot")
+
+    def test_unread_sections_ignored(self, config_file, tmp_path):
+        main(["extract", "--config", str(config_file())])
+        plain = (tmp_path / "r.rapd").read_bytes()
+        path = config_file(
+            voxel_size=0.4,
+            embedding={"latents": 2, "width": 8, "reduced": 4, "stages": 1},
+            fusion={"ratio": 2},
+            loss={"alpha": 0.3, "lambda": 0.2, "sim": "dot"},
+        )
+        assert RunConfig.load(str(path)).rapid.ks == (10, 7, 5)
+        assert main(["extract", "--config", str(path)]) == EXIT_OK
+        assert (tmp_path / "r.rapd").read_bytes() == plain
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -145,7 +153,7 @@ class TestExtract:
     def test_class_output_when_requested(self, config_file, tmp_path):
         path = config_file(output={"class_features": str(tmp_path / "c.rapd")})
         assert main(["extract", "--config", str(path)]) == EXIT_OK
-        mats = load_features(tmp_path / "c.rapd")
+        mats = load_feature_file(tmp_path / "c.rapd").matrices
         assert {m.roi_id[:8] for m in mats} <= {"class001", "class002"}
 
     def test_missing_input_is_usage_error(self, tmp_path):
@@ -322,7 +330,7 @@ class TestBench:
 
 class TestHeatmap:
     def test_padded_matrix_renders_white(self, tmp_path, config_file):
-        from rapidfeat import RapidMatrix, ReflectivityScale, save_features
+        from rapidfeat import RapidMatrix, ReflectivityScale
 
         mat = RapidMatrix(
             values=np.ones((6, 4)),
@@ -332,7 +340,7 @@ class TestHeatmap:
             anchors=np.arange(6),
         )
         feat = tmp_path / "f.rapd"
-        save_features([mat], feat)
+        save_feature_file(feat, [mat])
         out = tmp_path / "img.pgm"
         code = main(["heatmap", str(feat), "--roi", "ring000-far", "--out", str(out)])
         assert code == EXIT_OK
@@ -359,11 +367,26 @@ class TestHeatmap:
             lambda header: {**header, "records": 5},
             lambda header: _with_descriptor(header, dtype="bogus"),
             lambda header: _with_descriptor(header, offset=-16),
+            lambda header: _with_field(header, k="two"),
+            lambda header: _with_field(header, k=[2]),
+            lambda header: _with_field(
+                header, scale={"r_min": "0", "r_max": 1, "d_min": 0, "d_max": 1}
+            ),
+            lambda header: _with_field(header, roi_id=7),
         ],
-        ids=["header-list", "records-int", "dtype-bogus", "offset-negative"],
+        ids=[
+            "header-list",
+            "records-int",
+            "dtype-bogus",
+            "offset-negative",
+            "k-string",
+            "k-list",
+            "scale-string",
+            "roi-id-number",
+        ],
     )
     def test_malformed_header_is_data_error(self, tmp_path, capsys, corrupt):
-        from rapidfeat import RapidMatrix, ReflectivityScale, save_features
+        from rapidfeat import RapidMatrix, ReflectivityScale
         from rapidfeat.scene_io import _read_container, _write_container
 
         feat = tmp_path / "bad.rapd"
@@ -374,7 +397,7 @@ class TestHeatmap:
             scale=ReflectivityScale(0, 1, 0, 1),
             anchors=np.arange(3),
         )
-        save_features([mat], feat)
+        save_feature_file(feat, [mat])
         header, payload = _read_container(feat)
         _write_container(feat, corrupt(header), payload)
         code = main(["heatmap", str(feat), "--roi", "x", "--out", str(tmp_path / "i.pgm")])
@@ -409,8 +432,8 @@ class TestHeatmap:
         base = rf.r_rapid(cloud, config.sensor, config.rapid)
         after = rf.r_rapid(moved, config.sensor, config.rapid)
         p1, p2 = tmp_path / "a.rapd", tmp_path / "b.rapd"
-        rf.save_features(base.matrices, p1)
-        rf.save_features(after.matrices, p2)
+        rf.save_feature_file(p1, base.matrices)
+        rf.save_feature_file(p2, after.matrices)
         roi = base.matrices[0].roi_id
         main(["heatmap", str(p1), "--roi", roi, "--out", str(tmp_path / "a.pgm")])
         main(["heatmap", str(p2), "--roi", roi, "--out", str(tmp_path / "b.pgm")])

@@ -17,10 +17,8 @@ from rapidfeat import (
     RapidMatrix,
     ReflectivityScale,
     SyntheticSceneSpec,
-    load_features,
     load_kitti_labels,
     load_kitti_scan,
-    save_features,
     save_kitti_labels,
     save_kitti_scan,
     synthesize_scene,
@@ -182,8 +180,8 @@ class TestFeatureContainer:
     def test_roundtrip_field_by_field(self, tmp_path, rng):
         mats = [random_matrix(rng, 12, 4), random_matrix(rng, 7, 6, "ring001-far")]
         path = tmp_path / "f.rapd"
-        save_features(mats, path)
-        loaded = load_features(path)
+        save_feature_file(path, mats)
+        loaded = load_feature_file(path).matrices
         assert len(loaded) == 2
         for a, b in zip(mats, loaded):
             assert np.array_equal(a.values, b.values)  # f32-representable
@@ -204,8 +202,8 @@ class TestFeatureContainer:
         ]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "f.rapd"
-            save_features(mats, path)
-            loaded = load_features(path)
+            save_feature_file(path, mats)
+            loaded = load_feature_file(path).matrices
         assert len(loaded) == n_mats
         for a, b in zip(mats, loaded):
             assert np.array_equal(a.values, b.values)
@@ -214,35 +212,35 @@ class TestFeatureContainer:
 
     def test_empty_sequence(self, tmp_path):
         path = tmp_path / "empty.rapd"
-        save_features([], path)
-        assert load_features(path) == []
+        save_feature_file(path, [])
+        assert load_feature_file(path).matrices == ()
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.rapd"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(FormatError):
-            load_features(path)
+            load_feature_file(path)
 
     def test_unknown_version(self, tmp_path, rng):
         path = tmp_path / "v9.rapd"
-        save_features([random_matrix(rng, 3, 2)], path)
+        save_feature_file(path, [random_matrix(rng, 3, 2)])
         raw = bytearray(path.read_bytes())
         raw[4] = 9
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError):
-            load_features(path)
+            load_feature_file(path)
 
     def test_truncated_payload(self, tmp_path, rng):
         path = tmp_path / "trunc.rapd"
-        save_features([random_matrix(rng, 8, 4)], path)
+        save_feature_file(path, [random_matrix(rng, 8, 4)])
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 10])
         with pytest.raises(FormatError):
-            load_features(path)
+            load_feature_file(path)
 
     def test_record_missing_keys(self, tmp_path, rng):
         path = tmp_path / "m.rapd"
-        save_features([random_matrix(rng, 3, 2)], path)
+        save_feature_file(path, [random_matrix(rng, 3, 2)])
         header, payload = _read_container(path)
         good = header["records"][0]
         bad_records = [
@@ -252,6 +250,7 @@ class TestFeatureContainer:
             {**good, "arrays": "values"},
             {**good, "type": ["matrix"]},
             {"type": "pointwise", "arrays": {"values": good["arrays"]["values"]}},
+            {"type": "tensor", "name": "t", "arrays": {"data": good["arrays"]["values"]}},
             ["matrix"],
         ]
         for rec in bad_records:
@@ -261,7 +260,7 @@ class TestFeatureContainer:
 
     def test_malformed_header(self, tmp_path, rng):
         path = tmp_path / "h.rapd"
-        save_features([random_matrix(rng, 3, 2)], path)
+        save_feature_file(path, [random_matrix(rng, 3, 2)])
         header, payload = _read_container(path)
         for bad in ([], "rapid-features", 3, None):
             _write_container(path, bad, payload)
@@ -274,7 +273,7 @@ class TestFeatureContainer:
 
     def test_malformed_array_descriptor(self, tmp_path, rng):
         path = tmp_path / "d.rapd"
-        save_features([random_matrix(rng, 3, 2)], path)
+        save_feature_file(path, [random_matrix(rng, 3, 2)])
         header, payload = _read_container(path)
         rec = header["records"][0]
         desc = rec["arrays"]["values"]
@@ -339,16 +338,27 @@ class TestTensorContainer:
             _write_container(path, {**header, "records": records}, payload)
             with pytest.raises(FormatError):
                 load_tensors(path)
-        bad = {"type": "tensor", "name": "t", "arrays": {"data": {**desc, "offset": -8}}}
-        _write_container(path, {**header, "records": [bad]}, payload)
-        with pytest.raises(FormatError):
-            load_tensors(path)
+        good = header["records"][0]
+        bad_records = [
+            {**good, "arrays": {"data": {**desc, "offset": -8}}},
+            {k: v for k, v in good.items() if k != "name"},
+            {k: v for k, v in good.items() if k != "arrays"},
+            {**good, "arrays": {}},
+            {**good, "name": 3},
+            {k: v for k, v in good.items() if k != "type"},
+            {**good, "type": "matrix"},
+            ["tensor"],
+        ]
+        for rec in bad_records:
+            _write_container(path, {**header, "records": [rec]}, payload)
+            with pytest.raises(FormatError):
+                load_tensors(path)
 
     def test_kind_mismatch(self, tmp_path, rng):
         path = tmp_path / "w.rapd"
         save_tensors(path, {"t": rng.normal(size=3)}, {})
         with pytest.raises(FormatError):
-            load_features(path)
+            load_feature_file(path)
 
 
 class TestCsvConverter:
