@@ -87,12 +87,8 @@ def _print_roi_stats(features: PointwiseFeatureSet) -> None:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     config = RunConfig.load(args.config, _config_overrides(args))
-    t0 = time.perf_counter()
     cloud = _load_cloud(config)
-    timings = {"load": time.perf_counter() - t0}
-    features = r_rapid(
-        cloud, config.sensor, config.rapid, workers=config.workers, timings=timings
-    )
+    features = r_rapid(cloud, config.sensor, config.rapid, workers=config.workers)
     scene_io.save_feature_file(
         config.features_out, features.matrices, features, meta=config_echo(config)
     )

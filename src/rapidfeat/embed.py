@@ -33,7 +33,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import ContractError
+from .errors import ContractError, FormatError
 from .geometry import nearest_candidate_rows
 from . import scene_io
 
@@ -301,21 +301,41 @@ class WeightSet:
     @classmethod
     def load(cls, path) -> "WeightSet":
         tensors, meta = scene_io.load_tensors(path)
+        if not isinstance(meta, dict):
+            raise FormatError(f"{path}: weight meta must be a JSON object")
+
+        def tensor(name: str) -> np.ndarray:
+            if name not in tensors:
+                raise FormatError(f"{path}: weight tensor {name!r} missing")
+            return tensors[name]
+
+        def count(key: str) -> int:
+            value = meta.get(key)
+            if type(value) is not int or value < 0:
+                raise FormatError(f"{path}: meta {key!r} must be a non-negative integer")
+            return value
 
         def lin(prefix: str) -> LinearStage:
-            return LinearStage(tensors[f"{prefix}.weight"], tensors[f"{prefix}.bias"])
+            return LinearStage(tensor(f"{prefix}.weight"), tensor(f"{prefix}.bias"))
 
-        n_enc = int(meta["encoder_stages"])
-        n_dec = int(meta["decoder_stages"])
-        eps = meta["bn_eps"]
+        n_enc = count("encoder_stages")
+        n_dec = count("decoder_stages")
+        eps = meta.get("bn_eps")
+        if not isinstance(eps, list) or len(eps) < n_enc or not all(
+            type(e) in (int, float) for e in eps
+        ):
+            raise FormatError(f"{path}: meta 'bn_eps' needs one number per encoder stage")
+        activation = meta.get("activation")
+        if not isinstance(activation, str) or activation not in _ACTIVATIONS:
+            raise FormatError(f"{path}: unknown activation {activation!r}")
         inner_enc = tuple(
             (
                 lin(f"inner.enc{i}"),
                 NormStage(
-                    gamma=tensors[f"inner.enc{i}.gamma"],
-                    beta=tensors[f"inner.enc{i}.beta"],
-                    mean=tensors[f"inner.enc{i}.mean"],
-                    var=tensors[f"inner.enc{i}.var"],
+                    gamma=tensor(f"inner.enc{i}.gamma"),
+                    beta=tensor(f"inner.enc{i}.beta"),
+                    mean=tensor(f"inner.enc{i}.mean"),
+                    var=tensor(f"inner.enc{i}.var"),
                     eps=float(eps[i]),
                 ),
             )
@@ -328,9 +348,9 @@ class WeightSet:
             dec_key=lin("dec_key"),
             dec_value=lin("dec_value"),
             inner_encoder=inner_enc,
-            ffn_conv1=tensors["ffn.conv1"],
-            ffn_conv2=tensors["ffn.conv2"],
-            activation=meta["activation"],
+            ffn_conv1=tensor("ffn.conv1"),
+            ffn_conv2=tensor("ffn.conv2"),
+            activation=activation,
             inner_decoder=tuple(lin(f"inner.dec{i}") for i in range(n_dec)),
         )
 
@@ -458,8 +478,8 @@ def vsa_decode(
         raise ContractError("feats must be (m, d_in) matching the voxel groups")
     h_hat = hv[groups.point_voxel]
     q = weights.dec_query(g)
-    k_star = h_hat @ weights.dec_key.weight + weights.dec_key.bias
-    v_star = h_hat @ weights.dec_value.weight + weights.dec_value.bias
+    k_star = weights.dec_key(h_hat)
+    v_star = weights.dec_value(h_hat)
     if q.shape[1] != k_star.shape[2]:
         raise ContractError("query width does not match the broadcast features")
     scores = np.einsum("mld,md->ml", k_star, q)

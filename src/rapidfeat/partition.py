@@ -1,6 +1,6 @@
 """Region-of-interest partitioning and scan-level feature assembly.
 
-A scan is split into rings (cylindrical quantization, or the sensor's native
+A scan is split into rings (the elevation ring rule, or the sensor's native
 ring channel when present) or into semantic classes, each region is further
 split into range bands, and per-region RAPiD matrices are scattered back to
 their anchor points as a fixed-width pointwise feature set. Sparse regions
@@ -28,83 +28,38 @@ from .rapid import RangeAwareConfig, RapidMatrix, band_indices, rapid
 BAND_NAMES = ("close", "mid", "far")
 
 
-def cylindrical_bins(
-    points: np.ndarray, geometry: SensorGeometry
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (theta_bin, phi_bin) quantization.
-
-    theta_bin = floor(atan2(y, x) / dtheta)
-    phi_bin   = floor(elevation / dphi)
+def elevation_rings(points: np.ndarray, geometry: SensorGeometry) -> np.ndarray:
+    """The ring rule: (m,) int32 elevation bin floor(elevation / delta_phi)
+    clipped to [0, B).
 
     Elevation is computed as atan2(z, hypot(x, y)), which equals
     asin(z / |p|) for nonzero points and is stable at the poles.
     """
     p = np.asarray(points, dtype=np.float64)
-    single = p.ndim == 1
-    p = np.atleast_2d(p)
-    norms = np.einsum("ij,ij->i", p, p)
-    if np.any(norms == 0.0):
-        raise UndefinedAngleError("cylindrical angles undefined at the origin")
-    theta = np.arctan2(p[:, 1], p[:, 0])
+    if np.any(np.einsum("ij,ij->i", p, p) == 0.0):
+        raise UndefinedAngleError("elevation undefined at the origin")
     phi = np.arctan2(p[:, 2], np.hypot(p[:, 0], p[:, 1]))
-    tb = np.floor(theta / geometry.delta_theta).astype(np.int64)
-    pb = np.floor(phi / geometry.delta_phi).astype(np.int64)
-    if single:
-        return tb[0], pb[0]
-    return tb, pb
+    bins = np.floor(phi / geometry.delta_phi).astype(np.int64)
+    return np.clip(bins, 0, geometry.beam_count - 1).astype(np.int32)
 
 
-def cylindrical_bin(point: np.ndarray, geometry: SensorGeometry) -> tuple[int, int]:
-    """Quantize one point; errors on a zero-norm point."""
-    tb, pb = cylindrical_bins(point, geometry)
-    return int(tb), int(pb)
-
-
-@dataclass(frozen=True)
-class RingPartition:
-    """Disjoint cover of the scan by beam rings."""
-
-    per_point: np.ndarray
-    members: dict[int, np.ndarray]
-
-    def __post_init__(self) -> None:
-        total = sum(len(v) for v in self.members.values())
-        if total != len(self.per_point):
-            raise ContractError("ring members must cover every point exactly once")
-
-
-@dataclass(frozen=True)
-class ClassPartition:
-    """Disjoint cover of the labeled points by semantic class."""
-
-    per_point: np.ndarray
-    members: dict[int, np.ndarray]
-
-
-def partition_rings(cloud: PointCloud, geometry: SensorGeometry) -> RingPartition:
-    """Ring ids from the native channel when present, else phi quantization
-    clipped to [0, B)."""
+def partition_rings(cloud: PointCloud, geometry: SensorGeometry) -> np.ndarray:
+    """(m,) int32 ring id per point: the native channel when present, else
+    the elevation ring rule."""
     if len(cloud) == 0:
         raise ContractError("cannot partition an empty cloud")
-    if cloud.ring is not None:
-        ring = cloud.ring.astype(np.int64)
-        if ring.min() < 0 or ring.max() >= geometry.beam_count:
-            raise ContractError("native ring indices exceed the beam count")
-    else:
-        _, pb = cylindrical_bins(cloud.points, geometry)
-        ring = np.clip(pb, 0, geometry.beam_count - 1)
-    members = {
-        int(rid): np.flatnonzero(ring == rid) for rid in np.unique(ring)
-    }
-    return RingPartition(per_point=ring.astype(np.int32), members=members)
+    if cloud.ring is None:
+        return elevation_rings(cloud.points, geometry)
+    if cloud.ring.min() < 0 or cloud.ring.max() >= geometry.beam_count:
+        raise ContractError("native ring indices exceed the beam count")
+    return cloud.ring.astype(np.int32)
 
 
-def partition_classes(cloud: PointCloud) -> ClassPartition:
+def partition_classes(cloud: PointCloud) -> np.ndarray:
+    """(m,) int32 semantic class id per point."""
     if cloud.label is None:
         raise LabelsRequiredError("class partition requires per-point labels")
-    label = cloud.label.astype(np.int64)
-    members = {int(c): np.flatnonzero(label == c) for c in np.unique(label)}
-    return ClassPartition(per_point=label.astype(np.int32), members=members)
+    return cloud.label.astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -135,20 +90,21 @@ def _rapid_job(args, timings: Optional[dict] = None) -> RapidMatrix:
 
 
 def _plan_jobs(
-    members: dict[int, np.ndarray],
+    ids: np.ndarray,
     band: np.ndarray,
     config: RangeAwareConfig,
     prefix: str,
 ) -> tuple[list[tuple[np.ndarray, int, str]], list[np.ndarray]]:
-    """Split each region into range bands and pick a workable k per sub-region.
+    """Group points into regions by id, split each region into range bands
+    and pick a workable k per sub-region.
 
-    Returns the computable jobs and the index arrays that fall through the
-    whole fallback chain (left as padding).
+    Returns the computable jobs in ascending id order and the index arrays
+    that fall through the whole fallback chain (left as padding).
     """
     jobs: list[tuple[np.ndarray, int, str]] = []
     padded: list[np.ndarray] = []
-    for rid in sorted(members):
-        region = members[rid]
+    for rid in np.unique(ids).tolist():
+        region = np.flatnonzero(ids == rid)
         for b in range(3):
             sub = region[band[region] == b]
             if len(sub) == 0:
@@ -188,7 +144,7 @@ def _run_jobs(
 
 def _scatter(
     cloud: PointCloud,
-    per_point_roi: np.ndarray,
+    ids: np.ndarray,
     jobs: list[tuple[np.ndarray, int, str]],
     matrices: list[RapidMatrix],
     config: RangeAwareConfig,
@@ -213,7 +169,7 @@ def _scatter(
         )
     return PointwiseFeatureSet(
         values=values,
-        roi=per_point_roi.astype(np.int32),
+        roi=ids,
         valid_width=valid,
         matrices=tuple(remapped),
     )
@@ -221,24 +177,24 @@ def _scatter(
 
 def _extract(
     cloud: PointCloud,
-    members: dict[int, np.ndarray],
-    per_point: np.ndarray,
+    ids: np.ndarray,
     prefix: str,
     config: RangeAwareConfig,
     workers: int,
     timings: Optional[dict],
     t0: float,
 ) -> PointwiseFeatureSet:
-    """RAPiD per (region x range band) of one partition, scattered back to
-    points. The partition stage is timed from t0, taken before partitioning."""
+    """RAPiD per (region x range band) of the per-point region ids, scattered
+    back to points. The partition stage is timed from t0, taken before the
+    ids were computed."""
     band = band_indices(np.asarray(range_of(cloud.points)), config)
-    jobs, _ = _plan_jobs(members, band, config, prefix)
+    jobs, _ = _plan_jobs(ids, band, config, prefix)
     if timings is not None:
         timings["partition"] = timings.get("partition", 0.0) + (
             time.perf_counter() - t0
         )
     matrices = _run_jobs(cloud, jobs, config.delta, workers, timings)
-    return _scatter(cloud, per_point, jobs, matrices, config)
+    return _scatter(cloud, ids, jobs, matrices, config)
 
 
 def r_rapid(
@@ -252,9 +208,7 @@ def r_rapid(
     points. Needs no labels."""
     t0 = time.perf_counter()
     rings = partition_rings(cloud, geometry)
-    return _extract(
-        cloud, rings.members, rings.per_point, "ring", config, workers, timings, t0
-    )
+    return _extract(cloud, rings, "ring", config, workers, timings, t0)
 
 
 def c_rapid(
@@ -267,6 +221,4 @@ def c_rapid(
     (ground truth or externally supplied pseudo labels)."""
     t0 = time.perf_counter()
     classes = partition_classes(cloud)
-    return _extract(
-        cloud, classes.members, classes.per_point, "class", config, workers, timings, t0
-    )
+    return _extract(cloud, classes, "class", config, workers, timings, t0)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import ContractError, InsufficientPointsError
-from .geometry import MetricEmbedding, NeighborList, nearest_candidate_rows
+from .geometry import MetricEmbedding, nearest_candidate_rows
 
 
 @dataclass(frozen=True)
@@ -145,19 +145,6 @@ def reflectivity_map(r: np.ndarray | float, scale: ReflectivityScale) -> np.ndar
     return float(out) if out.ndim == 0 else out
 
 
-def rho(
-    p_j: np.ndarray,
-    p_l: np.ndarray,
-    r_j: float,
-    r_l: float,
-    scale: ReflectivityScale,
-) -> float:
-    """4D distance: Euclidean norm of [p_j - p_l, g(r_j) - g(r_l)]."""
-    dg = reflectivity_map(r_j, scale) - reflectivity_map(r_l, scale)
-    diff = np.asarray(p_j, dtype=np.float64) - np.asarray(p_l, dtype=np.float64)
-    return float(np.sqrt(diff @ diff + dg * dg))
-
-
 def reflectivity_metric(scale: ReflectivityScale) -> MetricEmbedding:
     """4D metric embedding (x, y, z, g(r)) for the geometry KNN routines."""
 
@@ -167,48 +154,6 @@ def reflectivity_metric(scale: ReflectivityScale) -> MetricEmbedding:
         return np.column_stack([cloud.points[idx], g])
 
     return embed
-
-
-def compute_scale(
-    subset: Sequence[int] | np.ndarray,
-    cloud: PointCloud,
-    neighbor_lists: Sequence[NeighborList],
-) -> ReflectivityScale:
-    """Scale from exactly the (anchor, neighbor) pairs of the given lists.
-
-    d_min/d_max are coordinate-only distances recomputed from the cloud (the
-    lists may have been ranked under any metric); r_min/r_max are taken over
-    the subset's reflectivities.
-    """
-    if len(neighbor_lists) == 0:
-        raise InsufficientPointsError("no neighbor lists to derive a scale from")
-    idx = np.asarray(subset, dtype=np.int64)
-    d_min = np.inf
-    d_max = -np.inf
-    for nl in neighbor_lists:
-        diff = cloud.points[nl.indices] - cloud.points[nl.anchor]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        d_min = min(d_min, float(d2.min()))
-        d_max = max(d_max, float(d2.max()))
-    refl = cloud.remission[idx]
-    return ReflectivityScale(
-        r_min=float(refl.min()),
-        r_max=float(refl.max()),
-        d_min=float(np.sqrt(d_min)),
-        d_max=float(np.sqrt(d_max)),
-    )
-
-
-def select_k(point: np.ndarray, config: RangeAwareConfig) -> int:
-    """Neighbor count for a point's range band; an exact edge hit falls in
-    the farther band."""
-    p = np.asarray(point, dtype=np.float64)
-    r = float(np.sqrt(p @ p))
-    if r < config.band_edges[0]:
-        return config.k_close
-    if r < config.band_edges[1]:
-        return config.k_mid
-    return config.k_far
 
 
 def band_indices(ranges: np.ndarray, config: RangeAwareConfig) -> np.ndarray:
@@ -241,13 +186,12 @@ def _rapid_rows(
     anchors = np.sort(np.asarray(subset, dtype=np.int64))
     if np.any(np.diff(anchors) == 0):
         raise ContractError("subset contains duplicate indices")
-    pts = cloud.points[anchors]
     refl = cloud.remission[anchors]
 
     t0 = time.perf_counter()
     # Only distance values reach the matrix (tied candidates carry equal
     # values), so the index tie-break pass is unnecessary here.
-    _, d2_rows = nearest_candidate_rows(pts, k, tie_break=False)
+    _, d2_rows = nearest_candidate_rows(cloud.points[anchors], k, tie_break=False)
 
     # Coordinate k-NN pairs define the scale of the reflectivity map.
     knn_d2 = d2_rows[:, :k]
@@ -257,10 +201,10 @@ def _rapid_rows(
         d_min=float(np.sqrt(knn_d2.min())),
         d_max=float(np.sqrt(knn_d2.max())),
     )
-    g = np.asarray(reflectivity_map(refl, scale))
 
     # The row: the k smallest distances in the 4D embedding (x, y, z, g(r)).
-    _, rho2 = nearest_candidate_rows(np.column_stack([pts, g]), k, tie_break=False)
+    embedded = reflectivity_metric(scale)(cloud, anchors)
+    _, rho2 = nearest_candidate_rows(embedded, k, tie_break=False)
     rows = np.sqrt(rho2[:, :k])
     _tick(timings, "knn", t0)
     return rows, anchors, scale

@@ -31,7 +31,7 @@ from .errors import (
     MalformedScanError,
 )
 from .geometry import RigidTransform
-from .partition import PointwiseFeatureSet, cylindrical_bins
+from .partition import PointwiseFeatureSet, elevation_rings
 from .rapid import RapidMatrix, ReflectivityScale
 
 MAGIC = b"RAPD"
@@ -215,8 +215,8 @@ class SyntheticSceneSpec:
 
 def synthesize_scene(spec: SyntheticSceneSpec) -> PointCloud:
     """Sample every primitive in order, express coordinates in the sensor
-    frame, add measurement noise, and assign ring ids by cylindrical
-    quantization clipped to [0, B)."""
+    frame, add measurement noise, and assign ring ids by the elevation ring
+    rule."""
     if not spec.primitives:
         raise EmptySceneError("scene needs at least one primitive")
     rng = np.random.default_rng(spec.seed)
@@ -231,12 +231,10 @@ def synthesize_scene(spec: SyntheticSceneSpec) -> PointCloud:
     local = (world - pose.translation) @ pose.rotation
     if spec.noise_sigma > 0:
         local = local + rng.normal(0.0, spec.noise_sigma, local.shape)
-    _, phi_bin = cylindrical_bins(local, spec.geometry)
-    ring = np.clip(phi_bin, 0, spec.geometry.beam_count - 1).astype(np.int32)
     return PointCloud(
         points=local,
         remission=np.concatenate(refl),
-        ring=ring,
+        ring=elevation_rings(local, spec.geometry),
         label=np.concatenate(labels),
     )
 

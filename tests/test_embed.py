@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rapidfeat import (
     ContractError,
     EmbeddingDims,
+    FormatError,
     WeightSet,
     contrastive_loss,
     inner_bottleneck,
@@ -550,6 +551,20 @@ class TestAutoencoderForward:
         assert np.array_equal(fw.reconstructed, g_hat)
 
 
+def _drop_tensor(header, name):
+    records = [rec for rec in header["records"] if rec["name"] != name]
+    assert len(records) == len(header["records"]) - 1
+    return {**header, "records": records}
+
+
+def _drop_meta(header, key):
+    return {**header, "meta": {k: v for k, v in header["meta"].items() if k != key}}
+
+
+def _set_meta(header, key, value):
+    return {**header, "meta": {**header["meta"], key: value}}
+
+
 class TestWeightSetIO:
     def test_roundtrip_exact(self, tmp_path):
         dims = EmbeddingDims(latents=2, width=6, reduced=3, stages=2)
@@ -564,6 +579,34 @@ class TestWeightSetIO:
             assert np.array_equal(la.weight, lb.weight)
             assert np.array_equal(na.var, nb.var)
             assert na.eps == nb.eps
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda h: _drop_tensor(h, "dec_key.bias"), id="tensor-dec_key.bias"),
+            pytest.param(lambda h: _drop_tensor(h, "inner.enc1.var"), id="tensor-enc1.var"),
+            pytest.param(lambda h: _drop_tensor(h, "ffn.conv2"), id="tensor-ffn.conv2"),
+            pytest.param(lambda h: _drop_meta(h, "encoder_stages"), id="meta-encoder_stages"),
+            pytest.param(lambda h: _drop_meta(h, "decoder_stages"), id="meta-decoder_stages"),
+            pytest.param(lambda h: _drop_meta(h, "bn_eps"), id="meta-bn_eps"),
+            pytest.param(lambda h: _drop_meta(h, "activation"), id="meta-activation"),
+            pytest.param(lambda h: _set_meta(h, "bn_eps", [1e-5]), id="bn_eps-short"),
+            pytest.param(lambda h: _set_meta(h, "activation", "swish"), id="activation-unknown"),
+            pytest.param(lambda h: _set_meta(h, "encoder_stages", 3), id="stages-beyond-tensors"),
+            pytest.param(lambda h: _set_meta(h, "decoder_stages", None), id="stages-null"),
+            pytest.param(lambda h: {**h, "meta": []}, id="meta-list"),
+        ],
+    )
+    def test_malformed_container_is_format_error(self, tmp_path, corrupt):
+        from rapidfeat.scene_io import _read_container, _write_container
+
+        path = tmp_path / "w.rapd"
+        dims = EmbeddingDims(latents=2, width=6, reduced=3, stages=2)
+        WeightSet.seeded(dims, np.random.default_rng(3)).save(path)
+        header, payload = _read_container(path)
+        _write_container(path, corrupt(header), payload)
+        with pytest.raises(FormatError):
+            WeightSet.load(path)
 
     def test_identity_requires_equal_widths(self):
         with pytest.raises(ContractError):

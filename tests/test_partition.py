@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rapidfeat import (
     ContractError,
@@ -14,7 +16,6 @@ from rapidfeat import (
     SyntheticSceneSpec,
     UndefinedAngleError,
     c_rapid,
-    cylindrical_bin,
     partition_classes,
     partition_rings,
     r_rapid,
@@ -22,6 +23,7 @@ from rapidfeat import (
 )
 
 from conftest import small_geometry
+from oracles import cylindrical_bin
 
 
 class TestCylindricalBin:
@@ -50,6 +52,31 @@ class TestCylindricalBin:
         _, pb = cylindrical_bin(np.array([1.0, 0.0, -1.0]), g)
         assert pb == -2  # floor(-pi/4 / (pi/8))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(*[st.floats(-80.0, 80.0, allow_nan=False)] * 3),
+            min_size=1,
+            max_size=40,
+        ),
+        beams=st.integers(1, 64),
+        dphi_deg=st.floats(0.1, 10.0),
+    )
+    def test_elevation_bin_matches_ring_ids(self, points, beams, dphi_deg):
+        # The production ring id of a point without a ring channel is the
+        # oracle's elevation bin clipped to [0, B); a point whose squared
+        # norm underflows to zero is rejected by both.
+        g = SensorGeometry(beams, 0.01, np.radians(dphi_deg))
+        pts = np.array(points, dtype=np.float64)
+        cloud = PointCloud(points=pts, remission=np.zeros(len(pts)))
+        try:
+            expected = [min(max(cylindrical_bin(p, g)[1], 0), beams - 1) for p in pts]
+        except UndefinedAngleError:
+            with pytest.raises(UndefinedAngleError):
+                partition_rings(cloud, g)
+            return
+        assert partition_rings(cloud, g).tolist() == expected
+
 
 class TestPartitionRings:
     def test_native_channel_passthrough(self, rng):
@@ -57,7 +84,7 @@ class TestPartitionRings:
         ring = rng.integers(0, 8, 50).astype(np.int32)
         cloud = PointCloud(points=pts, remission=np.zeros(50), ring=ring)
         part = partition_rings(cloud, SensorGeometry(8, 0.1, 0.1))
-        assert np.array_equal(part.per_point, ring)
+        assert np.array_equal(part, ring)
 
     def test_two_elevation_scene_two_rings(self):
         geometry = SensorGeometry(4, np.pi / 180, np.radians(5.0))
@@ -75,11 +102,11 @@ class TestPartitionRings:
             points=np.concatenate([low, high]), remission=np.zeros(2 * n)
         )
         part = partition_rings(cloud, geometry)
-        assert len(part.members) == 2
+        assert len(np.unique(part)) == 2
 
     def test_union_covers_everything(self, scene_cloud):
         part = partition_rings(scene_cloud, small_geometry())
-        total = np.concatenate(list(part.members.values()))
+        total = np.concatenate([np.flatnonzero(part == rid) for rid in np.unique(part)])
         assert len(total) == len(scene_cloud)
         assert len(np.unique(total)) == len(scene_cloud)
 
@@ -101,7 +128,8 @@ class TestPartitionRings:
 class TestPartitionClasses:
     def test_members_match_labels(self, scene_cloud):
         part = partition_classes(scene_cloud)
-        for cid, members in part.members.items():
+        for cid in np.unique(part):
+            members = np.flatnonzero(part == cid)
             assert np.all(scene_cloud.label[members] == cid)
 
     def test_requires_labels(self, rng):
@@ -200,10 +228,10 @@ class TestRRapid:
     def test_rows_align_to_points(self, scene_cloud):
         fs = r_rapid(scene_cloud, small_geometry(), self.config)
         part = partition_rings(scene_cloud, small_geometry())
-        assert np.array_equal(fs.roi, part.per_point)
+        assert np.array_equal(fs.roi, part)
         for mat in fs.matrices:
             ring_id = int(mat.roi_id[4:7])
-            assert np.all(part.per_point[mat.anchors] == ring_id)
+            assert np.all(part[mat.anchors] == ring_id)
 
     def test_range_banding_splits_regions(self):
         # two arcs on one ring: radius 10 (close) and radius 30 (mid)
@@ -320,4 +348,25 @@ class TestSyntheticRingAssignment:
         recomputed = partition_rings(
             PointCloud(points=cloud.points, remission=cloud.remission), geometry
         )
-        assert np.array_equal(cloud.ring, recomputed.per_point)
+        assert np.array_equal(cloud.ring, recomputed)
+
+    def test_zero_point_scene_is_empty(self):
+        spec = SyntheticSceneSpec(
+            primitives=(
+                PlanePrimitive((0, 0, 1.0), (1, 0, 0), (0, 1, 0), 10, 10, 0, 1, 0.5),
+            ),
+            geometry=small_geometry(),
+        )
+        cloud = synthesize_scene(spec)
+        assert len(cloud) == 0
+        assert cloud.ring.dtype == np.int32 and cloud.ring.shape == (0,)
+
+    def test_origin_point_rejected(self):
+        spec = SyntheticSceneSpec(
+            primitives=(
+                PlanePrimitive((0, 0, 0.0), (1, 0, 0), (0, 1, 0), 0, 0, 3, 1, 0.5),
+            ),
+            geometry=small_geometry(),
+        )
+        with pytest.raises(UndefinedAngleError):
+            synthesize_scene(spec)

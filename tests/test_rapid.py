@@ -12,19 +12,20 @@ from rapidfeat import (
     RangeAwareConfig,
     ReflectivityScale,
     RigidTransform,
-    compute_scale,
     c_rapid,
     knn_brute,
     r_rapid,
     rapid,
     rapid_unnormalized,
+    range_of,
     reflectivity_map,
     reflectivity_metric,
-    rho,
-    select_k,
 )
 
+from rapidfeat.rapid import band_indices
+
 from conftest import random_cloud, small_geometry
+from oracles import compute_scale, rho, select_k
 
 
 def collinear_cloud(reflectivity=0.7):
@@ -111,6 +112,30 @@ class TestRho:
         a, b = rng.normal(size=3), rng.normal(size=3)
         assert rho(a, b, 0.2, 0.9, self.scale) == rho(b, a, 0.9, 0.2, self.scale)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        spread=st.sampled_from([1e-3, 1.0, 50.0]),
+        levels=st.integers(1, 4),
+    )
+    def test_matches_reflectivity_metric(self, seed, n, spread, levels):
+        # Every pair distance the library ranks under the (x, y, z, g(r))
+        # embedding equals the scalar 4D distance of the pair.
+        rng = np.random.default_rng(seed)
+        cloud = PointCloud(
+            points=rng.uniform(-spread, spread, size=(n, 3)),
+            remission=rng.choice(rng.uniform(0.0, 1.0, levels), size=n),
+        )
+        scale = ReflectivityScale(
+            float(cloud.remission.min()), float(cloud.remission.max()), 0.5, 3.0
+        )
+        p, r = cloud.points, cloud.remission
+        for nl in knn_brute(rng.permutation(n), cloud, n - 1, reflectivity_metric(scale)):
+            j = nl.anchor
+            oracle = [rho(p[j], p[l], r[j], r[l], scale) for l in nl.indices]
+            np.testing.assert_allclose(nl.distances, oracle, rtol=1e-14, atol=0.0)
+
 
 class TestComputeScale:
     def test_collinear_hand_enumeration(self):
@@ -136,6 +161,28 @@ class TestComputeScale:
     def test_empty_lists_error(self):
         with pytest.raises(InsufficientPointsError):
             compute_scale([0, 1], collinear_cloud(), [])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 150),
+        k=st.integers(1, 10),
+        grid=st.booleans(),
+    )
+    def test_matches_rapid_scale(self, seed, n, k, grid):
+        # The scale rapid derives from its coordinate pass equals the scale
+        # of the exhaustive coordinate k-NN pairs; integer grids add ties
+        # and coincident points, n > 64 takes the KD-tree path.
+        rng = np.random.default_rng(seed)
+        m = n + int(rng.integers(0, 20))
+        pts = rng.integers(-3, 4, size=(m, 3)) if grid else rng.normal(0, 4, (m, 3))
+        cloud = PointCloud(
+            points=pts.astype(np.float64), remission=rng.uniform(0.0, 1.0, m)
+        )
+        subset = rng.choice(m, size=n, replace=False)
+        k = min(k, n - 1)
+        _, _, scale = rapid_unnormalized(subset, cloud, k)
+        assert scale == compute_scale(subset, cloud, knn_brute(subset, cloud, k))
 
 
 class TestRapidHandCase:
@@ -380,6 +427,41 @@ class TestSelectK:
 
     def test_far_range(self):
         assert select_k(np.array([100.0, 0.0, 0.0]), self.config) == 5
+
+    def _production_k(self, points):
+        bands = band_indices(np.asarray(range_of(points)), self.config)
+        return [self.config.k_for_band(b) for b in bands]
+
+    def test_band_indices_exact_edge_hits(self):
+        # Points whose range is exactly an edge, on and off the axes.
+        edges = np.array(
+            [
+                [20.0, 0.0, 0.0],
+                [0.0, -20.0, 0.0],
+                [12.0, 16.0, 0.0],
+                [0.0, 12.0, -16.0],
+                [50.0, 0.0, 0.0],
+                [30.0, 0.0, 40.0],
+                [-14.0, 48.0, 0.0],
+                [np.nextafter(20.0, 0.0), 0.0, 0.0],
+                [np.nextafter(50.0, 0.0), 0.0, 0.0],
+            ]
+        )
+        oracle = [select_k(p, self.config) for p in edges]
+        assert oracle == [7, 7, 7, 7, 5, 5, 5, 10, 7]
+        assert self._production_k(edges) == oracle
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.floats(-120.0, 120.0, allow_nan=False)] * 3),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_band_indices_match_oracle(self, points):
+        pts = np.array(points, dtype=np.float64)
+        assert self._production_k(pts) == [select_k(p, self.config) for p in pts]
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
