@@ -12,14 +12,19 @@ offsets, found once with a sorted-code lookup (the MinkowskiEngine idiom).
 The point decoder broadcasts voxel features back to points and attends them
 against point-side queries.
 
+Voxel-side code runs in voxel order on flat, contiguous arrays: one sort
+puts the points in voxel order, scatters reduce along the contiguous axis,
+convolutions update the (c, l*d') row view, and the decoder projects voxel
+rows before gathering them per point. Reductions run in a fixed order, so
+results do not depend on scheduling.
+
 The contrastive loss pairs every point with its coordinate-nearest point of
 the same class and of any other class. The pairs come from exact per-class
 KD-tree queries through the library's one KNN routine, so the loss costs
 O(m log m) per class instead of the O(m^2) of an all-pairs scan.
 
 Everything here is pure forward math with explicit weights; there is no
-training loop. Reductions run in a fixed order so results do not depend on
-scheduling.
+training loop.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from math import prod
 from typing import Optional, Union
 
 import numpy as np
@@ -99,25 +105,33 @@ class VoxelGroups:
         return len(self.voxel_coords)
 
     def counts(self) -> np.ndarray:
-        return np.bincount(self.point_voxel, minlength=self.num_voxels)
+        return np.diff(self.starts, append=self.num_points)
 
     @cached_property
     def kernel_map(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per 3x3x3 offset, in product((-1, 0, 1), repeat=3) order, the
         (destination, source) voxel indices with source = destination +
         offset. Built once per grid and shared by every convolution on it;
-        destinations ascend within each offset."""
+        destinations ascend within each offset; voxel + offset has code
+        code + dot(offset, strides), since the ravel is linear."""
         coords = self.voxel_coords
-        lo = coords.min(axis=0) - 1
-        extent = coords.max(axis=0) - lo + 3
-        codes = np.ravel_multi_index((coords - lo).T, extent)
+        if len(coords) == 0:
+            return ((coords[:, 0], coords[:, 0]),) * 27
+        _, ey, ez = _padded_extent(coords)
+        strides = np.array([ey * ez, ez, 1], dtype=np.int64)
+        codes = (coords - coords.min(axis=0)) @ strides
         pairs = []
         for offset in product((-1, 0, 1), repeat=3):
-            nb_codes = np.ravel_multi_index((coords + offset - lo).T, extent)
+            nb_codes = codes + int(np.dot(offset, strides))
             pos = np.minimum(np.searchsorted(codes, nb_codes), len(codes) - 1)
             dst = np.flatnonzero(codes[pos] == nb_codes)
             pairs.append((dst, pos[dst]))
         return tuple(pairs)
+
+
+def _padded_extent(coords: np.ndarray) -> list[int]:
+    """Per-axis cells of the voxel box padded for 3x3x3 offsets, as Python ints."""
+    return [int(hi) - int(lo) + 4 for lo, hi in zip(coords.min(axis=0), coords.max(axis=0))]
 
 
 def voxelize(
@@ -131,17 +145,23 @@ def voxelize(
     if voxel_size <= 0:
         raise ContractError("voxel_size must be positive")
     points = source.points if isinstance(source, PointCloud) else np.asarray(source)
-    coords = np.floor(points / voxel_size).astype(np.int64)
-    voxel_coords, inverse = np.unique(coords, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1).astype(np.int64)
-    order = np.argsort(inverse, kind="stable")
-    counts = np.bincount(inverse, minlength=len(voxel_coords))
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    scaled = np.floor(points / voxel_size)
+    if not np.all((scaled >= -(2.0 ** 63)) & (scaled < 2.0 ** 63)):
+        raise ContractError("voxel coordinates must be finite and fit int64")
+    coords = scaled.astype(np.int64)
+    if len(coords) and prod(_padded_extent(coords)) > np.iinfo(np.int64).max:
+        raise ContractError("voxel bounding box has more cells than int64 codes index")
+    order = np.lexsort(coords.T[::-1])  # stable: ties keep point order
+    ordered = coords[order]
+    first = np.ones(len(order), dtype=bool)  # where the sorted coordinates change
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    point_voxel = np.empty_like(order)
+    point_voxel[order] = np.cumsum(first) - 1
     return VoxelGroups(
-        point_voxel=inverse,
-        voxel_coords=voxel_coords,
+        point_voxel=point_voxel,
+        voxel_coords=ordered[first],
         order=order,
-        starts=starts,
+        starts=np.flatnonzero(first),
     )
 
 
@@ -372,23 +392,29 @@ def scatter_softmax(scores: np.ndarray, groups: VoxelGroups) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != groups.num_points:
         raise ContractError(f"scores must be (m, l) with m={groups.num_points}")
-    grouped = s[groups.order]
-    seg_max = np.maximum.reduceat(grouped, groups.starts, axis=0)
-    rep = np.repeat(np.arange(groups.num_voxels), groups.counts())
-    e = np.exp(grouped - seg_max[rep])
-    seg_sum = np.add.reduceat(e, groups.starts, axis=0)
-    att_sorted = e / seg_sum[rep]
-    out = np.empty_like(att_sorted)
-    out[groups.order] = att_sorted
+    grouped, counts = _voxel_major(s, groups), groups.counts()
+    seg_max = np.maximum.reduceat(grouped, groups.starts, axis=1)
+    e = np.exp(grouped - np.repeat(seg_max, counts, axis=1))
+    e /= np.repeat(np.add.reduceat(e, groups.starts, axis=1), counts, axis=1)
+    out = np.empty_like(s)
+    out[groups.order] = e.T
+    return out
+
+
+def _voxel_major(x: np.ndarray, groups: VoxelGroups) -> np.ndarray:
+    """(columns, m) copy of x's rows in voxel order, in cache-sized blocks."""
+    rows = x.reshape(groups.num_points, prod(x.shape[1:]))
+    out = np.empty((rows.shape[1], groups.num_points))
+    for s in range(0, groups.num_points, 1024):
+        out[:, s : s + 1024] = rows[groups.order[s : s + 1024]].T
     return out
 
 
 def scatter_sum(per_point: np.ndarray, groups: VoxelGroups) -> np.ndarray:
     """Per-voxel sum of point rows, deterministic segment reduction."""
     x = np.asarray(per_point, dtype=np.float64)
-    flat = x[groups.order].reshape(groups.num_points, -1)
-    summed = np.add.reduceat(flat, groups.starts, axis=0)
-    return summed.reshape((groups.num_voxels,) + x.shape[1:])
+    summed = np.add.reduceat(_voxel_major(x, groups), groups.starts, axis=1)
+    return np.ascontiguousarray(summed.T).reshape((groups.num_voxels,) + x.shape[1:])
 
 
 def vsa_encode(
@@ -427,11 +453,11 @@ def _sparse_depthwise_conv(
     contribute zero. kernel_map is VoxelGroups.kernel_map of x's grid."""
     if kernel.shape[:2] != x.shape[1:] or kernel.shape[2:] != (3, 3, 3):
         raise ContractError("kernel must be (l, d', 3, 3, 3) matching the input")
-    taps = kernel.reshape(kernel.shape[:2] + (27,))
-    out = np.zeros_like(x)
-    for i, (dst, src) in enumerate(kernel_map):
-        out[dst] += x[src] * taps[:, :, i]
-    return out
+    rows = x.reshape(len(x), prod(x.shape[1:]))
+    out = np.zeros_like(rows)
+    for tap, (dst, src) in zip(kernel.reshape(-1, 27).T, kernel_map):
+        out[dst] = np.take(out, dst, axis=0) + np.take(rows, src, axis=0) * tap
+    return out.reshape(x.shape)
 
 
 def inner_bottleneck(
@@ -476,10 +502,9 @@ def vsa_decode(
         raise ContractError("hv_hat must be (c, l, d) matching the voxel groups")
     if g.ndim != 2 or g.shape[0] != groups.num_points:
         raise ContractError("feats must be (m, d_in) matching the voxel groups")
-    h_hat = hv[groups.point_voxel]
     q = weights.dec_query(g)
-    k_star = weights.dec_key(h_hat)
-    v_star = weights.dec_value(h_hat)
+    k_star = weights.dec_key(hv)[groups.point_voxel]  # project c voxel rows, then gather
+    v_star = weights.dec_value(hv)[groups.point_voxel]
     if q.shape[1] != k_star.shape[2]:
         raise ContractError("query width does not match the broadcast features")
     scores = np.einsum("mld,md->ml", k_star, q)

@@ -32,11 +32,11 @@ def elevation_rings(points: np.ndarray, geometry: SensorGeometry) -> np.ndarray:
     """The ring rule: (m,) int32 elevation bin floor(elevation / delta_phi)
     clipped to [0, B).
 
-    Elevation is computed as atan2(z, hypot(x, y)), which equals
-    asin(z / |p|) for nonzero points and is stable at the poles.
+    Elevation is atan2(z, hypot(x, y)): asin(z / |p|) for every point but
+    the origin, even one whose squared norm underflows, and stable at poles.
     """
     p = np.asarray(points, dtype=np.float64)
-    if np.any(np.einsum("ij,ij->i", p, p) == 0.0):
+    if np.any((p[:, 0] == 0) & (p[:, 1] == 0) & (p[:, 2] == 0)):
         raise UndefinedAngleError("elevation undefined at the origin")
     phi = np.arctan2(p[:, 2], np.hypot(p[:, 0], p[:, 1]))
     bins = np.floor(phi / geometry.delta_phi).astype(np.int64)

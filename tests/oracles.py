@@ -8,10 +8,21 @@ rho            4D distance of one pair  vs  distances in reflectivity_metric
 compute_scale  scale from neighbor lists  vs  the scale rapid_unnormalized returns
 select_k       k for one point's range band  vs  band_indices
 cylindrical_bin  elevation bin of one point  vs  the ring ids of partition_rings
+
+The embed oracles are the straightforward forms of the voxel-order code,
+each compared byte for byte with what production returns:
+
+voxelize_unique     np.unique(axis=0) grouping  vs  voxelize
+scatter_softmax_rows / scatter_sum_rows
+                    axis-0 reduceat over point rows  vs  scatter_softmax / scatter_sum
+conv_oracle         one ravel_multi_index lookup per offset  vs  the kernel-map
+                    depthwise convolution
+decode_per_point    projections of the (m, l, d) broadcast  vs  vsa_decode
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -24,6 +35,8 @@ from rapidfeat import (
     ReflectivityScale,
     SensorGeometry,
     UndefinedAngleError,
+    VoxelGroups,
+    WeightSet,
     reflectivity_map,
 )
 
@@ -84,16 +97,86 @@ def select_k(point: np.ndarray, config: RangeAwareConfig) -> int:
 
 
 def cylindrical_bin(point: np.ndarray, geometry: SensorGeometry) -> tuple[int, int]:
-    """(theta_bin, phi_bin) of one point; errors on a zero-norm point.
+    """(theta_bin, phi_bin) of one point; errors only at the origin.
 
     theta_bin = floor(atan2(y, x) / dtheta)
     phi_bin   = floor(atan2(z, hypot(x, y)) / dphi), unclipped
     """
     x, y, z = (float(c) for c in point)
-    if x * x + y * y + z * z == 0.0:
+    if x == 0.0 and y == 0.0 and z == 0.0:
         raise UndefinedAngleError("cylindrical angles undefined at the origin")
     theta = np.arctan2(y, x)
     phi = np.arctan2(z, np.hypot(x, y))
     return int(np.floor(theta / geometry.delta_theta)), int(
         np.floor(phi / geometry.delta_phi)
     )
+
+
+def voxelize_unique(points: np.ndarray, voxel_size: float) -> VoxelGroups:
+    """Voxel grouping through np.unique over the integer coordinate rows."""
+    coords = np.floor(np.asarray(points) / voxel_size).astype(np.int64)
+    voxel_coords, inverse = np.unique(coords, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1).astype(np.int64)
+    order = np.argsort(inverse, kind="stable")
+    counts = np.bincount(inverse, minlength=len(voxel_coords))
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    return VoxelGroups(
+        point_voxel=inverse, voxel_coords=voxel_coords, order=order, starts=starts
+    )
+
+
+def scatter_softmax_rows(scores: np.ndarray, groups: VoxelGroups) -> np.ndarray:
+    """Per-voxel softmax with every reduction along the point axis."""
+    grouped = np.asarray(scores, dtype=np.float64)[groups.order]
+    seg_max = np.maximum.reduceat(grouped, groups.starts, axis=0)
+    rep = np.repeat(
+        np.arange(groups.num_voxels),
+        np.bincount(groups.point_voxel, minlength=groups.num_voxels),
+    )
+    e = np.exp(grouped - seg_max[rep])
+    seg_sum = np.add.reduceat(e, groups.starts, axis=0)
+    att_sorted = e / seg_sum[rep]
+    out = np.empty_like(att_sorted)
+    out[groups.order] = att_sorted
+    return out
+
+
+def scatter_sum_rows(per_point: np.ndarray, groups: VoxelGroups) -> np.ndarray:
+    """Per-voxel sum with the reduction along the point axis."""
+    x = np.asarray(per_point, dtype=np.float64)
+    flat = x[groups.order].reshape(groups.num_points, -1)
+    summed = np.add.reduceat(flat, groups.starts, axis=0)
+    return summed.reshape((groups.num_voxels,) + x.shape[1:])
+
+
+def conv_oracle(x: np.ndarray, coords: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Depthwise 3x3x3 convolution with one sorted-code lookup per offset."""
+    c = len(coords)
+    lo = coords.min(axis=0) - 1
+    extent = coords.max(axis=0) - lo + 3
+    codes = np.ravel_multi_index((coords - lo).T, extent)
+    out = np.zeros_like(x)
+    for dx, dy, dz in product((-1, 0, 1), repeat=3):
+        nb = coords + np.array([dx, dy, dz])
+        nb_codes = np.ravel_multi_index((nb - lo).T, extent)
+        pos = np.searchsorted(codes, nb_codes)
+        pos_c = np.minimum(pos, c - 1)
+        found = codes[pos_c] == nb_codes
+        taps = kernel[:, :, dx + 1, dy + 1, dz + 1]
+        out[found] += x[pos_c[found]] * taps
+    return out
+
+
+def decode_per_point(
+    hv_hat: np.ndarray, feats: np.ndarray, weights: WeightSet, groups: VoxelGroups
+) -> np.ndarray:
+    """Point decoder that projects the broadcast (m, l, d) tensor itself."""
+    h_hat = np.asarray(hv_hat, dtype=np.float64)[groups.point_voxel]
+    q = weights.dec_query(np.asarray(feats, dtype=np.float64))
+    k_star = weights.dec_key(h_hat)
+    v_star = weights.dec_value(h_hat)
+    scores = np.einsum("mld,md->ml", k_star, q)
+    scores = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(scores)
+    att = e / e.sum(axis=1, keepdims=True)
+    return np.einsum("ml,mld->md", att, v_star)

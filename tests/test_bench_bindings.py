@@ -9,6 +9,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -23,3 +25,27 @@ def test_every_traced_name_is_bound(monkeypatch):
         if getattr(importlib.import_module(module), attr, None) is None
     ]
     assert workloads.BINDINGS and unbound == []
+
+
+def test_forward_reaches_each_traced_stage_once(monkeypatch):
+    # perfbench times the three stages by rebinding these module names; a
+    # forward that bypassed one would read 0 seconds for that layer.
+    from rapidfeat import EmbeddingDims, WeightSet, autoencoder_forward, embed, seeded_latents
+
+    calls = {}
+    for name in ("vsa_encode", "inner_bottleneck", "vsa_decode"):
+        def counted(*args, _name=name, _inner=getattr(embed, name), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(embed, name, counted)
+    rng = np.random.default_rng(0)
+    dims = EmbeddingDims(latents=2, width=4, reduced=2, stages=1)
+    points = rng.uniform(-1.0, 1.0, size=(30, 3))
+    autoencoder_forward(
+        rng.normal(size=(30, 4)),
+        seeded_latents(dims, rng),
+        WeightSet.seeded(dims, rng),
+        embed.voxelize(points, 0.5),
+    )
+    assert calls == {"vsa_encode": 1, "inner_bottleneck": 1, "vsa_decode": 1}

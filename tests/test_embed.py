@@ -1,7 +1,5 @@
 """Voxel attention forward math and the embedding losses."""
 
-from itertools import product
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +10,7 @@ from rapidfeat import (
     EmbeddingDims,
     FormatError,
     WeightSet,
+    autoencoder_forward,
     contrastive_loss,
     inner_bottleneck,
     reconstruction_loss,
@@ -31,6 +30,13 @@ from rapidfeat.embed import (
 )
 
 from conftest import kitti_style_scan
+from oracles import (
+    conv_oracle,
+    decode_per_point,
+    scatter_softmax_rows,
+    scatter_sum_rows,
+    voxelize_unique,
+)
 
 
 def make_instance(seed, m=40, d_in=8, dims=None, voxel=0.6):
@@ -42,6 +48,22 @@ def make_instance(seed, m=40, d_in=8, dims=None, voxel=0.6):
     weights = WeightSet.seeded(dims, rng, in_width=d_in)
     latents = seeded_latents(dims, rng)
     return rng, pts, groups, feats, weights, latents, dims
+
+
+@st.composite
+def grid_clouds(draw):
+    """(points, seed) on an integer grid at voxel size 1 whose voxels hold 1,
+    9, more than 128 (numpy's pairwise-sum block) or any count of points,
+    in shuffled storage order, spread over 11^3 cells around the origin."""
+    counts = draw(
+        st.lists(st.sampled_from([1, 9, 129, 300]) | st.integers(1, 20), min_size=1, max_size=8)
+    )
+    seed = draw(st.integers(0, 2 ** 31))
+    rng = np.random.default_rng(seed)
+    cells = rng.choice(11 ** 3, len(counts), replace=False)
+    coords = np.stack(np.unravel_index(cells, (11, 11, 11)), axis=1) - 5
+    pts = np.repeat(coords, counts, axis=0) + rng.uniform(0.05, 0.95, (sum(counts), 3))
+    return pts[rng.permutation(len(pts))], seed
 
 
 class TestVoxelize:
@@ -77,6 +99,57 @@ class TestVoxelize:
         with pytest.raises(ContractError):
             voxelize(np.zeros((2, 3)), 0.0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(cloud=grid_clouds(), scale=st.sampled_from([1.0, 0.3, 2.5]))
+    def test_matches_unique_oracle(self, cloud, scale):
+        pts, _ = cloud
+        got, want = voxelize(pts * scale, scale), voxelize_unique(pts * scale, scale)
+        for name in ("point_voxel", "voxel_coords", "order", "starts"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    def test_matches_unique_oracle_on_scan(self):
+        cloud = kitti_style_scan(3, per_beam=200)
+        got, want = voxelize(cloud, 0.2), voxelize_unique(cloud.points, 0.2)
+        for name in ("point_voxel", "voxel_coords", "order", "starts"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_empty_input_gives_empty_scatters(self):
+        g = voxelize(np.zeros((0, 3)), 0.2)
+        assert g.num_voxels == 0 and g.starts.shape == (0,)
+        assert scatter_sum(np.zeros((0, 4, 3)), g).shape == (0, 4, 3)
+        assert scatter_softmax(np.zeros((0, 4)), g).shape == (0, 4)
+        _, _, _, _, weights, latents, dims = make_instance(0)
+        fw = autoencoder_forward(np.zeros((0, 8)), latents, weights, g)
+        assert fw.voxelwise.shape == (0, dims.latents, dims.width)
+        assert fw.reconstructed.shape == (0, dims.width)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, -1e300])
+    def test_coordinate_out_of_int64_range(self, bad):
+        # Cast to int64, all of these would land on one voxel at INT64_MIN.
+        with pytest.raises(ContractError):
+            voxelize(np.full((3, 3), bad), 0.2)
+        with pytest.raises(ContractError):
+            voxelize(np.array([[bad, 0.0, 0.0], [-1e300, 0.0, 0.0]]), 0.2)
+
+    def test_quotient_out_of_int64_range(self):
+        with pytest.raises(ContractError):
+            voxelize(np.ones((2, 3)), 1e-300)
+
+    def test_bounding_box_beyond_int64_codes(self, rng):
+        pts = rng.uniform(-100.0, 100.0, size=(50, 3))
+        with pytest.raises(ContractError):
+            voxelize(pts, 1e-6)
+
+    def test_widest_codable_box_convolves(self, rng):
+        # 2e6 + 4 cells per axis pad to about 8e18 < 2^63 cells: codes fit.
+        coords = np.array([[-1e6, -1e6, -1e6], [1e6, 1e6, 1e6], [1e6, 1e6, 1e6 - 1], [0, 0, 0]])
+        groups = grid_groups(coords)
+        x = rng.normal(size=(groups.num_voxels, 2, 3))
+        kernel = rng.normal(size=(2, 3, 3, 3, 3))
+        got = _sparse_depthwise_conv(x, groups.kernel_map, kernel)
+        assert got.tobytes() == conv_oracle(x, groups.voxel_coords, kernel).tobytes()
+
 
 class TestScatterSoftmax:
     def test_singleton_voxel_weight_one(self):
@@ -100,6 +173,28 @@ class TestScatterSoftmax:
         g = voxelize(rng.uniform(size=(5, 3)), 0.5)
         with pytest.raises(ContractError):
             scatter_softmax(np.zeros((4, 2)), g)
+
+
+class TestScatterOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(cloud=grid_clouds(), latents=st.integers(1, 5))
+    def test_softmax_matches_row_oracle(self, cloud, latents):
+        pts, seed = cloud
+        g = voxelize(pts, 1.0)
+        scores = np.random.default_rng(seed).normal(size=(len(pts), latents)) * 8
+        got = scatter_softmax(scores, g)
+        assert got.flags.c_contiguous
+        assert got.tobytes() == scatter_softmax_rows(scores, g).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(cloud=grid_clouds(), shape=st.sampled_from([(), (3,), (4, 5)]))
+    def test_sum_matches_row_oracle(self, cloud, shape):
+        pts, seed = cloud
+        g = voxelize(pts, 1.0)
+        x = np.random.default_rng(seed).normal(size=(len(pts),) + shape)
+        got = scatter_sum(x, g)
+        assert got.flags.c_contiguous and got.shape == (g.num_voxels,) + shape
+        assert got.tobytes() == scatter_sum_rows(x, g).tobytes()
 
 
 class TestVsaEncode:
@@ -218,24 +313,6 @@ class TestInnerBottleneck:
         assert np.array_equal(hv_hat[1], [[10.0, 20.0]])  # no +x neighbor
 
 
-def conv_oracle(x, coords, kernel):
-    """Depthwise 3x3x3 convolution with one sorted-code lookup per offset."""
-    c = len(coords)
-    lo = coords.min(axis=0) - 1
-    extent = coords.max(axis=0) - lo + 3
-    codes = np.ravel_multi_index((coords - lo).T, extent)
-    out = np.zeros_like(x)
-    for dx, dy, dz in product((-1, 0, 1), repeat=3):
-        nb = coords + np.array([dx, dy, dz])
-        nb_codes = np.ravel_multi_index((nb - lo).T, extent)
-        pos = np.searchsorted(codes, nb_codes)
-        pos_c = np.minimum(pos, c - 1)
-        found = codes[pos_c] == nb_codes
-        taps = kernel[:, :, dx + 1, dy + 1, dz + 1]
-        out[found] += x[pos_c[found]] * taps
-    return out
-
-
 def grid_groups(coords):
     """Voxel groups whose voxel coordinates are exactly the given integers."""
     return voxelize(np.asarray(coords, dtype=np.float64) + 0.5, 1.0)
@@ -298,6 +375,19 @@ class TestVsaDecode:
         _, hv = vsa_encode(feats, latents, weights, groups)
         out = vsa_decode(hv, feats, weights, groups)
         assert out.shape == (len(feats), dims.width)
+
+    @settings(max_examples=30, deadline=None)
+    @given(cloud=grid_clouds())
+    def test_matches_per_point_oracle(self, cloud):
+        pts, seed = cloud
+        rng = np.random.default_rng(seed)
+        dims = EmbeddingDims(latents=3, width=6, reduced=3, stages=1)
+        weights = WeightSet.seeded(dims, rng, in_width=5)
+        groups = voxelize(pts, 1.0)
+        hv = rng.normal(size=(groups.num_voxels, dims.latents, dims.width))
+        feats = rng.normal(size=(len(pts), 5))
+        got = vsa_decode(hv, feats, weights, groups)
+        assert got.tobytes() == decode_per_point(hv, feats, weights, groups).tobytes()
 
 
 class TestPointOrderEquivariance:

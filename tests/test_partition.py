@@ -65,17 +65,30 @@ class TestCylindricalBin:
     def test_elevation_bin_matches_ring_ids(self, points, beams, dphi_deg):
         # The production ring id of a point without a ring channel is the
         # oracle's elevation bin clipped to [0, B); a point whose squared
-        # norm underflows to zero is rejected by both.
+        # norm underflows to zero still has an elevation, and only the
+        # origin is rejected by both.
         g = SensorGeometry(beams, 0.01, np.radians(dphi_deg))
         pts = np.array(points, dtype=np.float64)
         cloud = PointCloud(points=pts, remission=np.zeros(len(pts)))
-        try:
-            expected = [min(max(cylindrical_bin(p, g)[1], 0), beams - 1) for p in pts]
-        except UndefinedAngleError:
+        if not pts.any(axis=1).all():
+            with pytest.raises(UndefinedAngleError):
+                cylindrical_bin(pts[~pts.any(axis=1)][0], g)
             with pytest.raises(UndefinedAngleError):
                 partition_rings(cloud, g)
             return
+        expected = [min(max(cylindrical_bin(p, g)[1], 0), beams - 1) for p in pts]
         assert partition_rings(cloud, g).tolist() == expected
+
+    @pytest.mark.parametrize("tiny", [1e-195, -1e-195, 5e-324])
+    def test_underflowing_norm_keeps_its_elevation(self, tiny):
+        # (0, 0, z) has elevation +-pi/2 however small z is: the top ring
+        # for z > 0 and ring 0 for z < 0, in production and oracle alike.
+        g = SensorGeometry(8, 0.01, np.radians(2.0))
+        point = np.array([0.0, 0.0, tiny])
+        cloud = PointCloud(points=point[None, :], remission=np.zeros(1))
+        ring = 7 if tiny > 0 else 0
+        assert min(max(cylindrical_bin(point, g)[1], 0), 7) == ring
+        assert partition_rings(cloud, g).tolist() == [ring]
 
 
 class TestPartitionRings:
