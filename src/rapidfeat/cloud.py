@@ -70,14 +70,8 @@ class PointCloud:
     def with_labels(self, labels: np.ndarray) -> "PointCloud":
         return replace(self, label=np.asarray(labels, dtype=np.int32))
 
-    def with_ring(self, ring: np.ndarray) -> "PointCloud":
-        return replace(self, ring=np.asarray(ring, dtype=np.int32))
-
     def with_points(self, points: np.ndarray) -> "PointCloud":
         return replace(self, points=np.asarray(points, dtype=np.float64))
-
-    def with_remission(self, remission: np.ndarray) -> "PointCloud":
-        return replace(self, remission=np.asarray(remission, dtype=np.float64))
 
     def take(self, indices: np.ndarray) -> "PointCloud":
         """Row-subset of the cloud, preserving optional channels."""
@@ -92,46 +86,31 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class SensorGeometry:
-    """Spinning LiDAR beam layout.
+    """Spinning LiDAR beam layout, as the elevation ring rule reads it.
 
-    beam_count             number of laser beams B
-    delta_theta            mean horizontal angular resolution, radians
-    delta_phi              mean vertical angular resolution, radians
-    measurements_per_cycle measurements per scan cycle s
+    beam_count  number of laser beams B
+    delta_phi   mean vertical angular resolution, radians
     """
 
     beam_count: int
-    delta_theta: float
     delta_phi: float
-    measurements_per_cycle: int = 1800
 
     def __post_init__(self) -> None:
         if self.beam_count <= 0:
             raise ContractError("beam_count must be positive")
-        if self.delta_theta <= 0 or self.delta_phi <= 0:
-            raise ContractError("angular resolutions must be positive")
-        if self.measurements_per_cycle <= 0:
-            raise ContractError("measurements_per_cycle must be positive")
+        if self.delta_phi <= 0:
+            raise ContractError("delta_phi must be positive")
 
     @classmethod
     def from_fov(
-        cls,
-        beam_count: int,
-        vertical_fov: tuple[float, float],
-        measurements_per_cycle: int = 1800,
+        cls, beam_count: int, vertical_fov: tuple[float, float]
     ) -> "SensorGeometry":
-        """Derive angular resolutions from beam count and vertical field of view.
+        """Beam layout from beam count and vertical field of view.
 
-        vertical_fov is (low, high) elevation in radians. delta_phi spans the
-        field of view over the beams; delta_theta divides the full circle by
-        the per-cycle measurement count.
+        vertical_fov is (low, high) elevation in radians; delta_phi spans the
+        field of view over the beams.
         """
         lo, hi = vertical_fov
         if hi <= lo:
             raise ContractError("vertical_fov must be (low, high) with high > low")
-        return cls(
-            beam_count=beam_count,
-            delta_theta=2.0 * np.pi / measurements_per_cycle,
-            delta_phi=(hi - lo) / beam_count,
-            measurements_per_cycle=measurements_per_cycle,
-        )
+        return cls(beam_count=beam_count, delta_phi=(hi - lo) / beam_count)

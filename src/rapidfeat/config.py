@@ -7,9 +7,8 @@ has a default; CLI flags override file values. Defaults:
     output.features                               "r_rapid.rapd"
     output.class_features                         null (C-RAPiD not written)
     sensor.beam_count                             64
-    sensor.measurements_per_cycle                 1800
     sensor.vertical_fov_deg                       [-24.8, 2.0]
-    sensor.delta_theta / sensor.delta_phi         null (derived from the above)
+    sensor.delta_phi                              null (fov span / beam_count)
     rapid.k_close / k_mid / k_far                 10 / 7 / 5
     rapid.band_edges                              [20.0, 50.0] meters
     rapid.delta                                   2.0 meters
@@ -17,8 +16,9 @@ has a default; CLI flags override file values. Defaults:
     workers                                       1
     seed                                          0
 
-Keys outside this list are ignored. The k triple (10, 7, 5) suits 64-beam
-scans and (8, 6, 3) suits 32-beam scans; both load through the same file.
+Keys outside this list are ignored, among them the horizontal resolution
+keys of older config files, which the ring rule does not read. The k triple
+(10, 7, 5) suits 64-beam scans and (8, 6, 3) suits 32-beam scans.
 """
 
 from __future__ import annotations
@@ -40,9 +40,7 @@ def defaults() -> dict:
         "output": {"features": "r_rapid.rapd", "class_features": None},
         "sensor": {
             "beam_count": 64,
-            "measurements_per_cycle": 1800,
             "vertical_fov_deg": [-24.8, 2.0],
-            "delta_theta": None,
             "delta_phi": None,
         },
         "rapid": {
@@ -106,22 +104,10 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         sensor = doc["sensor"]
         fov_lo, fov_hi = sensor["vertical_fov_deg"]
-        delta_theta = sensor["delta_theta"]
-        delta_phi = sensor["delta_phi"]
-        geometry = SensorGeometry(
-            beam_count=int(sensor["beam_count"]),
-            delta_theta=(
-                2.0 * math.pi / int(sensor["measurements_per_cycle"])
-                if delta_theta is None
-                else float(delta_theta)
-            ),
-            delta_phi=(
-                math.radians(fov_hi - fov_lo) / int(sensor["beam_count"])
-                if delta_phi is None
-                else float(delta_phi)
-            ),
-            measurements_per_cycle=int(sensor["measurements_per_cycle"]),
-        )
+        beams, delta_phi = int(sensor["beam_count"]), sensor["delta_phi"]
+        if delta_phi is None:  # exactly radians(hi - lo) / B: beams sit on bin edges
+            delta_phi = math.radians(fov_hi - fov_lo) / beams
+        geometry = SensorGeometry(beam_count=beams, delta_phi=float(delta_phi))
         rap = doc["rapid"]
         rapid_cfg = RangeAwareConfig(
             band_edges=tuple(float(e) for e in rap["band_edges"]),

@@ -348,19 +348,22 @@ class WeightSet:
         activation = meta.get("activation")
         if not isinstance(activation, str) or activation not in _ACTIVATIONS:
             raise FormatError(f"{path}: unknown activation {activation!r}")
-        inner_enc = tuple(
-            (
-                lin(f"inner.enc{i}"),
-                NormStage(
-                    gamma=tensor(f"inner.enc{i}.gamma"),
-                    beta=tensor(f"inner.enc{i}.beta"),
-                    mean=tensor(f"inner.enc{i}.mean"),
-                    var=tensor(f"inner.enc{i}.var"),
-                    eps=float(eps[i]),
-                ),
+        try:
+            inner_enc = tuple(
+                (
+                    lin(f"inner.enc{i}"),
+                    NormStage(
+                        gamma=tensor(f"inner.enc{i}.gamma"),
+                        beta=tensor(f"inner.enc{i}.beta"),
+                        mean=tensor(f"inner.enc{i}.mean"),
+                        var=tensor(f"inner.enc{i}.var"),
+                        eps=float(eps[i]),
+                    ),
+                )
+                for i in range(n_enc)
             )
-            for i in range(n_enc)
-        )
+        except ContractError as exc:  # a decoded batch-norm variance <= 0
+            raise FormatError(f"{path}: {exc}") from exc
         return cls(
             enc_key=lin("enc_key"),
             enc_value=lin("enc_value"),
@@ -599,13 +602,9 @@ def contrastive_loss(
 
 @dataclass(frozen=True)
 class EmbeddingForward:
-    """Every tensor of one autoencoder forward pass, with its shape fixed by
-    (m points, c voxels, l latents, d width, d' reduced width)."""
+    """Voxel tensors and decoded features of one autoencoder forward pass;
+    shapes from (m points, c voxels, l latents, d width, d' reduced width)."""
 
-    feats: np.ndarray          # (m, d_in) input features
-    latents: np.ndarray        # (l, d) latent queries
-    attention: np.ndarray      # (m, l) scatter softmax weights
-    pointwise: np.ndarray      # (m, l, d) per-point attention tensor
     voxelwise: np.ndarray      # (c, l, d) scatter-summed voxel tensor
     compressed: np.ndarray     # (c, l, d') inner embedding
     reconstructed_voxel: np.ndarray  # (c, l, d)
@@ -620,16 +619,10 @@ def autoencoder_forward(
 ) -> EmbeddingForward:
     """Full nested forward pass: outer encode, inner bottleneck, point decode."""
     g = np.asarray(feats, dtype=np.float64)
-    k = weights.enc_key(g)
-    att = scatter_softmax(k @ np.asarray(latents, dtype=np.float64).T, groups)
-    h, hv = vsa_encode(g, latents, weights, groups)
+    _, hv = vsa_encode(g, latents, weights, groups)
     hbar, hv_hat = inner_bottleneck(hv, weights, groups)
     g_hat = vsa_decode(hv_hat, g, weights, groups)
     return EmbeddingForward(
-        feats=g,
-        latents=np.asarray(latents, dtype=np.float64),
-        attention=att,
-        pointwise=h,
         voxelwise=hv,
         compressed=hbar,
         reconstructed_voxel=hv_hat,

@@ -6,9 +6,10 @@ split into range bands, and per-region RAPiD matrices are scattered back to
 their anchor points as a fixed-width pointwise feature set. Sparse regions
 fall back along the configured k chain and finally to all-padding rows.
 
-With more than one worker, regions are dispatched one per task, largest
-first (ties in plan order), and written back in plan order, so the output
-bytes and the order of roi ids do not depend on the worker count.
+With more than one worker, each worker receives the scan once and a task
+carries only a region's point indices; regions are dispatched one per task,
+largest first (ties in plan order), and written back in plan order, so the
+output bytes and the order of roi ids do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -83,12 +84,6 @@ class PointwiseFeatureSet:
             raise ContractError("per-point channels must match the row count")
 
 
-def _rapid_job(args, timings: Optional[dict] = None) -> RapidMatrix:
-    pts, refl, k, delta, roi_id = args
-    local = PointCloud(points=pts, remission=refl)
-    return rapid(np.arange(len(local)), local, k, delta, roi_id=roi_id, timings=timings)
-
-
 def _plan_jobs(
     ids: np.ndarray,
     band: np.ndarray,
@@ -119,6 +114,19 @@ def _plan_jobs(
     return jobs, padded
 
 
+_scan: Optional[PointCloud] = None  # the cloud a pool worker's region jobs index
+
+
+def _set_scan(cloud: PointCloud) -> None:
+    global _scan
+    _scan = cloud
+
+
+def _region_job(task: tuple[np.ndarray, int, str, float]) -> RapidMatrix:
+    sub, k, roi_id, delta = task
+    return rapid(sub, _scan, k, delta, roi_id=roi_id)
+
+
 def _run_jobs(
     cloud: PointCloud,
     jobs: list[tuple[np.ndarray, int, str]],
@@ -126,52 +134,31 @@ def _run_jobs(
     workers: int,
     timings: Optional[dict],
 ) -> list[RapidMatrix]:
-    payloads = [
-        (cloud.points[sub], cloud.remission[sub], k, delta, roi_id)
-        for sub, k, roi_id in jobs
-    ]
     if workers <= 1:
-        return [_rapid_job(payload, timings) for payload in payloads]
+        return [rapid(s, cloud, k, delta, roi_id=r, timings=timings) for s, k, r in jobs]
     # One region per task, largest first: a task holding several big
     # regions would keep one worker busy while the others idle.
     order = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][0]))
+    tasks = [(*jobs[i], delta) for i in order]
     matrices: list[Optional[RapidMatrix]] = [None] * len(jobs)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for i, mat in zip(order, pool.map(_rapid_job, [payloads[i] for i in order])):
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_set_scan, initargs=(cloud,)
+    ) as pool:
+        for i, mat in zip(order, pool.map(_region_job, tasks)):
             matrices[i] = mat
     return matrices
 
 
 def _scatter(
-    cloud: PointCloud,
-    ids: np.ndarray,
-    jobs: list[tuple[np.ndarray, int, str]],
-    matrices: list[RapidMatrix],
-    config: RangeAwareConfig,
+    ids: np.ndarray, matrices: list[RapidMatrix], k_max: int
 ) -> PointwiseFeatureSet:
-    m = len(cloud)
-    k_max = config.k_max
-    values = np.ones((m, k_max), dtype=np.float64)
-    valid = np.zeros(m, dtype=np.int32)
-    remapped = []
-    for (sub, k, _), mat in zip(jobs, matrices):
-        anchors = sub[mat.anchors]  # job anchors are subset-relative positions
-        values[anchors, :k] = mat.values
-        valid[anchors] = k
-        remapped.append(
-            RapidMatrix(
-                values=mat.values,
-                roi_id=mat.roi_id,
-                k=mat.k,
-                scale=mat.scale,
-                anchors=anchors,
-            )
-        )
+    values = np.ones((len(ids), k_max), dtype=np.float64)
+    valid = np.zeros(len(ids), dtype=np.int32)
+    for mat in matrices:
+        values[mat.anchors, : mat.k] = mat.values
+        valid[mat.anchors] = mat.k
     return PointwiseFeatureSet(
-        values=values,
-        roi=ids,
-        valid_width=valid,
-        matrices=tuple(remapped),
+        values=values, roi=ids, valid_width=valid, matrices=tuple(matrices)
     )
 
 
@@ -194,7 +181,7 @@ def _extract(
             time.perf_counter() - t0
         )
     matrices = _run_jobs(cloud, jobs, config.delta, workers, timings)
-    return _scatter(cloud, ids, jobs, matrices, config)
+    return _scatter(ids, matrices, config.k_max)
 
 
 def r_rapid(

@@ -25,6 +25,7 @@ import numpy as np
 
 from .cloud import PointCloud, SensorGeometry
 from .errors import (
+    ContractError,
     EmptySceneError,
     FormatError,
     LabelMismatchError,
@@ -351,7 +352,10 @@ def _read_array(payload: bytes, desc: dict) -> np.ndarray:
     nbytes = dtype.itemsize * math.prod(shape)
     if start + nbytes > len(payload):
         raise FormatError("truncated payload")
-    return np.frombuffer(payload[start : start + nbytes], dtype=dtype).reshape(shape)
+    try:
+        return np.frombuffer(payload[start : start + nbytes], dtype=dtype).reshape(shape)
+    except ValueError as exc:  # a zero-size shape numpy cannot represent
+        raise FormatError(f"bad array descriptor {desc!r}: {exc}") from exc
 
 
 def _matrix_record(builder: _PayloadBuilder, mat: RapidMatrix) -> dict:
@@ -455,26 +459,29 @@ def _check_record(path: PathLike, rec, kinds: tuple[str, ...]) -> None:
 
 def load_feature_file(path: PathLike) -> FeatureFile:
     """Decode a feature container; FormatError on any malformed header,
-    record or array descriptor."""
+    record or array descriptor, and on a decoded record that breaks a contract."""
     header, payload = _read_container(path)
     if header.get("kind") != "rapid-features":
         raise FormatError(f"{path}: container holds {header.get('kind')!r}, not features")
     matrices = []
     arrays = None
-    for rec in _records(path, header):
-        _check_record(path, rec, ("matrix", "pointwise"))
-        if rec["type"] == "matrix":
-            matrices.append(_matrix_from_record(rec, payload))
-        else:
-            arrays = rec["arrays"]
     pointwise = None
-    if arrays is not None:
-        pointwise = PointwiseFeatureSet(
-            values=_read_array(payload, arrays["values"]).astype(np.float64),
-            roi=_read_array(payload, arrays["roi"]).astype(np.int32),
-            valid_width=_read_array(payload, arrays["valid_width"]).astype(np.int32),
-            matrices=tuple(matrices),
-        )
+    try:
+        for rec in _records(path, header):
+            _check_record(path, rec, ("matrix", "pointwise"))
+            if rec["type"] == "matrix":
+                matrices.append(_matrix_from_record(rec, payload))
+            else:
+                arrays = rec["arrays"]
+        if arrays is not None:
+            pointwise = PointwiseFeatureSet(
+                values=_read_array(payload, arrays["values"]).astype(np.float64),
+                roi=_read_array(payload, arrays["roi"]).astype(np.int32),
+                valid_width=_read_array(payload, arrays["valid_width"]).astype(np.int32),
+                matrices=tuple(matrices),
+            )
+    except ContractError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     return FeatureFile(
         matrices=tuple(matrices), pointwise=pointwise, meta=header.get("meta", {})
     )

@@ -96,18 +96,20 @@ def select_k(point: np.ndarray, config: RangeAwareConfig) -> int:
     return config.k_far
 
 
-def cylindrical_bin(point: np.ndarray, geometry: SensorGeometry) -> tuple[int, int]:
+def cylindrical_bin(
+    point: np.ndarray, geometry: SensorGeometry, delta_theta: float
+) -> tuple[int, int]:
     """(theta_bin, phi_bin) of one point; errors only at the origin.
 
-    theta_bin = floor(atan2(y, x) / dtheta)
-    phi_bin   = floor(atan2(z, hypot(x, y)) / dphi), unclipped
+    theta_bin = floor(atan2(y, x) / delta_theta)
+    phi_bin   = floor(atan2(z, hypot(x, y)) / geometry.delta_phi), unclipped
     """
     x, y, z = (float(c) for c in point)
     if x == 0.0 and y == 0.0 and z == 0.0:
         raise UndefinedAngleError("cylindrical angles undefined at the origin")
     theta = np.arctan2(y, x)
     phi = np.arctan2(z, np.hypot(x, y))
-    return int(np.floor(theta / geometry.delta_theta)), int(
+    return int(np.floor(theta / delta_theta)), int(
         np.floor(phi / geometry.delta_phi)
     )
 

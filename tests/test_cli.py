@@ -56,11 +56,7 @@ def config_file(tmp_path):
         doc = {
             "input": {"synthetic": SCENE},
             "output": {"features": str(tmp_path / "r.rapd")},
-            "sensor": {
-                "beam_count": 16,
-                "vertical_fov_deg": [-10, 10],
-                "measurements_per_cycle": 360,
-            },
+            "sensor": {"beam_count": 16, "vertical_fov_deg": [-10, 10]},
         }
         for key, value in extra.items():
             if isinstance(value, dict) and isinstance(doc.get(key), dict):
@@ -111,15 +107,19 @@ class TestRunConfig:
         assert c.rapid.band_edges == (15.0, 40.0) and c.rapid.delta == 1.5
 
     def test_unread_sections_ignored(self, config_file, tmp_path):
-        main(["extract", "--config", str(config_file())])
+        plain_path = config_file()
+        plain_sensor = RunConfig.load(str(plain_path)).sensor
+        main(["extract", "--config", str(plain_path)])
         plain = (tmp_path / "r.rapd").read_bytes()
         path = config_file(
             voxel_size=0.4,
             embedding={"latents": 2, "width": 8, "reduced": 4, "stages": 1},
             fusion={"ratio": 2},
             loss={"alpha": 0.3, "lambda": 0.2, "sim": "dot"},
+            sensor={"measurements_per_cycle": 90, "delta_theta": 0.5},
         )
-        assert RunConfig.load(str(path)).rapid.ks == (10, 7, 5)
+        config = RunConfig.load(str(path))
+        assert config.rapid.ks == (10, 7, 5) and config.sensor == plain_sensor
         assert main(["extract", "--config", str(path)]) == EXIT_OK
         assert (tmp_path / "r.rapd").read_bytes() == plain
 

@@ -56,15 +56,14 @@ class TestPointCloud:
 class TestSensorGeometry:
     def test_validation(self):
         with pytest.raises(ContractError):
-            SensorGeometry(0, 0.1, 0.1)
+            SensorGeometry(0, 0.1)
         with pytest.raises(ContractError):
-            SensorGeometry(4, -0.1, 0.1)
+            SensorGeometry(4, -0.1)
         with pytest.raises(ContractError):
-            SensorGeometry(4, 0.1, 0.0)
+            SensorGeometry(4, 0.0)
 
     def test_from_fov_derivation(self):
-        g = SensorGeometry.from_fov(64, (np.radians(-24.8), np.radians(2.0)), 1800)
-        assert g.delta_theta == pytest.approx(2 * np.pi / 1800, abs=0)
+        g = SensorGeometry.from_fov(64, (np.radians(-24.8), np.radians(2.0)))
         assert g.delta_phi == pytest.approx(np.radians(26.8) / 64, rel=1e-12)
 
     def test_from_fov_rejects_inverted_range(self):

@@ -620,8 +620,6 @@ class TestAutoencoderForward:
         _, pts, groups, feats, weights, latents, dims = make_instance(11, m=50)
         fw = autoencoder_forward(feats, latents, weights, groups)
         c = groups.num_voxels
-        assert fw.attention.shape == (50, dims.latents)
-        assert fw.pointwise.shape == (50, dims.latents, dims.width)
         assert fw.voxelwise.shape == (c, dims.latents, dims.width)
         assert fw.compressed.shape == (c, dims.latents, dims.reduced)
         assert fw.reconstructed_voxel.shape == (c, dims.latents, dims.width)
@@ -632,13 +630,26 @@ class TestAutoencoderForward:
 
         _, _, groups, feats, weights, latents, _ = make_instance(12, m=40)
         fw = autoencoder_forward(feats, latents, weights, groups)
-        h, hv = vsa_encode(feats, latents, weights, groups)
+        _, hv = vsa_encode(feats, latents, weights, groups)
         hbar, hv_hat = inner_bottleneck(hv, weights, groups)
         g_hat = vsa_decode(hv_hat, feats, weights, groups)
-        assert np.array_equal(fw.pointwise, h)
         assert np.array_equal(fw.voxelwise, hv)
         assert np.array_equal(fw.compressed, hbar)
+        assert np.array_equal(fw.reconstructed_voxel, hv_hat)
         assert np.array_equal(fw.reconstructed, g_hat)
+
+    def test_one_attention_pass(self, monkeypatch):
+        # The encoder's scatter softmax is the forward's only one.
+        from rapidfeat import autoencoder_forward, embed
+
+        calls = []
+        inner = embed.scatter_softmax
+        monkeypatch.setattr(
+            embed, "scatter_softmax", lambda *a: calls.append(1) or inner(*a)
+        )
+        _, _, groups, feats, weights, latents, _ = make_instance(13, m=40)
+        autoencoder_forward(feats, latents, weights, groups)
+        assert len(calls) == 1
 
 
 def _drop_tensor(header, name):

@@ -1,5 +1,9 @@
 """Ring/class partitioning, range banding, fallback, and scatter-back."""
 
+import functools
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from rapidfeat import (
     SyntheticSceneSpec,
     UndefinedAngleError,
     c_rapid,
+    partition,
     partition_classes,
     partition_rings,
     r_rapid,
@@ -28,28 +33,28 @@ from oracles import cylindrical_bin
 
 class TestCylindricalBin:
     def test_x_axis_zero_bins(self):
-        g = SensorGeometry(64, np.pi / 180, np.pi / 180)
-        assert cylindrical_bin(np.array([1.0, 0.0, 0.0]), g) == (0, 0)
+        g = SensorGeometry(64, np.pi / 180)
+        assert cylindrical_bin(np.array([1.0, 0.0, 0.0]), g, np.pi / 180) == (0, 0)
 
     def test_theta_quarter_turn(self):
-        g = SensorGeometry(64, np.pi / 2, 0.1)
-        tb, _ = cylindrical_bin(np.array([0.0, 1.0, 0.0]), g)
+        g = SensorGeometry(64, 0.1)
+        tb, _ = cylindrical_bin(np.array([0.0, 1.0, 0.0]), g, np.pi / 2)
         assert tb == 1
 
     def test_phi_45_degrees(self):
         # elevation of (1,0,1) is exactly pi/4
-        g = SensorGeometry(64, np.pi / 180, np.pi / 4)
-        _, pb = cylindrical_bin(np.array([1.0, 0.0, 1.0]), g)
+        g = SensorGeometry(64, np.pi / 4)
+        _, pb = cylindrical_bin(np.array([1.0, 0.0, 1.0]), g, np.pi / 180)
         assert pb == 1
 
     def test_origin_rejected(self):
-        g = SensorGeometry(64, 0.1, 0.1)
+        g = SensorGeometry(64, 0.1)
         with pytest.raises(UndefinedAngleError):
-            cylindrical_bin(np.zeros(3), g)
+            cylindrical_bin(np.zeros(3), g, 0.1)
 
     def test_negative_elevation_negative_bin(self):
-        g = SensorGeometry(64, 0.1, np.pi / 8)
-        _, pb = cylindrical_bin(np.array([1.0, 0.0, -1.0]), g)
+        g = SensorGeometry(64, np.pi / 8)
+        _, pb = cylindrical_bin(np.array([1.0, 0.0, -1.0]), g, 0.1)
         assert pb == -2  # floor(-pi/4 / (pi/8))
 
     @settings(max_examples=60, deadline=None)
@@ -67,27 +72,27 @@ class TestCylindricalBin:
         # oracle's elevation bin clipped to [0, B); a point whose squared
         # norm underflows to zero still has an elevation, and only the
         # origin is rejected by both.
-        g = SensorGeometry(beams, 0.01, np.radians(dphi_deg))
+        g = SensorGeometry(beams, np.radians(dphi_deg))
         pts = np.array(points, dtype=np.float64)
         cloud = PointCloud(points=pts, remission=np.zeros(len(pts)))
         if not pts.any(axis=1).all():
             with pytest.raises(UndefinedAngleError):
-                cylindrical_bin(pts[~pts.any(axis=1)][0], g)
+                cylindrical_bin(pts[~pts.any(axis=1)][0], g, 0.01)
             with pytest.raises(UndefinedAngleError):
                 partition_rings(cloud, g)
             return
-        expected = [min(max(cylindrical_bin(p, g)[1], 0), beams - 1) for p in pts]
+        expected = [min(max(cylindrical_bin(p, g, 0.01)[1], 0), beams - 1) for p in pts]
         assert partition_rings(cloud, g).tolist() == expected
 
     @pytest.mark.parametrize("tiny", [1e-195, -1e-195, 5e-324])
     def test_underflowing_norm_keeps_its_elevation(self, tiny):
         # (0, 0, z) has elevation +-pi/2 however small z is: the top ring
         # for z > 0 and ring 0 for z < 0, in production and oracle alike.
-        g = SensorGeometry(8, 0.01, np.radians(2.0))
+        g = SensorGeometry(8, np.radians(2.0))
         point = np.array([0.0, 0.0, tiny])
         cloud = PointCloud(points=point[None, :], remission=np.zeros(1))
         ring = 7 if tiny > 0 else 0
-        assert min(max(cylindrical_bin(point, g)[1], 0), 7) == ring
+        assert min(max(cylindrical_bin(point, g, 0.01)[1], 0), 7) == ring
         assert partition_rings(cloud, g).tolist() == [ring]
 
 
@@ -96,11 +101,11 @@ class TestPartitionRings:
         pts = rng.normal(size=(50, 3)) + 5.0
         ring = rng.integers(0, 8, 50).astype(np.int32)
         cloud = PointCloud(points=pts, remission=np.zeros(50), ring=ring)
-        part = partition_rings(cloud, SensorGeometry(8, 0.1, 0.1))
+        part = partition_rings(cloud, SensorGeometry(8, 0.1))
         assert np.array_equal(part, ring)
 
     def test_two_elevation_scene_two_rings(self):
-        geometry = SensorGeometry(4, np.pi / 180, np.radians(5.0))
+        geometry = SensorGeometry(4, np.radians(5.0))
         n = 60
         ang = np.linspace(0, 2 * np.pi, n, endpoint=False)
         low = np.stack(
@@ -130,12 +135,12 @@ class TestPartitionRings:
             ring=np.full(10, 9, dtype=np.int32),
         )
         with pytest.raises(ContractError):
-            partition_rings(cloud, SensorGeometry(4, 0.1, 0.1))
+            partition_rings(cloud, SensorGeometry(4, 0.1))
 
     def test_empty_cloud_rejected(self):
         cloud = PointCloud(points=np.zeros((0, 3)), remission=np.zeros(0))
         with pytest.raises(ContractError):
-            partition_rings(cloud, SensorGeometry(4, 0.1, 0.1))
+            partition_rings(cloud, SensorGeometry(4, 0.1))
 
 
 class TestPartitionClasses:
@@ -169,14 +174,14 @@ class TestRRapid:
 
     def test_single_ring_all_rows_valid(self):
         cloud = single_ring_circle()
-        fs = r_rapid(cloud, SensorGeometry(1, 0.1, 0.1), self.config)
+        fs = r_rapid(cloud, SensorGeometry(1, 0.1), self.config)
         assert fs.values.shape == (len(cloud), 5)
         assert np.all(fs.valid_width == 5)
 
     def test_rigid_motion_leaves_rows_unchanged(self):
         # radius 10 circle stays in the close band under a small translation
         cloud = single_ring_circle()
-        geometry = SensorGeometry(1, 0.1, 0.1)
+        geometry = SensorGeometry(1, 0.1)
         base = r_rapid(cloud, geometry, self.config)
         rng = np.random.default_rng(9)
         for _ in range(5):
@@ -195,7 +200,7 @@ class TestRRapid:
         cloud = PointCloud(
             points=pts, remission=np.zeros(3), ring=np.zeros(3, dtype=np.int32)
         )
-        fs = r_rapid(cloud, SensorGeometry(1, 0.1, 0.1), config)
+        fs = r_rapid(cloud, SensorGeometry(1, 0.1), config)
         assert np.all(fs.values == 1.0)
         assert np.all(fs.valid_width == 0)
         assert fs.matrices == ()
@@ -208,7 +213,7 @@ class TestRRapid:
         cloud = PointCloud(
             points=pts, remission=rng.uniform(0, 1, 8), ring=np.zeros(8, dtype=np.int32)
         )
-        fs = r_rapid(cloud, SensorGeometry(1, 0.1, 0.1), config)
+        fs = r_rapid(cloud, SensorGeometry(1, 0.1), config)
         assert fs.matrices[0].k == 7
         assert np.all(fs.valid_width == 7)
         assert np.all(fs.values[:, 7:] == 1.0)
@@ -224,7 +229,7 @@ class TestRRapid:
                 [np.zeros(len(a), dtype=np.int32), np.ones(90, dtype=np.int32)]
             ),
         )
-        geometry = SensorGeometry(2, 0.1, 0.1)
+        geometry = SensorGeometry(2, 0.1)
         base = r_rapid(cloud, geometry, self.config)
         # poison ring 1: shift its points and scramble its reflectivity
         poisoned = PointCloud(
@@ -257,7 +262,7 @@ class TestRRapid:
             remission=rng.uniform(0, 1, 400),
             ring=np.zeros(400, dtype=np.int32),
         )
-        fs = r_rapid(cloud, SensorGeometry(1, 0.1, 0.1), self.config)
+        fs = r_rapid(cloud, SensorGeometry(1, 0.1), self.config)
         ids = sorted(m.roi_id for m in fs.matrices)
         assert ids == ["ring000-close", "ring000-mid"]
         assert {m.roi_id: m.k for m in fs.matrices} == {
@@ -318,23 +323,25 @@ class TestCRapid:
         assert fs.valid_width[30] == 0
 
 
+def _three_region_cloud() -> PointCloud:
+    # ring 0 / class 1 are small; the biggest region comes second in plan
+    # order, so largest-first dispatch reorders the jobs
+    rng = np.random.default_rng(21)
+    sizes = (30, 400, 120)
+    n = sum(sizes)
+    ang = rng.uniform(0, 2 * np.pi, n)
+    dist = rng.uniform(5.0, 60.0, n)
+    pts = np.stack([dist * np.cos(ang), dist * np.sin(ang), rng.normal(0, 0.3, n)], axis=1)
+    ids = np.repeat(np.arange(3), sizes).astype(np.int32)
+    return PointCloud(points=pts, remission=rng.uniform(0, 1, n), ring=ids, label=ids + 1)
+
+
 class TestWorkerDispatch:
     def test_largest_region_not_first_same_output(self):
-        # ring 0 / class 1 are small; the biggest region comes second in plan
-        # order, so largest-first dispatch reorders the jobs
-        rng = np.random.default_rng(21)
-        sizes = (30, 400, 120)
-        n = sum(sizes)
-        ang = rng.uniform(0, 2 * np.pi, n)
-        dist = rng.uniform(5.0, 60.0, n)
-        pts = np.stack([dist * np.cos(ang), dist * np.sin(ang), rng.normal(0, 0.3, n)], axis=1)
-        ids = np.repeat(np.arange(3), sizes).astype(np.int32)
-        cloud = PointCloud(
-            points=pts, remission=rng.uniform(0, 1, n), ring=ids, label=ids + 1
-        )
+        cloud = _three_region_cloud()
         config = RangeAwareConfig(k_close=5, k_mid=4, k_far=3)
         for run in (
-            lambda w: r_rapid(cloud, SensorGeometry(3, 0.1, 0.1), config, workers=w),
+            lambda w: r_rapid(cloud, SensorGeometry(3, 0.1), config, workers=w),
             lambda w: c_rapid(cloud, config, workers=w),
         ):
             one, two = run(1), run(2)
@@ -343,6 +350,28 @@ class TestWorkerDispatch:
             assert [m.roi_id for m in one.matrices] == [m.roi_id for m in two.matrices]
             for a, b in zip(one.matrices, two.matrices):
                 assert np.array_equal(a.anchors, b.anchors)
+                assert a.values.tobytes() == b.values.tobytes()
+
+    def test_spawned_workers_same_output(self, monkeypatch):
+        # A spawned worker inherits nothing from the parent: it must get the
+        # scan through the pool's initializer, not through module state.
+        monkeypatch.setattr(
+            partition,
+            "ProcessPoolExecutor",
+            functools.partial(ProcessPoolExecutor, mp_context=get_context("spawn")),
+        )
+        cloud = _three_region_cloud()
+        config = RangeAwareConfig(k_close=5, k_mid=4, k_far=3)
+        for run in (
+            lambda w: r_rapid(cloud, SensorGeometry(3, 0.1), config, workers=w),
+            lambda w: c_rapid(cloud, config, workers=w),
+        ):
+            one, two = run(1), run(2)
+            assert one.values.tobytes() == two.values.tobytes()
+            assert one.valid_width.tobytes() == two.valid_width.tobytes()
+            for a, b in zip(one.matrices, two.matrices, strict=True):
+                assert a.roi_id == b.roi_id
+                assert a.anchors.tobytes() == b.anchors.tobytes()
                 assert a.values.tobytes() == b.values.tobytes()
 
 

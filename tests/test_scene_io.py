@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rapidfeat import (
+    EmbeddingDims,
     EmptySceneError,
     FormatError,
     LabelMismatchError,
@@ -15,10 +16,14 @@ from rapidfeat import (
     PlanePrimitive,
     PointCloud,
     RapidMatrix,
+    RangeAwareConfig,
     ReflectivityScale,
+    SensorGeometry,
     SyntheticSceneSpec,
+    WeightSet,
     load_kitti_labels,
     load_kitti_scan,
+    r_rapid,
     save_kitti_labels,
     save_kitti_scan,
     synthesize_scene,
@@ -290,6 +295,8 @@ class TestFeatureContainer:
             {**desc, "shape": [3.0, 2]},
             {**desc, "shape": "3x2"},
             {**desc, "shape": [2 ** 62, 2 ** 62]},
+            {**desc, "shape": [0, 2 ** 63]},
+            {**desc, "shape": [0] * 65},
             [desc],
         ]
         for bad in bad_descriptors:
@@ -312,6 +319,96 @@ class TestFeatureContainer:
         )
         assert np.array_equal(loaded.pointwise.roi, fs.roi)
         assert np.array_equal(loaded.pointwise.valid_width, fs.valid_width)
+
+
+def _container_bytes(directory) -> dict:
+    """A feature file with matrices and a pointwise record, and a weight file."""
+    rng = np.random.default_rng(5)
+    cloud = PointCloud(points=rng.uniform(2, 30, (40, 3)), remission=rng.uniform(0, 1, 40))
+    fs = r_rapid(cloud, SensorGeometry(2, 0.1), RangeAwareConfig(k_close=3, k_mid=3, k_far=2))
+    save_feature_file(directory / "f.rapd", fs.matrices, fs, meta={"k": [3, 3, 2]})
+    dims = EmbeddingDims(latents=2, width=4, reduced=2, stages=1)
+    WeightSet.seeded(dims, rng).save(directory / "w.rapd")
+    return {
+        "features": (directory / "f.rapd").read_bytes(),
+        "weights": (directory / "w.rapd").read_bytes(),
+    }
+
+
+# Bytes that keep a rewritten JSON header close to parseable.
+_JSON_BYTES = st.sampled_from(list(b'0123456789-+.eE[]{}",: tfn'))
+
+
+@st.composite
+def _mutated(draw, raw: bytes) -> bytes:
+    """raw truncated, with bits flipped, or with header bytes rewritten."""
+    out = bytearray(raw)
+    kind = draw(st.sampled_from(["truncate", "flip", "rewrite"]))
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        spots = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 7))
+        for pos, bit in draw(st.lists(spots, min_size=1, max_size=4)):
+            out[pos] ^= 1 << bit
+        return bytes(out)
+    head_end = 12 + struct.unpack("<I", raw[8:12])[0]
+    byte = st.one_of(_JSON_BYTES, st.integers(0, 255))
+    for pos, value in draw(
+        st.lists(st.tuples(st.integers(12, head_end - 1), byte), min_size=1, max_size=4)
+    ):
+        out[pos] = value
+    return bytes(out)
+
+
+class TestContainerFuzz:
+    """Every mutated container ends in FormatError or a valid load."""
+
+    @pytest.fixture(scope="class")
+    def originals(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("fuzz")
+        return directory, _container_bytes(directory)
+
+    @staticmethod
+    def _load(loader, directory, raw: bytes) -> None:
+        path = directory / "mutated.rapd"
+        path.write_bytes(raw)
+        try:
+            loader(path)
+        except FormatError:
+            pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_feature_file(self, originals, data):
+        directory, raw = originals
+        self._load(load_feature_file, directory, data.draw(_mutated(raw["features"])))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_weight_file(self, originals, data):
+        directory, raw = originals
+        self._load(WeightSet.load, directory, data.draw(_mutated(raw["weights"])))
+
+    def test_pointwise_length_mismatch(self, tmp_path):
+        # A header edit shortening the roi array: found by fuzzing, it used
+        # to escape as ContractError.
+        raw = _container_bytes(tmp_path)["features"]
+        path = tmp_path / "f.rapd"
+        header, payload = _read_container(path)
+        header["records"][-1]["arrays"]["roi"]["shape"] = [39]
+        _write_container(path, header, payload)
+        with pytest.raises(FormatError):
+            load_feature_file(path)
+        path.write_bytes(raw)
+        assert len(load_feature_file(path).pointwise.roi) == 40
+
+    def test_nonpositive_variance(self, tmp_path):
+        _container_bytes(tmp_path)
+        path = tmp_path / "w.rapd"
+        tensors, meta = load_tensors(path)
+        save_tensors(path, {**tensors, "inner.enc0.var": -tensors["inner.enc0.var"]}, meta)
+        with pytest.raises(FormatError):
+            WeightSet.load(path)
 
 
 class TestTensorContainer:
