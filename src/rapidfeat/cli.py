@@ -180,16 +180,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cloud = _load_cloud(config)
     load_time = time.perf_counter() - t0
-    timings = {"load": load_time}
     t0 = time.perf_counter()
-    features = r_rapid(cloud, config.sensor, config.rapid, workers=1, timings=timings)
+    features = r_rapid(cloud, config.sensor, config.rapid, workers=1)
     base_wall = time.perf_counter() - t0
     base_bytes = features.values.tobytes()
     digest = hashlib.sha256(base_bytes).hexdigest()[:16]
     print(f"points {len(cloud)}, regions {len(features.matrices)}, sha {digest}")
+    # Partition is the rest of the run: ring rule, banding, planning, scatter.
+    steps = np.array([m.seconds for m in features.matrices]).reshape(-1, 3).sum(axis=0)
+    stages = {"load": load_time, "partition": base_wall - steps.sum()}
+    stages.update(zip(("knn", "normalize", "sort"), steps))
     print("stage timings (workers=1):")
     for stage in ("load", "partition", "knn", "sort", "normalize"):
-        print(f"  {stage:<10} {timings.get(stage, 0.0):8.4f} s")
+        print(f"  {stage:<10} {stages[stage]:8.4f} s")
     worker_counts = [int(w) for w in args.workers_list.split(",")]
     print(f"{'workers':>8}{'seconds':>10}{'speedup':>9}  identical")
     table = [(1, base_wall, 1.0, True)]

@@ -175,6 +175,11 @@ class LinearStage:
     weight: np.ndarray
     bias: np.ndarray
 
+    def __post_init__(self) -> None:
+        w = np.shape(self.weight)
+        if len(w) != 2 or np.shape(self.bias) != (w[1],):
+            raise ContractError("linear stage needs a 2-D weight and one bias per column")
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight + self.bias
 
@@ -190,6 +195,9 @@ class NormStage:
     eps: float = 1e-5
 
     def __post_init__(self) -> None:
+        shapes = {np.shape(v) for v in (self.gamma, self.beta, self.mean, self.var)}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ContractError("batch-norm parameters must be 1-D vectors of one length")
         if np.any(np.asarray(self.var) <= 0):
             raise ContractError("batch-norm variance must be positive")
 
@@ -348,7 +356,7 @@ class WeightSet:
         activation = meta.get("activation")
         if not isinstance(activation, str) or activation not in _ACTIVATIONS:
             raise FormatError(f"{path}: unknown activation {activation!r}")
-        try:
+        try:  # a decoded stage that breaks a shape or variance contract
             inner_enc = tuple(
                 (
                     lin(f"inner.enc{i}"),
@@ -362,20 +370,20 @@ class WeightSet:
                 )
                 for i in range(n_enc)
             )
-        except ContractError as exc:  # a decoded batch-norm variance <= 0
+            return cls(
+                enc_key=lin("enc_key"),
+                enc_value=lin("enc_value"),
+                dec_query=lin("dec_query"),
+                dec_key=lin("dec_key"),
+                dec_value=lin("dec_value"),
+                inner_encoder=inner_enc,
+                ffn_conv1=tensor("ffn.conv1"),
+                ffn_conv2=tensor("ffn.conv2"),
+                activation=activation,
+                inner_decoder=tuple(lin(f"inner.dec{i}") for i in range(n_dec)),
+            )
+        except ContractError as exc:
             raise FormatError(f"{path}: {exc}") from exc
-        return cls(
-            enc_key=lin("enc_key"),
-            enc_value=lin("enc_value"),
-            dec_query=lin("dec_query"),
-            dec_key=lin("dec_key"),
-            dec_value=lin("dec_value"),
-            inner_encoder=inner_enc,
-            ffn_conv1=tensor("ffn.conv1"),
-            ffn_conv2=tensor("ffn.conv2"),
-            activation=activation,
-            inner_decoder=tuple(lin(f"inner.dec{i}") for i in range(n_dec)),
-        )
 
 
 def seeded_latents(dims: EmbeddingDims, rng: np.random.Generator) -> np.ndarray:

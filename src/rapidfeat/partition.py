@@ -14,7 +14,6 @@ output bytes and the order of roi ids do not depend on the worker count.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -89,15 +88,14 @@ def _plan_jobs(
     band: np.ndarray,
     config: RangeAwareConfig,
     prefix: str,
-) -> tuple[list[tuple[np.ndarray, int, str]], list[np.ndarray]]:
+) -> list[tuple[np.ndarray, int, str]]:
     """Group points into regions by id, split each region into range bands
     and pick a workable k per sub-region.
 
-    Returns the computable jobs in ascending id order and the index arrays
-    that fall through the whole fallback chain (left as padding).
+    Returns the computable jobs in ascending id order; a sub-region that
+    falls through the whole fallback chain gets no job and stays padding.
     """
     jobs: list[tuple[np.ndarray, int, str]] = []
-    padded: list[np.ndarray] = []
     for rid in np.unique(ids).tolist():
         region = np.flatnonzero(ids == rid)
         for b in range(3):
@@ -107,11 +105,9 @@ def _plan_jobs(
             k_use = next(
                 (k for k in config.fallback_chain(b) if len(sub) >= k + 1), None
             )
-            if k_use is None:
-                padded.append(sub)
-            else:
+            if k_use is not None:
                 jobs.append((sub, k_use, f"{prefix}{rid:03d}-{BAND_NAMES[b]}"))
-    return jobs, padded
+    return jobs
 
 
 _scan: Optional[PointCloud] = None  # the cloud a pool worker's region jobs index
@@ -132,10 +128,9 @@ def _run_jobs(
     jobs: list[tuple[np.ndarray, int, str]],
     delta: float,
     workers: int,
-    timings: Optional[dict],
 ) -> list[RapidMatrix]:
     if workers <= 1:
-        return [rapid(s, cloud, k, delta, roi_id=r, timings=timings) for s, k, r in jobs]
+        return [rapid(s, cloud, k, delta, roi_id=r) for s, k, r in jobs]
     # One region per task, largest first: a task holding several big
     # regions would keep one worker busy while the others idle.
     order = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][0]))
@@ -168,19 +163,12 @@ def _extract(
     prefix: str,
     config: RangeAwareConfig,
     workers: int,
-    timings: Optional[dict],
-    t0: float,
 ) -> PointwiseFeatureSet:
     """RAPiD per (region x range band) of the per-point region ids, scattered
-    back to points. The partition stage is timed from t0, taken before the
-    ids were computed."""
+    back to points."""
     band = band_indices(np.asarray(range_of(cloud.points)), config)
-    jobs, _ = _plan_jobs(ids, band, config, prefix)
-    if timings is not None:
-        timings["partition"] = timings.get("partition", 0.0) + (
-            time.perf_counter() - t0
-        )
-    matrices = _run_jobs(cloud, jobs, config.delta, workers, timings)
+    jobs = _plan_jobs(ids, band, config, prefix)
+    matrices = _run_jobs(cloud, jobs, config.delta, workers)
     return _scatter(ids, matrices, config.k_max)
 
 
@@ -189,23 +177,19 @@ def r_rapid(
     geometry: SensorGeometry,
     config: RangeAwareConfig,
     workers: int = 1,
-    timings: Optional[dict] = None,
 ) -> PointwiseFeatureSet:
     """Intra-ring features: RAPiD per (ring x range band), scattered back to
     points. Needs no labels."""
-    t0 = time.perf_counter()
     rings = partition_rings(cloud, geometry)
-    return _extract(cloud, rings, "ring", config, workers, timings, t0)
+    return _extract(cloud, rings, "ring", config, workers)
 
 
 def c_rapid(
     cloud: PointCloud,
     config: RangeAwareConfig,
     workers: int = 1,
-    timings: Optional[dict] = None,
 ) -> PointwiseFeatureSet:
     """Intra-class features: RAPiD per (class x range band). Labels required
     (ground truth or externally supplied pseudo labels)."""
-    t0 = time.perf_counter()
     classes = partition_classes(cloud)
-    return _extract(cloud, classes, "class", config, workers, timings, t0)
+    return _extract(cloud, classes, "class", config, workers)

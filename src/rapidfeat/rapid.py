@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -106,6 +106,8 @@ class RapidMatrix:
     k        neighbor count
     scale    reflectivity/distance scale used by the 4D metric
     anchors  original point index of each row, in post-sort row order
+    seconds  (knn, normalize, sort) seconds of the rapid() call that built
+             it; () for a decoded matrix, as containers do not store them
     """
 
     values: np.ndarray
@@ -113,6 +115,7 @@ class RapidMatrix:
     k: int
     scale: ReflectivityScale
     anchors: np.ndarray
+    seconds: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
@@ -164,18 +167,8 @@ def band_indices(ranges: np.ndarray, config: RangeAwareConfig) -> np.ndarray:
     )
 
 
-def _tick(timings: Optional[dict], key: str, start: float) -> float:
-    now = time.perf_counter()
-    if timings is not None:
-        timings[key] = timings.get(key, 0.0) + (now - start)
-    return now
-
-
 def _rapid_rows(
-    subset: np.ndarray,
-    cloud: PointCloud,
-    k: int,
-    timings: Optional[dict] = None,
+    subset: np.ndarray, cloud: PointCloud, k: int
 ) -> tuple[np.ndarray, np.ndarray, ReflectivityScale]:
     """Un-normalized sorted-per-row 4D distance rows in ascending-anchor order."""
     u = len(subset)
@@ -188,7 +181,6 @@ def _rapid_rows(
         raise ContractError("subset contains duplicate indices")
     refl = cloud.remission[anchors]
 
-    t0 = time.perf_counter()
     # Only distance values reach the matrix (tied candidates carry equal
     # values), so the index tie-break pass is unnecessary here.
     _, d2_rows = nearest_candidate_rows(cloud.points[anchors], k, tie_break=False)
@@ -206,7 +198,6 @@ def _rapid_rows(
     embedded = reflectivity_metric(scale)(cloud, anchors)
     _, rho2 = nearest_candidate_rows(embedded, k, tie_break=False)
     rows = np.sqrt(rho2[:, :k])
-    _tick(timings, "knn", t0)
     return rows, anchors, scale
 
 
@@ -219,14 +210,13 @@ def rapid_unnormalized(
     subset: Sequence[int] | np.ndarray,
     cloud: PointCloud,
     k: int,
-    timings: Optional[dict] = None,
 ) -> tuple[np.ndarray, np.ndarray, ReflectivityScale]:
     """Raw 4D distance matrix before outlier handling and normalization.
 
     Rows ascending and in lexicographic order; used by invariance checks that
     compare distances at double precision. Returns (rows, anchors, scale).
     """
-    rows, anchors, scale = _rapid_rows(np.asarray(subset), cloud, k, timings)
+    rows, anchors, scale = _rapid_rows(np.asarray(subset), cloud, k)
     rows, anchors = _lexsorted(rows, anchors)
     return rows, anchors, scale
 
@@ -237,17 +227,17 @@ def rapid(
     k: int,
     delta: float,
     roi_id: str = "",
-    timings: Optional[dict] = None,
 ) -> RapidMatrix:
     """Full RAPiD pipeline for one region of interest.
 
     Entries above delta are dropped from normalization and written back as
     exactly 1.0; survivors are min-max normalized over the whole matrix (a
     constant matrix normalizes to 0.0). Rows are sorted lexicographically by
-    their final values.
+    their final values. The matrix carries the seconds of its three steps.
     """
-    rows, anchors, scale = _rapid_rows(np.asarray(subset), cloud, k, timings)
     t0 = time.perf_counter()
+    rows, anchors, scale = _rapid_rows(np.asarray(subset), cloud, k)
+    t1 = time.perf_counter()
     outlier = rows > delta
     survivors = rows[~outlier]
     if survivors.size == 0:
@@ -259,7 +249,7 @@ def rapid(
             values = np.where(outlier, 1.0, (rows - lo) / (hi - lo))
         else:
             values = np.where(outlier, 1.0, 0.0)
-    t0 = _tick(timings, "normalize", t0)
+    t2 = time.perf_counter()
     values, anchors = _lexsorted(values, anchors)
-    _tick(timings, "sort", t0)
-    return RapidMatrix(values=values, roi_id=roi_id, k=k, scale=scale, anchors=anchors)
+    seconds = (t1 - t0, t2 - t1, time.perf_counter() - t2)
+    return RapidMatrix(values, roi_id, k, scale, anchors, seconds)

@@ -332,24 +332,20 @@ def _records(path: PathLike, header: dict) -> list:
     return records
 
 
-# Payload dtypes the container writers emit.
-_DTYPES = ("<f4", "<f8", "<i4", "<i8")
-
-
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _read_array(payload: bytes, desc: dict) -> np.ndarray:
-    if not isinstance(desc, dict) or desc.get("dtype") not in _DTYPES:
-        raise FormatError(f"bad array descriptor {desc!r}: unknown dtype")
+def _read_array(payload: bytes, desc: dict, dtype: str) -> np.ndarray:
+    """The array desc locates; FormatError unless it has the writer's dtype."""
+    if not isinstance(desc, dict) or desc.get("dtype") != dtype:
+        raise FormatError(f"bad array descriptor {desc!r}: dtype is not {dtype}")
     shape, start = desc.get("shape"), desc.get("offset")
     if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
         raise FormatError(f"bad array descriptor {desc!r}: shape")
     if not _is_count(start):
         raise FormatError(f"bad array descriptor {desc!r}: offset")
-    dtype = np.dtype(desc["dtype"])
-    nbytes = dtype.itemsize * math.prod(shape)
+    nbytes = np.dtype(dtype).itemsize * math.prod(shape)
     if start + nbytes > len(payload):
         raise FormatError("truncated payload")
     try:
@@ -379,11 +375,11 @@ def _matrix_record(builder: _PayloadBuilder, mat: RapidMatrix) -> dict:
 def _matrix_from_record(rec: dict, payload: bytes) -> RapidMatrix:
     s = rec["scale"]
     return RapidMatrix(
-        values=_read_array(payload, rec["arrays"]["values"]).astype(np.float64),
+        values=_read_array(payload, rec["arrays"]["values"], "<f4").astype(np.float64),
         roi_id=rec["roi_id"],
         k=rec["k"],
         scale=ReflectivityScale(s["r_min"], s["r_max"], s["d_min"], s["d_max"]),
-        anchors=_read_array(payload, rec["arrays"]["anchors"]).astype(np.int64),
+        anchors=_read_array(payload, rec["arrays"]["anchors"], "<i8").astype(np.int64),
     )
 
 
@@ -475,9 +471,11 @@ def load_feature_file(path: PathLike) -> FeatureFile:
                 arrays = rec["arrays"]
         if arrays is not None:
             pointwise = PointwiseFeatureSet(
-                values=_read_array(payload, arrays["values"]).astype(np.float64),
-                roi=_read_array(payload, arrays["roi"]).astype(np.int32),
-                valid_width=_read_array(payload, arrays["valid_width"]).astype(np.int32),
+                values=_read_array(payload, arrays["values"], "<f4").astype(np.float64),
+                roi=_read_array(payload, arrays["roi"], "<i4").astype(np.int32),
+                valid_width=_read_array(payload, arrays["valid_width"], "<i4").astype(
+                    np.int32
+                ),
                 matrices=tuple(matrices),
             )
     except ContractError as exc:
@@ -505,7 +503,7 @@ def load_tensors(path: PathLike) -> tuple[dict[str, np.ndarray], dict]:
     tensors = {}
     for rec in _records(path, header):
         _check_record(path, rec, ("tensor",))
-        data = _read_array(payload, rec["arrays"]["data"])
+        data = _read_array(payload, rec["arrays"]["data"], "<f8")
         tensors[rec["name"]] = data.astype(np.float64)
     return tensors, header.get("meta", {})
 

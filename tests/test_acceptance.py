@@ -52,7 +52,7 @@ def frozen_region_jobs(cloud, geometry, config):
 
     rings = partition_rings(cloud, geometry)
     band = band_indices(np.asarray(rf.range_of(cloud.points)), config)
-    jobs, _ = _plan_jobs(rings, band, config, "ring")
+    jobs = _plan_jobs(rings, band, config, "ring")
     return jobs
 
 

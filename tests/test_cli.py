@@ -327,6 +327,18 @@ class TestBench:
         second = capsys.readouterr().out.splitlines()[0]
         assert first.split("sha")[0] == second.split("sha")[0]
 
+    def test_no_computable_region(self, config_file, capsys):
+        # 5 points cannot supply any k of the fallback chain: every row is
+        # padding, no matrix carries seconds, and partition is the whole run.
+        scene = {**SCENE, "primitives": [{**SCENE["primitives"][0], "count": 5}]}
+        argv = ["bench", "--config", str(config_file(input={"synthetic": scene}))]
+        assert main(argv + ["--workers-list", "1,2"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "regions 0" in out
+        for stage in ("load", "partition", "knn", "sort", "normalize"):
+            assert f"  {stage} " in out
+        assert "NO" not in out
+
 
 class TestHeatmap:
     def test_padded_matrix_renders_white(self, tmp_path, config_file):

@@ -374,6 +374,20 @@ class TestWorkerDispatch:
                 assert a.anchors.tobytes() == b.anchors.tobytes()
                 assert a.values.tobytes() == b.values.tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matrices_carry_step_seconds(self, workers):
+        # (knn, normalize, sort) seconds come back from pool workers too
+        cloud = _three_region_cloud()
+        config = RangeAwareConfig(k_close=5, k_mid=4, k_far=3)
+        for fs in (
+            r_rapid(cloud, SensorGeometry(3, 0.1), config, workers=workers),
+            c_rapid(cloud, config, workers=workers),
+        ):
+            assert fs.matrices
+            for mat in fs.matrices:
+                assert len(mat.seconds) == 3
+                assert all(np.isfinite(s) and s >= 0 for s in mat.seconds)
+
 
 class TestSyntheticRingAssignment:
     def test_rings_come_from_quantization(self):

@@ -28,6 +28,7 @@ from rapidfeat import (
     save_kitti_scan,
     synthesize_scene,
 )
+from rapidfeat.cli import EXIT_DATA, main
 from rapidfeat.scene_io import (
     _read_container,
     _write_container,
@@ -320,6 +321,16 @@ class TestFeatureContainer:
         assert np.array_equal(loaded.pointwise.roi, fs.roi)
         assert np.array_equal(loaded.pointwise.valid_width, fs.valid_width)
 
+    def test_decoded_matrices_carry_no_seconds(self, tmp_path, scene_cloud):
+        fs = r_rapid(scene_cloud, small_geometry(), RangeAwareConfig(k_close=5, k_mid=4, k_far=3))
+        path = tmp_path / "s.rapd"
+        save_feature_file(path, fs.matrices, fs)
+        assert all(len(m.seconds) == 3 for m in fs.matrices)
+        loaded = load_feature_file(path)
+        assert loaded.matrices
+        assert all(m.seconds == () for m in loaded.matrices)
+        assert all(m.seconds == () for m in loaded.pointwise.matrices)
+
 
 def _container_bytes(directory) -> dict:
     """A feature file with matrices and a pointwise record, and a weight file."""
@@ -407,6 +418,48 @@ class TestContainerFuzz:
         path = tmp_path / "w.rapd"
         tensors, meta = load_tensors(path)
         save_tensors(path, {**tensors, "inner.enc0.var": -tensors["inner.enc0.var"]}, meta)
+        with pytest.raises(FormatError):
+            WeightSet.load(path)
+
+    @pytest.mark.parametrize(
+        "record, array, dtype",
+        [
+            ("matrix", "values", "<i4"),
+            ("matrix", "anchors", "<f8"),
+            ("pointwise", "values", "<i4"),
+            ("pointwise", "roi", "<f4"),
+            ("pointwise", "valid_width", "<f4"),
+            ("tensor", "data", "<i8"),
+        ],
+    )
+    def test_array_of_another_dtype(self, tmp_path, record, array, dtype):
+        # A dtype of the same item size keeps the payload bounds, so only the
+        # dtype check stops the bits being reinterpreted and cast (int roi
+        # ids read as floats cast to 0).
+        _container_bytes(tmp_path)
+        path = tmp_path / ("w.rapd" if record == "tensor" else "f.rapd")
+        header, payload = _read_container(path)
+        rec = next(r for r in header["records"] if r["type"] == record)
+        rec["arrays"][array]["dtype"] = dtype
+        _write_container(path, header, payload)
+        with pytest.raises(FormatError, match="dtype"):
+            (load_tensors if record == "tensor" else load_feature_file)(path)
+        if record != "tensor":
+            roi = next(r["roi_id"] for r in header["records"] if r["type"] == "matrix")
+            argv = ["heatmap", str(path), "--roi", roi, "--out", str(tmp_path / "i.pgm")]
+            assert main(argv) == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "name, shape", [("enc_key.bias", [2]), ("inner.enc0.gamma", [1])]
+    )
+    def test_tensor_of_another_shape(self, tmp_path, name, shape):
+        # A shorter vector fails at load, not later in numpy broadcasting.
+        _container_bytes(tmp_path)
+        path = tmp_path / "w.rapd"
+        header, payload = _read_container(path)
+        rec = next(r for r in header["records"] if r["name"] == name)
+        rec["arrays"]["data"]["shape"] = shape
+        _write_container(path, header, payload)
         with pytest.raises(FormatError):
             WeightSet.load(path)
 
