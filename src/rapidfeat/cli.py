@@ -42,6 +42,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _worker_counts(text: str) -> list[int]:
+    return [int(w) for w in text.split(",")]
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:  # false for nan too
+        raise argparse.ArgumentTypeError(f"--tolerance must be finite and >= 0, got {text}")
+    return value
+
+
 def _load_cloud(config: RunConfig) -> PointCloud:
     """Input cloud from the scan file or the synthetic scene in the config."""
     if config.scan is not None:
@@ -193,11 +204,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print("stage timings (workers=1):")
     for stage in ("load", "partition", "knn", "sort", "normalize"):
         print(f"  {stage:<10} {stages[stage]:8.4f} s")
-    worker_counts = [int(w) for w in args.workers_list.split(",")]
     print(f"{'workers':>8}{'seconds':>10}{'speedup':>9}  identical")
     table = [(1, base_wall, 1.0, True)]
     print(f"{1:>8}{base_wall:>10.3f}{1.0:>9.2f}  yes")
-    for w in worker_counts:
+    for w in args.workers_list:
         if w == 1:
             continue
         t0 = time.perf_counter()
@@ -262,7 +272,7 @@ def build_parser() -> _Parser:
     p.add_argument("--scan", default=None)
     p.add_argument("--labels", default=None)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-6)
     p.add_argument(
         "--identity", action="store_true", help="use the identity transform"
     )
@@ -287,6 +297,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--workers-list",
         dest="workers_list",
+        type=_worker_counts,
         default="1,2,4,8",
         help="comma-separated worker counts",
     )

@@ -102,33 +102,36 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        sensor = doc["sensor"]
-        fov_lo, fov_hi = sensor["vertical_fov_deg"]
-        beams, delta_phi = int(sensor["beam_count"]), sensor["delta_phi"]
-        if delta_phi is None:  # exactly radians(hi - lo) / B: beams sit on bin edges
-            delta_phi = math.radians(fov_hi - fov_lo) / beams
-        geometry = SensorGeometry(beam_count=beams, delta_phi=float(delta_phi))
-        rap = doc["rapid"]
-        rapid_cfg = RangeAwareConfig(
-            band_edges=tuple(float(e) for e in rap["band_edges"]),
-            k_close=int(rap["k_close"]),
-            k_mid=int(rap["k_mid"]),
-            k_far=int(rap["k_far"]),
-            delta=float(rap["delta"]),
-        )
-        return cls(
-            scan=doc["input"]["scan"],
-            labels=doc["input"]["labels"],
-            synthetic=doc["input"]["synthetic"],
-            features_out=doc["output"]["features"],
-            class_features_out=doc["output"]["class_features"],
-            sensor=geometry,
-            rapid=rapid_cfg,
-            eval_num_classes=int(doc["eval"]["num_classes"]),
-            eval_ignore=tuple(int(i) for i in doc["eval"]["ignore"]),
-            workers=int(doc["workers"]),
-            seed=int(doc["seed"]),
-        )
+        """The resolved config; a malformed value raises ContractError."""
+        try:
+            sensor, rap = doc["sensor"], doc["rapid"]
+            fov_lo, fov_hi = sensor["vertical_fov_deg"]
+            beams, delta_phi = int(sensor["beam_count"]), sensor["delta_phi"]
+            if beams < 1:
+                raise ContractError("sensor.beam_count must be >= 1")
+            if delta_phi is None:  # exactly radians(hi - lo) / B: beams sit on bin edges
+                delta_phi = math.radians(fov_hi - fov_lo) / beams
+            return cls(
+                scan=doc["input"]["scan"],
+                labels=doc["input"]["labels"],
+                synthetic=doc["input"]["synthetic"],
+                features_out=doc["output"]["features"],
+                class_features_out=doc["output"]["class_features"],
+                sensor=SensorGeometry(beam_count=beams, delta_phi=float(delta_phi)),
+                rapid=RangeAwareConfig(
+                    band_edges=tuple(float(e) for e in rap["band_edges"]),
+                    k_close=int(rap["k_close"]),
+                    k_mid=int(rap["k_mid"]),
+                    k_far=int(rap["k_far"]),
+                    delta=float(rap["delta"]),
+                ),
+                eval_num_classes=int(doc["eval"]["num_classes"]),
+                eval_ignore=tuple(int(i) for i in doc["eval"]["ignore"]),
+                workers=int(doc["workers"]),
+                seed=int(doc["seed"]),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ContractError(f"malformed config value: {type(exc).__name__} {exc}") from exc
 
 
 def config_echo(config: RunConfig) -> dict[str, Any]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import prod
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -175,11 +175,6 @@ class LinearStage:
     weight: np.ndarray
     bias: np.ndarray
 
-    def __post_init__(self) -> None:
-        w = np.shape(self.weight)
-        if len(w) != 2 or np.shape(self.bias) != (w[1],):
-            raise ContractError("linear stage needs a 2-D weight and one bias per column")
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight + self.bias
 
@@ -195,9 +190,6 @@ class NormStage:
     eps: float = 1e-5
 
     def __post_init__(self) -> None:
-        shapes = {np.shape(v) for v in (self.gamma, self.beta, self.mean, self.var)}
-        if len(shapes) != 1 or len(shapes.pop()) != 1:
-            raise ContractError("batch-norm parameters must be 1-D vectors of one length")
         if np.any(np.asarray(self.var) <= 0):
             raise ContractError("batch-norm variance must be positive")
 
@@ -205,17 +197,49 @@ class NormStage:
         return (x - self.mean) / np.sqrt(self.var + self.eps) * self.gamma + self.beta
 
 
+_PROJECTIONS = ("enc_key", "enc_value", "dec_query", "dec_key", "dec_value")
+_TENSOR_FIELDS = {LinearStage: ("weight", "bias"), NormStage: ("gamma", "beta", "mean", "var")}
+
+
+def _layout(d_in: int, enc: list[int], dec: list[int], l: int) -> dict[str, tuple[int, ...]]:
+    """Container name and shape of every weight tensor, in file order, for
+    input width d_in, inner encoder widths enc (d down to d'), inner decoder
+    widths dec (d' back to d) and l latents."""
+    d, shapes = enc[0], {}
+
+    def stage(prefix: str, kind: type, a: int, b: int) -> None:
+        for field in _TENSOR_FIELDS[kind]:
+            shapes[f"{prefix}.{field}"] = (a, b) if field == "weight" else (b,)
+
+    for name in _PROJECTIONS:
+        stage(name, LinearStage, d if name in ("dec_key", "dec_value") else d_in, d)
+    for i, (a, b) in enumerate(zip(enc, enc[1:])):
+        stage(f"inner.enc{i}", LinearStage, a, b)
+        stage(f"inner.enc{i}", NormStage, a, b)
+    for i, (a, b) in enumerate(zip(dec, dec[1:])):
+        stage(f"inner.dec{i}", LinearStage, a, b)
+    return {**shapes, "ffn.conv1": (l, enc[-1], 3, 3, 3), "ffn.conv2": (l, enc[-1], 3, 3, 3)}
+
+
+def _axis(tensor: np.ndarray, axis: int) -> int:
+    """Length of tensor along axis, or -1 (a width no layout has) if it is 0-d."""
+    return (np.shape(tensor) or (-1,))[axis]
+
+
 @dataclass(frozen=True)
 class WeightSet:
     """All parameters of the forward autoencoder evaluation.
 
-    enc_key/enc_value  encode-side projections of the input features
-    dec_query          decode-side projection of the input features
-    dec_key/dec_value  projections of the broadcast voxel features
+    enc_key/enc_value  encode-side projections of the input features, (d_in, d)
+    dec_query          decode-side projection of the input features, (d_in, d)
+    dec_key/dec_value  projections of the broadcast voxel features, (d, d)
     inner_encoder      (linear, batchnorm) stages reducing d to d'
     ffn_conv1/2        depthwise 3x3x3 kernels, shape (l, d', 3, 3, 3)
     activation         nonlinearity between the two depthwise convolutions
     inner_decoder      linear stages reconstructing d' back to d
+
+    Construction checks every tensor shape against the layout that enc_key's
+    (d_in, d), the stage output widths and the kernels' l define.
     """
 
     enc_key: LinearStage
@@ -229,47 +253,75 @@ class WeightSet:
     activation: str
     inner_decoder: tuple[LinearStage, ...]
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.activation, str) or self.activation not in _ACTIVATIONS:
+            raise ContractError(f"unknown activation {self.activation!r}")
+        d = _axis(self.enc_key.weight, -1)
+        enc = [d] + [_axis(lin.weight, -1) for lin, _ in self.inner_encoder]
+        dec = [enc[-1]] + [_axis(lin.weight, -1) for lin in self.inner_decoder]
+        if dec[-1] != d:
+            raise ContractError(f"inner decoder ends at width {dec[-1]}, not d = {d}")
+        layout = _layout(_axis(self.enc_key.weight, 0), enc, dec, _axis(self.ffn_conv1, 0))
+        for name, tensor in self._tensors().items():
+            if np.shape(tensor) != layout[name]:
+                raise ContractError(f"weight {name}: shape {np.shape(tensor)}, not {layout[name]}")
+
+    def _tensors(self) -> dict[str, np.ndarray]:
+        """Every tensor under its container name, in file order."""
+        stages = [(name, getattr(self, name)) for name in _PROJECTIONS]
+        for i, pair in enumerate(self.inner_encoder):
+            stages += [(f"inner.enc{i}", stage) for stage in pair]
+        stages += [(f"inner.dec{i}", lin) for i, lin in enumerate(self.inner_decoder)]
+        tensors = {
+            f"{prefix}.{field}": getattr(stage, field)
+            for prefix, stage in stages
+            for field in _TENSOR_FIELDS[type(stage)]
+        }
+        return {**tensors, "ffn.conv1": self.ffn_conv1, "ffn.conv2": self.ffn_conv2}
+
+    @classmethod
+    def _assemble(
+        cls, n_enc: int, n_dec: int, tensor: Callable[[str], np.ndarray], eps: list, activation: str
+    ) -> "WeightSet":
+        """Weights whose tensors come from tensor(container name), asked for in
+        the order seeded weights draw them: encoder stages, decoder stages,
+        projections, kernels."""
+
+        def stage(kind: type, prefix: str, *eps: float):
+            return kind(*(tensor(f"{prefix}.{f}") for f in _TENSOR_FIELDS[kind]), *eps)
+
+        inner_enc = tuple(
+            (stage(LinearStage, f"inner.enc{i}"), stage(NormStage, f"inner.enc{i}", float(eps[i])))
+            for i in range(n_enc)
+        )
+        inner_dec = tuple(stage(LinearStage, f"inner.dec{i}") for i in range(n_dec))
+        projections = [stage(LinearStage, name) for name in _PROJECTIONS]
+        kernels = tensor("ffn.conv1"), tensor("ffn.conv2")
+        return cls(*projections, inner_enc, *kernels, activation, inner_dec)
+
+    @classmethod
+    def _from_dims(cls, dims: EmbeddingDims, d_in: int, make, eps: float, activation: str):
+        """The layout of dims with each tensor from make(field, shape)."""
+        w = dims.stage_widths()
+        shapes = _layout(d_in, w, w[::-1], dims.latents)
+        tensor = lambda name: make(name.rsplit(".", 1)[1], shapes[name])  # noqa: E731
+        return cls._assemble(dims.stages, dims.stages, tensor, [eps] * dims.stages, activation)
+
     @classmethod
     def seeded(
         cls, dims: EmbeddingDims, rng: np.random.Generator, in_width: Optional[int] = None
     ) -> "WeightSet":
         """Random weights with a deterministic layout for a given generator."""
+
+        def draw(field: str, shape: tuple[int, ...]) -> np.ndarray:
+            if field == "weight":
+                return rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
+            if field in ("gamma", "var"):
+                return rng.uniform(0.5, 1.5, shape)
+            return rng.normal(0.0, 0.2 if field.startswith("conv") else 0.01, size=shape)
+
         d_in = dims.width if in_width is None else in_width
-        d, dp, l = dims.width, dims.reduced, dims.latents
-
-        def lin(a: int, b: int) -> LinearStage:
-            return LinearStage(
-                weight=rng.normal(0.0, 1.0 / np.sqrt(a), size=(a, b)),
-                bias=rng.normal(0.0, 0.01, size=b),
-            )
-
-        widths = dims.stage_widths()
-        inner_enc = tuple(
-            (
-                lin(widths[i], widths[i + 1]),
-                NormStage(
-                    gamma=rng.uniform(0.5, 1.5, widths[i + 1]),
-                    beta=rng.normal(0.0, 0.01, widths[i + 1]),
-                    mean=rng.normal(0.0, 0.01, widths[i + 1]),
-                    var=rng.uniform(0.5, 1.5, widths[i + 1]),
-                ),
-            )
-            for i in range(dims.stages)
-        )
-        rev = widths[::-1]
-        inner_dec = tuple(lin(rev[i], rev[i + 1]) for i in range(dims.stages))
-        return cls(
-            enc_key=lin(d_in, d),
-            enc_value=lin(d_in, d),
-            dec_query=lin(d_in, d),
-            dec_key=lin(d, d),
-            dec_value=lin(d, d),
-            inner_encoder=inner_enc,
-            ffn_conv1=rng.normal(0.0, 0.2, size=(l, dp, 3, 3, 3)),
-            ffn_conv2=rng.normal(0.0, 0.2, size=(l, dp, 3, 3, 3)),
-            activation=dims.activation,
-            inner_decoder=inner_dec,
-        )
+        return cls._from_dims(dims, d_in, draw, 1e-5, dims.activation)
 
     @classmethod
     def identity(cls, dims: EmbeddingDims) -> "WeightSet":
@@ -277,54 +329,25 @@ class WeightSet:
         zero so the round trip is exact."""
         if dims.reduced != dims.width:
             raise ContractError("identity weights require reduced == width")
-        d, l = dims.width, dims.latents
 
-        def eye(n: int) -> LinearStage:
-            return LinearStage(weight=np.eye(n), bias=np.zeros(n))
+        def unit(field: str, shape: tuple[int, ...]) -> np.ndarray:
+            if field == "weight":
+                return np.eye(*shape)
+            out = np.ones(shape) if field in ("gamma", "var") else np.zeros(shape)
+            if field.startswith("conv"):
+                out[:, :, 1, 1, 1] = 1.0
+            return out
 
-        unit_norm = NormStage(
-            gamma=np.ones(d), beta=np.zeros(d), mean=np.zeros(d), var=np.ones(d), eps=0.0
-        )
-        delta = np.zeros((l, d, 3, 3, 3))
-        delta[:, :, 1, 1, 1] = 1.0
-        return cls(
-            enc_key=eye(d),
-            enc_value=eye(d),
-            dec_query=eye(d),
-            dec_key=eye(d),
-            dec_value=eye(d),
-            inner_encoder=tuple((eye(d), unit_norm) for _ in range(dims.stages)),
-            ffn_conv1=delta,
-            ffn_conv2=delta.copy(),
-            activation="identity",
-            inner_decoder=tuple(eye(d) for _ in range(dims.stages)),
-        )
+        return cls._from_dims(dims, dims.width, unit, 0.0, "identity")
 
     def save(self, path) -> None:
-        tensors: dict[str, np.ndarray] = {}
-        for name in ("enc_key", "enc_value", "dec_query", "dec_key", "dec_value"):
-            stage: LinearStage = getattr(self, name)
-            tensors[f"{name}.weight"] = stage.weight
-            tensors[f"{name}.bias"] = stage.bias
-        eps = []
-        for i, (lin, norm) in enumerate(self.inner_encoder):
-            tensors[f"inner.enc{i}.weight"] = lin.weight
-            tensors[f"inner.enc{i}.bias"] = lin.bias
-            for field_name in ("gamma", "beta", "mean", "var"):
-                tensors[f"inner.enc{i}.{field_name}"] = getattr(norm, field_name)
-            eps.append(norm.eps)
-        for i, lin in enumerate(self.inner_decoder):
-            tensors[f"inner.dec{i}.weight"] = lin.weight
-            tensors[f"inner.dec{i}.bias"] = lin.bias
-        tensors["ffn.conv1"] = self.ffn_conv1
-        tensors["ffn.conv2"] = self.ffn_conv2
         meta = {
             "activation": self.activation,
-            "bn_eps": eps,
+            "bn_eps": [norm.eps for _, norm in self.inner_encoder],
             "encoder_stages": len(self.inner_encoder),
             "decoder_stages": len(self.inner_decoder),
         }
-        scene_io.save_tensors(path, tensors, meta)
+        scene_io.save_tensors(path, self._tensors(), meta)
 
     @classmethod
     def load(cls, path) -> "WeightSet":
@@ -343,45 +366,14 @@ class WeightSet:
                 raise FormatError(f"{path}: meta {key!r} must be a non-negative integer")
             return value
 
-        def lin(prefix: str) -> LinearStage:
-            return LinearStage(tensor(f"{prefix}.weight"), tensor(f"{prefix}.bias"))
-
-        n_enc = count("encoder_stages")
-        n_dec = count("decoder_stages")
+        n_enc, n_dec = count("encoder_stages"), count("decoder_stages")
         eps = meta.get("bn_eps")
         if not isinstance(eps, list) or len(eps) < n_enc or not all(
             type(e) in (int, float) for e in eps
         ):
             raise FormatError(f"{path}: meta 'bn_eps' needs one number per encoder stage")
-        activation = meta.get("activation")
-        if not isinstance(activation, str) or activation not in _ACTIVATIONS:
-            raise FormatError(f"{path}: unknown activation {activation!r}")
-        try:  # a decoded stage that breaks a shape or variance contract
-            inner_enc = tuple(
-                (
-                    lin(f"inner.enc{i}"),
-                    NormStage(
-                        gamma=tensor(f"inner.enc{i}.gamma"),
-                        beta=tensor(f"inner.enc{i}.beta"),
-                        mean=tensor(f"inner.enc{i}.mean"),
-                        var=tensor(f"inner.enc{i}.var"),
-                        eps=float(eps[i]),
-                    ),
-                )
-                for i in range(n_enc)
-            )
-            return cls(
-                enc_key=lin("enc_key"),
-                enc_value=lin("enc_value"),
-                dec_query=lin("dec_query"),
-                dec_key=lin("dec_key"),
-                dec_value=lin("dec_value"),
-                inner_encoder=inner_enc,
-                ffn_conv1=tensor("ffn.conv1"),
-                ffn_conv2=tensor("ffn.conv2"),
-                activation=activation,
-                inner_decoder=tuple(lin(f"inner.dec{i}") for i in range(n_dec)),
-            )
+        try:  # a decoded set that breaks the layout or a variance contract
+            return cls._assemble(n_enc, n_dec, tensor, eps, meta.get("activation"))
         except ContractError as exc:
             raise FormatError(f"{path}: {exc}") from exc
 
@@ -428,6 +420,19 @@ def scatter_sum(per_point: np.ndarray, groups: VoxelGroups) -> np.ndarray:
     return np.ascontiguousarray(summed.T).reshape((groups.num_voxels,) + x.shape[1:])
 
 
+def _voxel_shape(weights: WeightSet, groups: VoxelGroups) -> tuple[int, int, int]:
+    """(c, l, d): the voxel tensor shape the weights take on the grid."""
+    return (groups.num_voxels, weights.ffn_conv1.shape[0], weights.enc_key.weight.shape[1])
+
+
+def _checked(name: str, x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """x as float64, or ContractError unless it has the given shape."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != shape:
+        raise ContractError(f"{name} must have shape {shape}, got {x.shape}")
+    return x
+
+
 def vsa_encode(
     feats: np.ndarray,
     latents: np.ndarray,
@@ -439,16 +444,10 @@ def vsa_encode(
     Returns (H, Hv) with H of shape (m, l, d) and Hv of shape (c, l, d);
     Hv is exactly the per-voxel sum of its member points' H.
     """
-    g = np.asarray(feats, dtype=np.float64)
-    if g.ndim != 2 or g.shape[0] != groups.num_points:
-        raise ContractError("feats must be (m, d_in) matching the voxel groups")
-    if g.shape[1] != weights.enc_key.weight.shape[0]:
-        raise ContractError("feature width does not match the encode projections")
+    g = _checked("feats (m, d_in)", feats, (groups.num_points, weights.enc_key.weight.shape[0]))
+    lat = _checked("latents (l, d)", latents, _voxel_shape(weights, groups)[1:])
     k = weights.enc_key(g)
     v = weights.enc_value(g)
-    lat = np.asarray(latents, dtype=np.float64)
-    if lat.ndim != 2 or lat.shape[1] != k.shape[1]:
-        raise ContractError("latents must be (l, d) with d matching the projections")
     att = scatter_softmax(k @ lat.T, groups)
     h = att[:, :, None] * v[:, None, :]
     hv = scatter_sum(h, groups)
@@ -462,8 +461,6 @@ def _sparse_depthwise_conv(
 ) -> np.ndarray:
     """Depthwise 3x3x3 convolution over occupied voxels; absent neighbors
     contribute zero. kernel_map is VoxelGroups.kernel_map of x's grid."""
-    if kernel.shape[:2] != x.shape[1:] or kernel.shape[2:] != (3, 3, 3):
-        raise ContractError("kernel must be (l, d', 3, 3, 3) matching the input")
     rows = x.reshape(len(x), prod(x.shape[1:]))
     out = np.zeros_like(rows)
     for tap, (dst, src) in zip(kernel.reshape(-1, 27).T, kernel_map):
@@ -481,20 +478,14 @@ def inner_bottleneck(
     stages reconstruct the width. Returns (hbar, Hv_hat): the compressed
     embedding before the ConvFFN and the reconstructed voxel tensor.
     """
-    x = np.asarray(hv, dtype=np.float64)
-    if x.ndim != 3 or x.shape[0] != groups.num_voxels:
-        raise ContractError("hv must be (c, l, d) matching the voxel groups")
+    x = _checked("hv (c, l, d)", hv, _voxel_shape(weights, groups))
     for lin, norm in weights.inner_encoder:
-        if x.shape[-1] != lin.weight.shape[0]:
-            raise ContractError("inner encoder stage width mismatch")
         x = norm(lin(x))
     hbar = x
     act = _ACTIVATIONS[weights.activation]
     y = _sparse_depthwise_conv(hbar, groups.kernel_map, weights.ffn_conv1)
     y = _sparse_depthwise_conv(act(y), groups.kernel_map, weights.ffn_conv2)
     for lin in weights.inner_decoder:
-        if y.shape[-1] != lin.weight.shape[0]:
-            raise ContractError("inner decoder stage width mismatch")
         y = lin(y)
     return hbar, y
 
@@ -507,17 +498,11 @@ def vsa_decode(
 ) -> np.ndarray:
     """Point decoder: broadcast voxel features to points and attend against
     point-side queries. Returns the reconstructed (m, d) feature set."""
-    hv = np.asarray(hv_hat, dtype=np.float64)
-    g = np.asarray(feats, dtype=np.float64)
-    if hv.ndim != 3 or hv.shape[0] != groups.num_voxels:
-        raise ContractError("hv_hat must be (c, l, d) matching the voxel groups")
-    if g.ndim != 2 or g.shape[0] != groups.num_points:
-        raise ContractError("feats must be (m, d_in) matching the voxel groups")
+    hv = _checked("hv_hat (c, l, d)", hv_hat, _voxel_shape(weights, groups))
+    g = _checked("feats (m, d_in)", feats, (groups.num_points, weights.dec_query.weight.shape[0]))
     q = weights.dec_query(g)
     k_star = weights.dec_key(hv)[groups.point_voxel]  # project c voxel rows, then gather
     v_star = weights.dec_value(hv)[groups.point_voxel]
-    if q.shape[1] != k_star.shape[2]:
-        raise ContractError("query width does not match the broadcast features")
     scores = np.einsum("mld,md->ml", k_star, q)
     scores = scores - scores.max(axis=1, keepdims=True)
     e = np.exp(scores)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -210,8 +210,8 @@ class SyntheticSceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if self.noise_sigma < 0 or self.seed < 0:
+            raise ContractError("noise_sigma and seed must be >= 0")
 
 
 def synthesize_scene(spec: SyntheticSceneSpec) -> PointCloud:
@@ -247,33 +247,41 @@ _PRIMITIVE_TYPES = {
 }
 
 
+def _vector3(value) -> tuple[float, float, float]:
+    x, y, z = value
+    return float(x), float(y), float(z)
+
+
+_CONVERTERS = {"int": int, "float": float, "tuple[float, float, float]": _vector3}
+
+
 def scene_spec_from_dict(d: dict, geometry: SensorGeometry) -> SyntheticSceneSpec:
-    """Build a scene spec from a config-file dictionary."""
-    prims = []
-    for p in d.get("primitives", []):
-        kind = p.get("type")
-        if kind not in _PRIMITIVE_TYPES:
-            raise FormatError(f"unknown primitive type {kind!r}")
-        kwargs = {k: v for k, v in p.items() if k != "type"}
-        for key in ("origin", "u_axis", "v_axis", "center", "size"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        prims.append(_PRIMITIVE_TYPES[kind](**kwargs))
-    pose = d.get("pose")
-    if pose is None:
-        transform = RigidTransform.identity()
-    else:
+    """Build a scene spec from a config-file dictionary, converting each
+    primitive field by its annotated type. A missing or malformed value
+    raises ContractError; keys no primitive has are ignored."""
+    try:
+        prims = []
+        for p in d.get("primitives", []):
+            cls = _PRIMITIVE_TYPES.get(p.get("type"))
+            if cls is None:
+                raise FormatError(f"unknown primitive type {p.get('type')!r}")
+            prims.append(cls(**{f.name: _CONVERTERS[f.type](p[f.name]) for f in fields(cls)}))
+            if prims[-1].count < 0:
+                raise ContractError(f"{p['type']} primitive count must be >= 0")
+        pose = {} if d.get("pose") is None else d["pose"]
         transform = RigidTransform(
-            rotation=np.asarray(pose.get("rotation", np.eye(3).tolist())),
-            translation=np.asarray(pose.get("translation", [0.0, 0.0, 0.0])),
+            rotation=np.asarray(pose.get("rotation", np.eye(3))),
+            translation=np.asarray(pose.get("translation", np.zeros(3))),
         )
-    return SyntheticSceneSpec(
-        primitives=tuple(prims),
-        geometry=geometry,
-        sensor_pose=transform,
-        noise_sigma=float(d.get("noise_sigma", 0.0)),
-        seed=int(d.get("seed", 0)),
-    )
+        return SyntheticSceneSpec(
+            primitives=tuple(prims),
+            geometry=geometry,
+            sensor_pose=transform,
+            noise_sigma=float(d.get("noise_sigma", 0.0)),
+            seed=int(d.get("seed", 0)),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ContractError(f"input.synthetic: {type(exc).__name__} {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

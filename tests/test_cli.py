@@ -37,6 +37,14 @@ SCENE = {
 }
 
 
+def _scene_with(index, **fields):
+    """SCENE with fields of primitive index replaced; a None value drops the field."""
+    prims = [dict(p) for p in SCENE["primitives"]]
+    prims[index].update(fields)
+    prims[index] = {k: v for k, v in prims[index].items() if v is not None}
+    return {**SCENE, "primitives": prims}
+
+
 def _with_descriptor(header, **fields):
     """Header whose first record's values descriptor has fields replaced."""
     rec = header["records"][0]
@@ -122,6 +130,30 @@ class TestRunConfig:
         assert config.rapid.ks == (10, 7, 5) and config.sensor == plain_sensor
         assert main(["extract", "--config", str(path)]) == EXIT_OK
         assert (tmp_path / "r.rapd").read_bytes() == plain
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            pytest.param({"input": {"synthetic": {**SCENE, "noise_sigma": -1}}}, id="noise"),
+            pytest.param({"input": {"synthetic": {**SCENE, "seed": -1}}}, id="scene-seed"),
+            pytest.param({"input": {"synthetic": _scene_with(0, reflectivity=None)}}, id="refl"),
+            pytest.param({"input": {"synthetic": _scene_with(0, count=-3)}}, id="count"),
+            pytest.param({"input": {"synthetic": _scene_with(1, center=[8, 3])}}, id="center"),
+            pytest.param({"sensor": {"vertical_fov_deg": [1, 2, 3]}}, id="fov"),
+            pytest.param({"rapid": {"band_edges": [20]}}, id="band-edges"),
+            pytest.param({"workers": "two"}, id="workers"),
+            pytest.param({"rapid": {"k_close": "ten"}}, id="k-close"),
+            pytest.param({"sensor": {"beam_count": 0}}, id="beam-count"),
+            pytest.param({"input": {"synthetic": [1, 2]}}, id="synthetic-list"),
+            pytest.param({"rapid": 5}, id="rapid-number"),
+        ],
+    )
+    def test_malformed_value_is_data_error(self, config_file, capsys, extra):
+        # Each used to end in a traceback (ValueError, TypeError,
+        # ZeroDivisionError or AttributeError).
+        assert main(["extract", "--config", str(config_file(**extra))]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -235,6 +267,13 @@ class TestCheckInvariance:
         )
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_finite_nonnegative(self, config_file, capsys, tolerance):
+        # A nan tolerance used to pass every deviation (worst > nan is false).
+        argv = ["check-invariance", "--config", str(config_file()), "--trials", "1"]
+        assert main(argv + ["--non-rigid", "--tolerance", tolerance]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
+
 
 class TestEval:
     def write_labels(self, directory, name, values):
@@ -326,6 +365,12 @@ class TestBench:
         main(["bench", "--config", str(config_file()), "--workers-list", "1"])
         second = capsys.readouterr().out.splitlines()[0]
         assert first.split("sha")[0] == second.split("sha")[0]
+
+    @pytest.mark.parametrize("workers_list", ["x", "1,,2"])
+    def test_malformed_workers_list_is_usage_error(self, config_file, capsys, workers_list):
+        argv = ["bench", "--config", str(config_file()), "--workers-list", workers_list]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
 
     def test_no_computable_region(self, config_file, capsys):
         # 5 points cannot supply any k of the fallback chain: every row is

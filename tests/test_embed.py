@@ -1,5 +1,7 @@
 """Voxel attention forward math and the embedding losses."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from rapidfeat import (
 from rapidfeat.embed import (
     LinearStage,
     _class_pairs,
+    _layout,
     _similarity,
     _sparse_depthwise_conv,
 )
@@ -376,6 +379,16 @@ class TestVsaDecode:
         out = vsa_decode(hv, feats, weights, groups)
         assert out.shape == (len(feats), dims.width)
 
+    def test_input_shape_contract(self):
+        # Both used to reach numpy's matmul and raise ValueError.
+        _, _, groups, feats, weights, latents, _ = make_instance(8)
+        _, hv = vsa_encode(feats, latents, weights, groups)
+        with pytest.raises(ContractError, match="feats"):
+            vsa_decode(hv, feats[:, :5], weights, groups)
+        for wrong in (hv[:, :2], hv[:, :, :5], hv[:-1]):
+            with pytest.raises(ContractError, match="hv_hat"):
+                vsa_decode(wrong, feats, weights, groups)
+
     @settings(max_examples=30, deadline=None)
     @given(cloud=grid_clouds())
     def test_matches_per_point_oracle(self, cloud):
@@ -708,6 +721,40 @@ class TestWeightSetIO:
         _write_container(path, corrupt(header), payload)
         with pytest.raises(FormatError):
             WeightSet.load(path)
+
+    def test_layout_keys_match_tensor_names(self):
+        dims = EmbeddingDims(latents=2, width=6, reduced=3, stages=2)
+        weights = WeightSet.seeded(dims, np.random.default_rng(3), in_width=5)
+        widths = dims.stage_widths()
+        layout = _layout(5, widths, widths[::-1], 2)
+        tensors = weights._tensors()
+        assert list(layout) == list(tensors)
+        assert all(np.shape(tensors[name]) == shape for name, shape in layout.items())
+
+    def test_kernels_of_two_latent_counts(self):
+        weights = WeightSet.seeded(EmbeddingDims(3, 6, 3, 2), np.random.default_rng(1))
+        with pytest.raises(ContractError, match="ffn.conv2"):
+            replace(weights, ffn_conv2=weights.ffn_conv2[:2])
+
+    @pytest.mark.parametrize("stages", [0, 1, 3])
+    def test_decoder_must_end_at_width(self, stages):
+        dims = EmbeddingDims(latents=2, width=6, reduced=3, stages=2)
+        weights = WeightSet.seeded(dims, np.random.default_rng(2))
+        wrong = tuple(LinearStage(np.ones((3, 3)), np.zeros(3)) for _ in range(stages))
+        with pytest.raises(ContractError, match="ends at width 3"):
+            replace(weights, inner_decoder=wrong)
+
+    def test_decoder_stage_chain(self):
+        weights = WeightSet.seeded(EmbeddingDims(2, 6, 3, 2), np.random.default_rng(2))
+        first, _ = weights.inner_decoder
+        with pytest.raises(ContractError, match="inner.dec1.weight"):
+            replace(weights, inner_decoder=(first, LinearStage(np.ones((2, 6)), np.zeros(6))))
+
+    def test_unknown_activation(self):
+        weights = WeightSet.identity(EmbeddingDims(2, 4, 4, 1))
+        for activation in ("swish", ["relu"], None):
+            with pytest.raises(ContractError, match="activation"):
+                replace(weights, activation=activation)
 
     def test_identity_requires_equal_widths(self):
         with pytest.raises(ContractError):

@@ -450,10 +450,19 @@ class TestContainerFuzz:
             assert main(argv) == EXIT_DATA
 
     @pytest.mark.parametrize(
-        "name, shape", [("enc_key.bias", [2]), ("inner.enc0.gamma", [1])]
+        "name, shape",
+        [
+            ("enc_key.bias", [2]),
+            ("inner.enc0.gamma", [1]),
+            ("inner.enc0.weight", [2, 2]),
+            ("ffn.conv1", [1, 2, 3, 3, 3]),
+            ("enc_key.weight", [2, 4]),
+        ],
     )
     def test_tensor_of_another_shape(self, tmp_path, name, shape):
-        # A shorter vector fails at load, not later in numpy broadcasting.
+        # A tensor at odds with the layout fails at load, not later in the
+        # forward pass; the last three agree with their own stage but not
+        # with the widths of the others.
         _container_bytes(tmp_path)
         path = tmp_path / "w.rapd"
         header, payload = _read_container(path)
