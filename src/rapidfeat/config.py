@@ -105,6 +105,15 @@ class RunConfig:
         """The resolved config; a malformed value raises ContractError."""
         try:
             sensor, rap = doc["sensor"], doc["rapid"]
+            for section, key in (
+                ("input", "scan"), ("input", "labels"),
+                ("output", "features"), ("output", "class_features"),
+            ):
+                if not isinstance(doc[section][key], (str, type(None))):
+                    raise ContractError(f"{section}.{key} must be a path string")
+            seed = int(doc["seed"])
+            if seed < 0:
+                raise ContractError("seed must be >= 0")
             fov_lo, fov_hi = sensor["vertical_fov_deg"]
             beams, delta_phi = int(sensor["beam_count"]), sensor["delta_phi"]
             if beams < 1:
@@ -128,7 +137,7 @@ class RunConfig:
                 eval_num_classes=int(doc["eval"]["num_classes"]),
                 eval_ignore=tuple(int(i) for i in doc["eval"]["ignore"]),
                 workers=int(doc["workers"]),
-                seed=int(doc["seed"]),
+                seed=seed,
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ContractError(f"malformed config value: {type(exc).__name__} {exc}") from exc

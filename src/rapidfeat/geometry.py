@@ -4,8 +4,11 @@ Two KNN routes are provided with identical contracts: :func:`knn_brute` is a
 straightforward chunked pairwise implementation that serves as the oracle, and
 :func:`knn_indexed` is the accelerated path. Both rank neighbors by ascending
 metric distance with ties broken by ascending point index, and the accelerated
-path must agree with the oracle bit for bit. Both build their neighbor lists
-the same way and differ only in the routine that produces candidate rows.
+path must agree with the oracle bit for bit. The routes differ only in which
+candidates they choose: brute force takes every point, the KD-tree retrieves a
+superset of the nearest. One re-rank then computes every candidate distance
+and sorts it; candidates enter it in ascending index order, so ties leave it
+in that order. Both routes check their subset with :func:`sorted_subset`.
 
 Metrics are expressed as embeddings: a metric is a callable mapping
 ``(cloud, subset) -> (n, D) float64`` such that the metric distance between
@@ -117,28 +120,30 @@ class NeighborList:
 # internal candidate machinery
 #
 # Both KNN routes reduce to "sorted candidate rows": per anchor, other points
-# ordered by (squared distance, candidate row index). Squared distances are
-# always recomputed by direct coordinate subtraction so the two routes produce
-# identical bits; the tree is only trusted to *retrieve* a candidate superset.
+# ordered by (squared distance, candidate row index). The routes only choose
+# candidates, in ascending row order; `_ranked` alone computes their squared
+# distances, by direct coordinate subtraction, and sorts them stably, so the
+# two routes produce identical bits and ties follow the ascending row order.
+# The tree is only trusted to *retrieve* a candidate superset.
 # ---------------------------------------------------------------------------
 
 
-def _refine_ties(
-    idx_s: np.ndarray, d2_s: np.ndarray, idx: np.ndarray, d2: np.ndarray
+def _ranked(
+    x: np.ndarray, q: np.ndarray, idx: np.ndarray, own: Optional[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Enforce the ascending-index tie-break on rows that contain ties.
+    """Candidate rows idx of each query in q, ranked by exact squared distance.
 
-    A single stable argsort by d2 leaves tied entries in retrieval order;
-    only rows with adjacent equal finite distances need the full (d2, idx)
-    ordering, which is restored per row with a lexsort. Tie rows are rare
-    for continuous data, so this keeps the common path to one sort pass.
+    Each row of idx must list rows of x in ascending order: one stable sort
+    by d2 then breaks ties by ascending row index. A query's own row own[i]
+    (when own is given) gets d2 = inf and ranks last. Returns (idx, d2).
     """
-    dup = (d2_s[:, 1:] == d2_s[:, :-1]) & np.isfinite(d2_s[:, :-1])
-    for row in np.flatnonzero(dup.any(axis=1)):
-        order = np.lexsort((idx[row], d2[row]))
-        idx_s[row] = idx[row][order]
-        d2_s[row] = d2[row][order]
-    return idx_s, d2_s
+    diff = x[idx]
+    diff -= q[:, None, :]  # x[idx] is a fresh copy: no second (a, m, D) array
+    d2 = np.einsum("abc,abc->ab", diff, diff)
+    if own is not None:
+        d2[idx == own[:, None]] = np.inf
+    order = np.argsort(d2, axis=1, kind="stable")
+    return np.take_along_axis(idx, order, axis=1), np.take_along_axis(d2, order, axis=1)
 
 
 def _brute_candidate_rows(
@@ -148,8 +153,7 @@ def _brute_candidate_rows(
 
     Returns (idx, d2) with one row per query over all u rows of x. Without
     queries the anchors are x itself and the trailing column of each row is
-    the anchor pushed to the end with d2 = inf. Candidates enumerate in
-    index order, so a stable sort by d2 already breaks ties by index.
+    the anchor pushed to the end with d2 = inf.
     """
     q = x if queries is None else queries
     u = len(x)
@@ -158,71 +162,50 @@ def _brute_candidate_rows(
     base = np.arange(u, dtype=np.int64)
     for lo in range(0, len(q), chunk):
         hi = min(lo + chunk, len(q))
-        diff = q[lo:hi, None, :] - x[None, :, :]
-        d2 = np.einsum("abc,abc->ab", diff, diff)
-        if queries is None:
-            d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")
-        idx_out[lo:hi] = base[order]
-        d2_out[lo:hi] = np.take_along_axis(d2, order, axis=1)
+        own = base[lo:hi] if queries is None else None
+        idx_out[lo:hi], d2_out[lo:hi] = _ranked(
+            x, q[lo:hi], np.broadcast_to(base, (hi - lo, u)), own
+        )
     return idx_out, d2_out
 
 
 def _tree_candidate_rows(
-    x: np.ndarray, n: int, tie_break: bool, queries: Optional[np.ndarray] = None
+    x: np.ndarray, n: int, queries: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted candidate rows via KD-tree retrieval plus exact re-ranking.
 
-    The tree only retrieves a candidate superset; squared distances are
-    recomputed by direct subtraction so both KNN routes produce identical
-    bits. The retrieval widens until the n-th exact distance sits strictly
-    inside the tree's horizon, which guarantees the first n entries are
-    exactly the n smallest and that every candidate tied with the n-th
-    distance was retrieved.
+    The retrieval widens until the n-th exact distance sits strictly inside
+    the tree's horizon, which guarantees the first n entries are exactly the
+    n smallest and that every candidate tied with the n-th distance was
+    retrieved.
     """
     q = x if queries is None else queries
     u = len(x)
+    own = np.arange(u, dtype=np.int64) if queries is None else None
     tree = cKDTree(x, leafsize=32)
     m = min(u, n + 4)
-    self_idx = np.arange(u, dtype=np.int64)
     while True:
         d_tree, idx = tree.query(q, k=m)
         idx = idx.astype(np.int64)
-        diff = x[idx] - q[:, None, :]
-        d2 = np.einsum("abc,abc->ab", diff, diff)
-        if queries is None:
-            d2[idx == self_idx[:, None]] = np.inf
-        order = np.argsort(d2, axis=1, kind="stable")
-        d2_s = np.take_along_axis(d2, order, axis=1)
-        idx_s = np.take_along_axis(idx, order, axis=1)
-        if tie_break:
-            idx_s, d2_s = _refine_ties(idx_s, d2_s, idx, d2)
-        if m >= u:
-            return idx_s, d2_s
-        horizon = d_tree[:, -1] ** 2
-        nth = d2_s[:, n - 1]
-        if np.all(nth < horizon * (1.0 - 1e-12)):
+        idx.sort(axis=1)
+        idx_s, d2_s = _ranked(x, q, idx, own)
+        if m >= u or np.all(d2_s[:, n - 1] < d_tree[:, -1] ** 2 * (1.0 - 1e-12)):
             return idx_s, d2_s
         m = min(u, 2 * m)
 
 
 def nearest_candidate_rows(
-    x: np.ndarray,
-    n: int,
-    tie_break: bool = True,
-    queries: Optional[np.ndarray] = None,
+    x: np.ndarray, n: int, queries: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-anchor candidates sorted by squared distance, exact to depth n.
 
     x is an (u, D) embedding. Without queries every row of x is an anchor,
     its own row is excluded, and n must satisfy 1 <= n <= u - 1. With an
     (a, D) queries array the anchors are the query rows, ranked against
-    every row of x with no exclusion, and 1 <= n <= u. Rows may be wider
-    than n; entries beyond the guaranteed depth only serve tie inclusion at
-    the n-th distance, which the retrieval bound covers. With tie_break=True
-    equal distances are ordered by ascending row index of x; value-only
-    consumers can skip that pass since tied entries carry equal distances
-    either way.
+    every row of x with no exclusion, and 1 <= n <= u. Equal distances are
+    ordered by ascending row index of x. Rows may be wider than n; entries
+    beyond the guaranteed depth only serve tie inclusion at the n-th
+    distance, which the retrieval bound covers.
     """
     u = len(x)
     depth = u - 1 if queries is None else u
@@ -230,30 +213,33 @@ def nearest_candidate_rows(
         raise ContractError(f"need 1 <= n <= {depth}, got n={n}, u={u}")
     if u <= BRUTE_FORCE_CUTOFF or n >= depth:
         return _brute_candidate_rows(x, queries)
-    return _tree_candidate_rows(x, n, tie_break, queries)
+    return _tree_candidate_rows(x, n, queries)
 
 
-def _as_subset(subset: Sequence[int] | np.ndarray) -> np.ndarray:
+def sorted_subset(
+    subset: Sequence[int] | np.ndarray, size: int, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check a subset of a size-point cloud that must supply k neighbors per
+    point; returns (order, anchors) with anchors = subset[order] ascending.
+
+    Raises InsufficientPointsError below k + 1 points and ContractError for
+    k < 1 or a subset that is not 1-D, holds an index outside [0, size) or
+    repeats one.
+    """
     idx = np.asarray(subset, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ContractError("subset must be a 1D index array")
-    return idx
-
-
-def _neighbor_lists(
-    subset: np.ndarray, idx_rows: np.ndarray, d2_rows: np.ndarray, k: int
-) -> list[NeighborList]:
-    lists = []
-    for a in range(len(subset)):
-        rel = idx_rows[a, :k]
-        lists.append(
-            NeighborList(
-                anchor=int(subset[a]),
-                indices=subset[rel],
-                distances=np.sqrt(d2_rows[a, :k]),
-            )
+    if k < 1 or idx.ndim != 1:
+        raise ContractError(f"need k >= 1 and a 1D index array, got k={k}, shape {idx.shape}")
+    if len(idx) < k + 1:
+        raise InsufficientPointsError(
+            f"subset of {len(idx)} points cannot supply k={k} neighbors"
         )
-    return lists
+    order = np.argsort(idx, kind="stable")
+    anchors = idx[order]
+    if anchors[0] < 0 or anchors[-1] >= size:
+        raise ContractError(f"subset indices must lie in [0, {size})")
+    if np.any(np.diff(anchors) == 0):
+        raise ContractError("subset contains duplicate indices")
+    return order, anchors
 
 
 def _knn_lists(
@@ -263,26 +249,21 @@ def _knn_lists(
     metric: Optional[MetricEmbedding],
     candidate_rows: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]],
 ) -> list[NeighborList]:
-    """Neighbor lists of every subset point from sorted candidate rows.
+    """Neighbor lists of every subset point, in input order, from sorted
+    candidate rows.
 
     Candidates are evaluated in ascending cloud-level index order, so the
     row routine's index tie-break is the cloud-level one.
     """
-    idx = _as_subset(subset)
-    if len(idx) < k + 1:
-        raise InsufficientPointsError(
-            f"subset of {len(idx)} points cannot supply k={k} neighbors"
-        )
-    metric = metric or euclidean_metric()
-    x = np.asarray(metric(cloud, idx), dtype=np.float64)
-    order = np.argsort(idx, kind="stable")
-    if np.any(np.diff(idx[order]) == 0):
-        raise ContractError("subset contains duplicate indices")
-    idx_rows, d2_rows = candidate_rows(x[order], k)
-    inv = np.empty_like(order)
-    inv[order] = np.arange(len(order))
-    lists = _neighbor_lists(idx[order], idx_rows, d2_rows, k)
-    return [lists[inv[a]] for a in range(len(idx))]
+    order, anchors = sorted_subset(subset, len(cloud), k)
+    x = np.asarray((metric or euclidean_metric())(cloud, anchors), dtype=np.float64)
+    idx_rows, d2_rows = candidate_rows(x, k)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return [
+        NeighborList(int(anchors[r]), anchors[idx_rows[r, :k]], np.sqrt(d2_rows[r, :k]))
+        for r in rank
+    ]
 
 
 def knn_brute(

@@ -129,6 +129,7 @@ def _run_jobs(
     delta: float,
     workers: int,
 ) -> list[RapidMatrix]:
+    workers = min(workers, len(jobs))  # a fork pool starts them all at once
     if workers <= 1:
         return [rapid(s, cloud, k, delta, roi_id=r) for s, k, r in jobs]
     # One region per task, largest first: a task holding several big

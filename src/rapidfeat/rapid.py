@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import ContractError, InsufficientPointsError
-from .geometry import MetricEmbedding, nearest_candidate_rows
+from .errors import ContractError
+from .geometry import MetricEmbedding, nearest_candidate_rows, sorted_subset
 
 
 @dataclass(frozen=True)
@@ -168,22 +168,12 @@ def band_indices(ranges: np.ndarray, config: RangeAwareConfig) -> np.ndarray:
 
 
 def _rapid_rows(
-    subset: np.ndarray, cloud: PointCloud, k: int
+    subset: Sequence[int] | np.ndarray, cloud: PointCloud, k: int
 ) -> tuple[np.ndarray, np.ndarray, ReflectivityScale]:
     """Un-normalized sorted-per-row 4D distance rows in ascending-anchor order."""
-    u = len(subset)
-    if u < k + 1:
-        raise InsufficientPointsError(
-            f"region of {u} points cannot supply k={k} neighbors"
-        )
-    anchors = np.sort(np.asarray(subset, dtype=np.int64))
-    if np.any(np.diff(anchors) == 0):
-        raise ContractError("subset contains duplicate indices")
+    _, anchors = sorted_subset(subset, len(cloud), k)
     refl = cloud.remission[anchors]
-
-    # Only distance values reach the matrix (tied candidates carry equal
-    # values), so the index tie-break pass is unnecessary here.
-    _, d2_rows = nearest_candidate_rows(cloud.points[anchors], k, tie_break=False)
+    _, d2_rows = nearest_candidate_rows(cloud.points[anchors], k)
 
     # Coordinate k-NN pairs define the scale of the reflectivity map.
     knn_d2 = d2_rows[:, :k]
@@ -196,7 +186,7 @@ def _rapid_rows(
 
     # The row: the k smallest distances in the 4D embedding (x, y, z, g(r)).
     embedded = reflectivity_metric(scale)(cloud, anchors)
-    _, rho2 = nearest_candidate_rows(embedded, k, tie_break=False)
+    _, rho2 = nearest_candidate_rows(embedded, k)
     rows = np.sqrt(rho2[:, :k])
     return rows, anchors, scale
 
@@ -216,7 +206,7 @@ def rapid_unnormalized(
     Rows ascending and in lexicographic order; used by invariance checks that
     compare distances at double precision. Returns (rows, anchors, scale).
     """
-    rows, anchors, scale = _rapid_rows(np.asarray(subset), cloud, k)
+    rows, anchors, scale = _rapid_rows(subset, cloud, k)
     rows, anchors = _lexsorted(rows, anchors)
     return rows, anchors, scale
 
@@ -236,7 +226,7 @@ def rapid(
     their final values. The matrix carries the seconds of its three steps.
     """
     t0 = time.perf_counter()
-    rows, anchors, scale = _rapid_rows(np.asarray(subset), cloud, k)
+    rows, anchors, scale = _rapid_rows(subset, cloud, k)
     t1 = time.perf_counter()
     outlier = rows > delta
     survivors = rows[~outlier]

@@ -146,11 +146,14 @@ class TestRunConfig:
             pytest.param({"sensor": {"beam_count": 0}}, id="beam-count"),
             pytest.param({"input": {"synthetic": [1, 2]}}, id="synthetic-list"),
             pytest.param({"rapid": 5}, id="rapid-number"),
+            pytest.param({"seed": -1}, id="seed"),
+            pytest.param({"input": {"synthetic": None, "scan": 3}}, id="scan-path"),
+            pytest.param({"output": {"features": [1]}}, id="features-path"),
         ],
     )
     def test_malformed_value_is_data_error(self, config_file, capsys, extra):
         # Each used to end in a traceback (ValueError, TypeError,
-        # ZeroDivisionError or AttributeError).
+        # ZeroDivisionError or AttributeError), or in the seed's case to run.
         assert main(["extract", "--config", str(config_file(**extra))]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rapidfeat import (
@@ -14,6 +14,8 @@ from rapidfeat import (
     euclidean_metric,
     knn_brute,
     knn_indexed,
+    rapid,
+    rapid_unnormalized,
     range_of,
 )
 from rapidfeat.geometry import nearest_candidate_rows
@@ -155,6 +157,37 @@ class TestKnnBrute:
             assert np.array_equal(a[anchor].distances, b[anchor].distances)
 
 
+class TestSubsetContract:
+    # rapid and the two KNN routes share one subset check; each of these
+    # used to be accepted (-1 aliases point 19) or to end in IndexError or
+    # ValueError.
+    @pytest.mark.parametrize(
+        "run",
+        [
+            pytest.param(lambda s, c: rapid(s, c, 3, 2.0), id="rapid"),
+            pytest.param(lambda s, c: rapid_unnormalized(s, c, 3), id="rapid_unnormalized"),
+            pytest.param(lambda s, c: knn_brute(s, c, 2), id="knn_brute"),
+            pytest.param(lambda s, c: knn_indexed(s, c, 2), id="knn_indexed"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "subset",
+        [
+            pytest.param(list(range(19)) + [-1], id="alias"),
+            pytest.param(list(range(19)) + [20], id="past-end"),
+            pytest.param(np.arange(20).reshape(4, 5), id="2d"),
+        ],
+    )
+    def test_malformed_subset_rejected(self, rng, run, subset):
+        with pytest.raises(ContractError):
+            run(subset, random_cloud(rng, 20))
+
+    def test_nonpositive_k_rejected(self, rng):
+        # knn_brute used to return empty neighbor lists for k=0
+        with pytest.raises(ContractError):
+            knn_brute(np.arange(5), random_cloud(rng, 5), 0)
+
+
 class TestKnnIndexedOracle:
     def test_random_500_points(self, rng):
         cloud = random_cloud(rng, 500)
@@ -257,12 +290,16 @@ class TestCandidateRows:
 
 def cross_set_oracle(x, queries, n):
     """Per query, the n rows of x with the smallest (d2, index), by a full
-    ranking of every row."""
-    idx = np.empty((len(queries), n), dtype=np.int64)
-    d2 = np.empty((len(queries), n))
-    for a, q in enumerate(queries):
+    ranking of every row. Without queries the anchors are the rows of x and
+    each ranks its own row last."""
+    anchors = x if queries is None else queries
+    idx = np.empty((len(anchors), n), dtype=np.int64)
+    d2 = np.empty((len(anchors), n))
+    for a, q in enumerate(anchors):
         diff = x - q
         dist = np.einsum("ij,ij->i", diff, diff)
+        if queries is None:
+            dist[a] = np.inf
         order = np.lexsort((np.arange(len(x)), dist))[:n]
         idx[a], d2[a] = order, dist[order]
     return idx, d2
@@ -276,12 +313,16 @@ class TestCrossSetRows:
         depth=st.integers(1, 6),
         span=st.integers(0, 8),
         seed=st.integers(0, 2 ** 31),
+        self_query=st.booleans(),
     )
-    def test_integer_grid_matches_full_ranking(self, u, a, depth, span, seed):
+    def test_integer_grid_matches_full_ranking(self, u, a, depth, span, seed, self_query):
+        # Lattices with u > BRUTE_FORCE_CUTOFF take the tree route, whose
+        # many ties must come out by ascending index in both modes.
         rng = np.random.default_rng(seed)
         x = rng.integers(0, span + 1, size=(u, 3)).astype(np.float64)
-        q = rng.integers(0, span + 1, size=(a, 3)).astype(np.float64)
-        n = min(depth, u)
+        q = None if self_query else rng.integers(0, span + 1, size=(a, 3)).astype(np.float64)
+        n = min(depth, u - 1 if self_query else u)
+        assume(n >= 1)
         idx, d2 = nearest_candidate_rows(x, n, queries=q)
         want_idx, want_d2 = cross_set_oracle(x, q, n)
         assert np.array_equal(idx[:, :n], want_idx)

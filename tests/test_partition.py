@@ -374,6 +374,42 @@ class TestWorkerDispatch:
                 assert a.anchors.tobytes() == b.anchors.tobytes()
                 assert a.values.tobytes() == b.values.tobytes()
 
+    def test_pool_no_larger_than_job_count(self, monkeypatch):
+        # A fork pool starts all max_workers processes at the first submit.
+        # This stand-in starts none: it runs the tasks in this process.
+        cloud = _three_region_cloud()
+        config = RangeAwareConfig(k_close=5, k_mid=4, k_far=3)
+        serial = c_rapid(cloud, config)
+        jobs = len(serial.matrices)
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                assert max_workers <= jobs, f"{max_workers} workers for {jobs} jobs"
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                partition._set_scan(None)
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(partition, "ProcessPoolExecutor", InProcessPool)
+        assert c_rapid(cloud, config, workers=64).values.tobytes() == serial.values.tobytes()
+
+    def test_one_region_more_workers_same_output(self):
+        rng = np.random.default_rng(4)
+        ang, dist = rng.uniform(0, 2 * np.pi, 80), rng.uniform(5.0, 15.0, 80)
+        pts = np.stack([dist * np.cos(ang), dist * np.sin(ang), rng.normal(0, 0.3, 80)], axis=1)
+        cloud = PointCloud(points=pts, remission=rng.uniform(0, 1, 80), label=np.ones(80))
+        config = RangeAwareConfig(k_close=5, k_mid=4, k_far=3)
+        one, four = c_rapid(cloud, config, workers=1), c_rapid(cloud, config, workers=4)
+        assert len(one.matrices) == 1
+        assert one.values.tobytes() == four.values.tobytes()
+        assert one.matrices[0].anchors.tobytes() == four.matrices[0].anchors.tobytes()
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_matrices_carry_step_seconds(self, workers):
         # (knn, normalize, sort) seconds come back from pool workers too
