@@ -22,7 +22,7 @@ from . import scene_io
 from .cloud import PointCloud
 from .config import RunConfig, config_echo
 from .errors import RapidError
-from .geometry import RigidTransform
+from .geometry import RigidTransform, apply_transform
 from .metrics import ConfusionMatrix, accumulate, iou, miou
 from .partition import PointwiseFeatureSet, c_rapid, r_rapid
 from .rapid import rapid
@@ -38,6 +38,10 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs) -> None:
+        # Exact flag names only: bench must not read --workers as --workers-list.
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message: str):  # noqa: A003 - argparse hook
         raise _UsageError(message)
 
@@ -139,9 +143,9 @@ def cmd_check_invariance(args: argparse.Namespace) -> int:
             factor = 1.0 + 0.5 * (trial + 1) / args.trials
             moved = cloud.with_points(cloud.points * factor)
         else:
-            moved = cloud.with_points(RigidTransform.random(rng).apply(cloud.points))
+            moved = apply_transform(cloud, RigidTransform.random(rng))
         for mat in baseline.matrices:
-            values = rapid(np.sort(mat.anchors), moved, mat.k, delta).values
+            values = rapid(mat.anchors, moved, mat.k, delta).values
             worst = max(worst, float(np.abs(values - mat.values).max()))
     print(f"max feature deviation over {args.trials} trials: {worst:.3e}")
     if worst > args.tolerance:
@@ -247,13 +251,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rapidfeat", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    def common(p: _Parser) -> None:
+    def common(p: _Parser, *int_flags: str) -> None:  # only flags p's command reads
         p.add_argument("--config", default=None, help="JSON config file")
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        for flag in int_flags:
+            p.add_argument(flag, type=int, default=None)
 
     p = sub.add_parser("extract", help="compute and store RAPiD features")
-    common(p)
+    common(p, "--workers", "--seed")
     p.add_argument("--scan", default=None, help="KITTI .bin scan path")
     p.add_argument("--labels", default=None, help="KITTI .label path")
     p.add_argument("--out", default=None, help="feature container output path")
@@ -268,9 +272,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "check-invariance", help="verify features under random rigid motions"
     )
-    common(p)
+    common(p, "--workers", "--seed")
     p.add_argument("--scan", default=None)
-    p.add_argument("--labels", default=None)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--tolerance", type=_tolerance, default=1e-6)
     p.add_argument(

@@ -7,6 +7,7 @@ cloud can be shared freely across parallel workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -89,7 +90,7 @@ class SensorGeometry:
     """Spinning LiDAR beam layout, as the elevation ring rule reads it.
 
     beam_count  number of laser beams B
-    delta_phi   mean vertical angular resolution, radians
+    delta_phi   mean vertical angular resolution, radians, in (0, inf)
     """
 
     beam_count: int
@@ -98,19 +99,22 @@ class SensorGeometry:
     def __post_init__(self) -> None:
         if self.beam_count <= 0:
             raise ContractError("beam_count must be positive")
-        if self.delta_phi <= 0:
-            raise ContractError("delta_phi must be positive")
+        if not 0.0 < self.delta_phi < math.inf:  # false for nan too
+            raise ContractError(f"delta_phi must be positive and finite, got {self.delta_phi}")
 
     @classmethod
     def from_fov(
-        cls, beam_count: int, vertical_fov: tuple[float, float]
+        cls, beam_count: int, vertical_fov_deg: tuple[float, float]
     ) -> "SensorGeometry":
         """Beam layout from beam count and vertical field of view.
 
-        vertical_fov is (low, high) elevation in radians; delta_phi spans the
-        field of view over the beams.
+        vertical_fov_deg is (low, high) elevation in degrees, the unit of
+        config files. The only derivation of delta_phi: exactly
+        radians(high - low) / beam_count, so the beams sit on bin edges.
         """
-        lo, hi = vertical_fov
-        if hi <= lo:
-            raise ContractError("vertical_fov must be (low, high) with high > low")
-        return cls(beam_count=beam_count, delta_phi=(hi - lo) / beam_count)
+        lo, hi = vertical_fov_deg
+        if beam_count < 1:
+            raise ContractError(f"beam_count must be >= 1, got {beam_count}")
+        if not hi > lo:  # false for nan too
+            raise ContractError("vertical_fov_deg must be (low, high) with high > low")
+        return cls(beam_count=beam_count, delta_phi=math.radians(hi - lo) / beam_count)

@@ -7,8 +7,7 @@ has a default; CLI flags override file values. Defaults:
     output.features                               "r_rapid.rapd"
     output.class_features                         null (C-RAPiD not written)
     sensor.beam_count                             64
-    sensor.vertical_fov_deg                       [-24.8, 2.0]
-    sensor.delta_phi                              null (fov span / beam_count)
+    sensor.vertical_fov_deg                       [-24.8, 2.0] degrees
     rapid.k_close / k_mid / k_far                 10 / 7 / 5
     rapid.band_edges                              [20.0, 50.0] meters
     rapid.delta                                   2.0 meters
@@ -16,15 +15,16 @@ has a default; CLI flags override file values. Defaults:
     workers                                       1
     seed                                          0
 
-Keys outside this list are ignored, among them the horizontal resolution
-keys of older config files, which the ring rule does not read. The k triple
-(10, 7, 5) suits 64-beam scans and (8, 6, 3) suits 32-beam scans.
+The ring rule's vertical resolution is SensorGeometry.from_fov of the beam
+count and the field of view; no key overrides it. Keys outside this list are
+ignored, among them the horizontal resolution keys and the vertical
+resolution override of older config files. The k triple (10, 7, 5) suits
+64-beam scans and (8, 6, 3) suits 32-beam scans.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -38,11 +38,7 @@ def defaults() -> dict:
     return {
         "input": {"scan": None, "labels": None, "synthetic": None},
         "output": {"features": "r_rapid.rapd", "class_features": None},
-        "sensor": {
-            "beam_count": 64,
-            "vertical_fov_deg": [-24.8, 2.0],
-            "delta_phi": None,
-        },
+        "sensor": {"beam_count": 64, "vertical_fov_deg": [-24.8, 2.0]},
         "rapid": {
             "k_close": 10,
             "k_mid": 7,
@@ -114,19 +110,15 @@ class RunConfig:
             seed = int(doc["seed"])
             if seed < 0:
                 raise ContractError("seed must be >= 0")
-            fov_lo, fov_hi = sensor["vertical_fov_deg"]
-            beams, delta_phi = int(sensor["beam_count"]), sensor["delta_phi"]
-            if beams < 1:
-                raise ContractError("sensor.beam_count must be >= 1")
-            if delta_phi is None:  # exactly radians(hi - lo) / B: beams sit on bin edges
-                delta_phi = math.radians(fov_hi - fov_lo) / beams
             return cls(
                 scan=doc["input"]["scan"],
                 labels=doc["input"]["labels"],
                 synthetic=doc["input"]["synthetic"],
                 features_out=doc["output"]["features"],
                 class_features_out=doc["output"]["class_features"],
-                sensor=SensorGeometry(beam_count=beams, delta_phi=float(delta_phi)),
+                sensor=SensorGeometry.from_fov(
+                    int(sensor["beam_count"]), sensor["vertical_fov_deg"]
+                ),
                 rapid=RangeAwareConfig(
                     band_edges=tuple(float(e) for e in rap["band_edges"]),
                     k_close=int(rap["k_close"]),

@@ -515,17 +515,13 @@ def vsa_decode(
 # ---------------------------------------------------------------------------
 
 
-def _similarity(a: np.ndarray, b: np.ndarray, kind: str) -> np.ndarray:
-    """Rowwise similarity; cosine treats zero vectors as similarity 0."""
-    if kind == "dot":
-        return np.einsum("ij,ij->i", a, b)
-    if kind == "cosine":
-        na = np.sqrt(np.einsum("ij,ij->i", a, a))
-        nb = np.sqrt(np.einsum("ij,ij->i", b, b))
-        denom = na * nb
-        dot = np.einsum("ij,ij->i", a, b)
-        return np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0)
-    raise ContractError(f"unknown similarity {kind!r}")
+def _similarity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rowwise cosine similarity; a zero vector has similarity 0."""
+    na = np.sqrt(np.einsum("ij,ij->i", a, a))
+    nb = np.sqrt(np.einsum("ij,ij->i", b, b))
+    denom = na * nb
+    dot = np.einsum("ij,ij->i", a, b)
+    return np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0)
 
 
 def _class_pairs(points: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -556,9 +552,9 @@ def contrastive_loss(
     points: np.ndarray,
     labels: np.ndarray,
     alpha: float = 0.5,
-    sim: str = "cosine",
 ) -> float:
-    """Class-aware hinge loss over nearest positive and negative pairs.
+    """Class-aware hinge loss on the cosine similarity of nearest positive
+    and negative pairs.
 
     For each point, the positive pair is the coordinate-nearest point of the
     same class and the negative pair the coordinate-nearest point of a
@@ -584,11 +580,11 @@ def contrastive_loss(
     total = np.zeros(m, dtype=np.float64)
     has_pos = pos >= 0
     if has_pos.any():
-        s = _similarity(h[has_pos], h[pos[has_pos]], sim)
+        s = _similarity(h[has_pos], h[pos[has_pos]])
         total[has_pos] += np.maximum(alpha - s, 0.0)
     has_neg = neg >= 0
     if has_neg.any():
-        s = _similarity(h[has_neg], h[neg[has_neg]], sim)
+        s = _similarity(h[has_neg], h[neg[has_neg]])
         total[has_neg] += np.maximum(s - alpha, 0.0)
     return float(total.mean())
 

@@ -7,8 +7,9 @@ metric distance with ties broken by ascending point index, and the accelerated
 path must agree with the oracle bit for bit. The routes differ only in which
 candidates they choose: brute force takes every point, the KD-tree retrieves a
 superset of the nearest. One re-rank then computes every candidate distance
-and sorts it; candidates enter it in ascending index order, so ties leave it
-in that order. Both routes check their subset with :func:`sorted_subset`.
+and sorts the candidates by the (distance, index) pair, so ties leave it in
+ascending index order whatever order the candidates came in. Both routes
+check their subset with :func:`sorted_subset`.
 
 Metrics are expressed as embeddings: a metric is a callable mapping
 ``(cloud, subset) -> (n, D) float64`` such that the metric distance between
@@ -121,9 +122,9 @@ class NeighborList:
 #
 # Both KNN routes reduce to "sorted candidate rows": per anchor, other points
 # ordered by (squared distance, candidate row index). The routes only choose
-# candidates, in ascending row order; `_ranked` alone computes their squared
-# distances, by direct coordinate subtraction, and sorts them stably, so the
-# two routes produce identical bits and ties follow the ascending row order.
+# candidates; `_ranked` alone computes their squared distances, by direct
+# coordinate subtraction, and sorts them by (d2, row index), so the two
+# routes produce identical bits and ties follow the ascending row order.
 # The tree is only trusted to *retrieve* a candidate superset.
 # ---------------------------------------------------------------------------
 
@@ -133,16 +134,20 @@ def _ranked(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Candidate rows idx of each query in q, ranked by exact squared distance.
 
-    Each row of idx must list rows of x in ascending order: one stable sort
-    by d2 then breaks ties by ascending row index. A query's own row own[i]
-    (when own is given) gets d2 = inf and ranks last. Returns (idx, d2).
+    Each row of idx lists distinct rows of x, in any order; equal distances
+    rank by ascending row index. A query's own row own[i] (when own is
+    given) gets d2 = inf and ranks last. Returns (idx, d2).
     """
     diff = x[idx]
     diff -= q[:, None, :]  # x[idx] is a fresh copy: no second (a, m, D) array
     d2 = np.einsum("abc,abc->ab", diff, diff)
+    del diff  # free the (a, m, D) copy before the (a, m) complex sort key exists
     if own is not None:
         d2[idx == own[:, None]] = np.inf
-    order = np.argsort(d2, axis=1, kind="stable")
+    # One key per candidate, d2 + 1j * index: numpy sorts complex numbers by
+    # (real, imag), and indices are unique per row, so this is the
+    # (d2, index) order.
+    order = np.argsort(d2 + 1j * idx, axis=1)
     return np.take_along_axis(idx, order, axis=1), np.take_along_axis(d2, order, axis=1)
 
 
@@ -186,8 +191,7 @@ def _tree_candidate_rows(
     m = min(u, n + 4)
     while True:
         d_tree, idx = tree.query(q, k=m)
-        idx = idx.astype(np.int64)
-        idx.sort(axis=1)
+        idx = idx.astype(np.int64, copy=False)
         idx_s, d2_s = _ranked(x, q, idx, own)
         if m >= u or np.all(d2_s[:, n - 1] < d_tree[:, -1] ** 2 * (1.0 - 1e-12)):
             return idx_s, d2_s
@@ -223,12 +227,16 @@ def sorted_subset(
     point; returns (order, anchors) with anchors = subset[order] ascending.
 
     Raises InsufficientPointsError below k + 1 points and ContractError for
-    k < 1 or a subset that is not 1-D, holds an index outside [0, size) or
-    repeats one.
+    k < 1 or a subset that is not 1-D, holds non-integer values (floats and
+    bools are not truncated into indices), holds an index outside [0, size)
+    or repeats one.
     """
-    idx = np.asarray(subset, dtype=np.int64)
+    idx = np.asarray(subset)
     if k < 1 or idx.ndim != 1:
         raise ContractError(f"need k >= 1 and a 1D index array, got k={k}, shape {idx.shape}")
+    if idx.size and idx.dtype.kind not in "iu":
+        raise ContractError(f"subset indices must be integers, got dtype {idx.dtype}")
+    idx = idx.astype(np.int64, copy=False)
     if len(idx) < k + 1:
         raise InsufficientPointsError(
             f"subset of {len(idx)} points cannot supply k={k} neighbors"

@@ -50,8 +50,8 @@ class RangeAwareConfig:
             raise ContractError("band_edges must satisfy 0 < close/mid < mid/far")
         if min(self.k_close, self.k_mid, self.k_far) < 1:
             raise ContractError("all k values must be >= 1")
-        if self.delta <= 0:
-            raise ContractError("delta must be positive")
+        if not self.delta > 0:  # false for nan too
+            raise ContractError(f"delta must be positive, got {self.delta}")
 
     @property
     def ks(self) -> tuple[int, int, int]:
@@ -61,23 +61,12 @@ class RangeAwareConfig:
     def k_max(self) -> int:
         return max(self.ks)
 
-    def k_for_band(self, band: int) -> int:
-        return self.ks[band]
-
     def fallback_chain(self, band: int) -> list[int]:
         """k values to try for a sparse band: the band's k, then every
         strictly smaller configured k in descending order."""
-        k = self.k_for_band(band)
+        k = self.ks[band]
         smaller = sorted({v for v in self.ks if v < k}, reverse=True)
         return [k, *smaller]
-
-    @classmethod
-    def semantic_kitti(cls) -> "RangeAwareConfig":
-        return cls(k_close=10, k_mid=7, k_far=5)
-
-    @classmethod
-    def nuscenes(cls) -> "RangeAwareConfig":
-        return cls(k_close=8, k_mid=6, k_far=3)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from rapidfeat import (
 
 
 def small_geometry(beams: int = 16) -> SensorGeometry:
-    return SensorGeometry.from_fov(beams, (np.radians(-10.0), np.radians(10.0)))
+    return SensorGeometry.from_fov(beams, (-10.0, 10.0))
 
 
 def default_scene(seed: int = 3, noise: float = 0.02) -> SyntheticSceneSpec:

@@ -1,11 +1,19 @@
 """Command-line surface: config handling, commands, exit codes."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from rapidfeat import ConfusionMatrix, RunConfig, accumulate, miou, save_kitti_labels
+from rapidfeat import (
+    ConfusionMatrix,
+    RunConfig,
+    SensorGeometry,
+    accumulate,
+    miou,
+    save_kitti_labels,
+)
 from rapidfeat.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from rapidfeat.scene_io import load_feature_file, save_feature_file
 
@@ -124,12 +132,22 @@ class TestRunConfig:
             embedding={"latents": 2, "width": 8, "reduced": 4, "stages": 1},
             fusion={"ratio": 2},
             loss={"alpha": 0.3, "lambda": 0.2, "sim": "dot"},
-            sensor={"measurements_per_cycle": 90, "delta_theta": 0.5},
+            sensor={"measurements_per_cycle": 90, "delta_theta": 0.5, "delta_phi": 0.01},
         )
         config = RunConfig.load(str(path))
         assert config.rapid.ks == (10, 7, 5) and config.sensor == plain_sensor
         assert main(["extract", "--config", str(path)]) == EXIT_OK
         assert (tmp_path / "r.rapd").read_bytes() == plain
+
+    @pytest.mark.parametrize(
+        "beams, fov",
+        [(64, (-24.8, 2.0)), (32, (-30.67, 10.67)), (16, (-10, 10))],
+        ids=["64-beam", "32-beam", "readme"],
+    )
+    def test_sensor_is_from_fov(self, tmp_path, beams, fov):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"sensor": {"beam_count": beams, "vertical_fov_deg": fov}}))
+        assert RunConfig.load(str(path)).sensor == SensorGeometry.from_fov(beams, fov)
 
     @pytest.mark.parametrize(
         "extra",
@@ -149,11 +167,15 @@ class TestRunConfig:
             pytest.param({"seed": -1}, id="seed"),
             pytest.param({"input": {"synthetic": None, "scan": 3}}, id="scan-path"),
             pytest.param({"output": {"features": [1]}}, id="features-path"),
+            pytest.param({"sensor": {"vertical_fov_deg": [math.nan, 10]}}, id="fov-nan"),
+            pytest.param({"sensor": {"vertical_fov_deg": [-10, math.inf]}}, id="fov-inf"),
+            pytest.param({"rapid": {"delta": math.nan}}, id="delta-nan"),
         ],
     )
     def test_malformed_value_is_data_error(self, config_file, capsys, extra):
         # Each used to end in a traceback (ValueError, TypeError,
-        # ZeroDivisionError or AttributeError), or in the seed's case to run.
+        # ZeroDivisionError or AttributeError), or in the seed, NaN and
+        # infinity cases to run.
         assert main(["extract", "--config", str(config_file(**extra))]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -501,6 +523,22 @@ class TestHeatmap:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--truth", "t", "--pred", "p", "--workers", "2"],
+            ["eval", "--truth", "t", "--pred", "p", "--seed", "1"],
+            ["bench", "--workers", "2"],
+            ["bench", "--seed", "1"],
+            ["check-invariance", "--labels", "x"],
+        ],
+        ids=["eval-workers", "eval-seed", "bench-workers", "bench-seed", "check-labels"],
+    )
+    def test_unread_flag_is_usage_error(self, config_file, capsys, argv):
+        # Each command used to accept these flags and never read them.
+        assert main(argv + ["--config", str(config_file())]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
+
     def test_no_command_prints_help(self):
         assert main([]) == EXIT_USAGE
 

@@ -1,5 +1,7 @@
 """PointCloud and SensorGeometry validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -59,13 +61,18 @@ class TestSensorGeometry:
             SensorGeometry(0, 0.1)
         with pytest.raises(ContractError):
             SensorGeometry(4, -0.1)
-        with pytest.raises(ContractError):
-            SensorGeometry(4, 0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ContractError):
+                SensorGeometry(4, bad)
 
     def test_from_fov_derivation(self):
-        g = SensorGeometry.from_fov(64, (np.radians(-24.8), np.radians(2.0)))
-        assert g.delta_phi == pytest.approx(np.radians(26.8) / 64, rel=1e-12)
+        # Degrees in, radians out, bit for bit.
+        g = SensorGeometry.from_fov(64, (-24.8, 2.0))
+        assert g.delta_phi == math.radians(26.8) / 64
 
     def test_from_fov_rejects_inverted_range(self):
-        with pytest.raises(ContractError):
-            SensorGeometry.from_fov(4, (0.5, 0.1))
+        for beams, fov in (
+            (4, (0.5, 0.1)), (4, (math.nan, 10.0)), (4, (-10.0, math.inf)), (0, (-10.0, 10.0)),
+        ):
+            with pytest.raises(ContractError):
+                SensorGeometry.from_fov(beams, fov)

@@ -419,13 +419,11 @@ class TestPointOrderEquivariance:
         assert np.abs(g_hat_p - g_hat[perm]).max() <= 1e-12
 
 
-def oracle_contrastive(embeddings, points, labels, alpha, sim):
+def oracle_contrastive(embeddings, points, labels, alpha):
     """Plain-python enumeration of nearest positive/negative pairs."""
     m = len(embeddings)
 
     def similarity(a, b):
-        if sim == "dot":
-            return float(a @ b)
         na, nb = np.linalg.norm(a), np.linalg.norm(b)
         if na == 0 or nb == 0:
             return 0.0
@@ -543,8 +541,7 @@ class TestContrastiveLoss:
             )
             assert loss >= 0.0
 
-    @pytest.mark.parametrize("sim", ["cosine", "dot"])
-    def test_exhaustive_oracle(self, sim):
+    def test_exhaustive_oracle(self):
         rng = np.random.default_rng(77)
         for m in range(2, 13):
             for _ in range(6):
@@ -556,8 +553,8 @@ class TestContrastiveLoss:
 
                 with w.catch_warnings():
                     w.simplefilter("ignore")
-                    got = contrastive_loss(h, pts, labels, alpha, sim)
-                expect = oracle_contrastive(h, pts, labels, alpha, sim)
+                    got = contrastive_loss(h, pts, labels, alpha)
+                expect = oracle_contrastive(h, pts, labels, alpha)
                 assert abs(got - expect) <= 1e-12
 
     def test_alignment_contract(self, rng):
@@ -618,12 +615,8 @@ class TestTotalLoss:
 
 class TestSimilarity:
     def test_zero_vector_cosine(self):
-        out = _similarity(np.zeros((1, 3)), np.ones((1, 3)), "cosine")
+        out = _similarity(np.zeros((1, 3)), np.ones((1, 3)))
         assert out[0] == 0.0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ContractError):
-            _similarity(np.ones((1, 2)), np.ones((1, 2)), "manhattan")
 
 
 class TestAutoencoderForward:

@@ -159,8 +159,8 @@ class TestKnnBrute:
 
 class TestSubsetContract:
     # rapid and the two KNN routes share one subset check; each of these
-    # used to be accepted (-1 aliases point 19) or to end in IndexError or
-    # ValueError.
+    # used to be accepted (-1 aliases point 19, floats and bools were
+    # truncated into indices) or to end in IndexError or ValueError.
     @pytest.mark.parametrize(
         "run",
         [
@@ -176,11 +176,21 @@ class TestSubsetContract:
             pytest.param(list(range(19)) + [-1], id="alias"),
             pytest.param(list(range(19)) + [20], id="past-end"),
             pytest.param(np.arange(20).reshape(4, 5), id="2d"),
+            pytest.param([0.2, 1.9, 2.5, 3.99], id="float"),
+            pytest.param(np.array([True, False]), id="bool"),
         ],
     )
     def test_malformed_subset_rejected(self, rng, run, subset):
         with pytest.raises(ContractError):
             run(subset, random_cloud(rng, 20))
+
+    def test_empty_subset_is_insufficient(self, rng):
+        # np.asarray([]) is float64, yet the subset is too small, not malformed.
+        cloud = random_cloud(rng, 20)
+        with pytest.raises(InsufficientPointsError):
+            rapid([], cloud, 1, 2.0)
+        with pytest.raises(InsufficientPointsError):
+            knn_brute([], cloud, 1)
 
     def test_nonpositive_k_rejected(self, rng):
         # knn_brute used to return empty neighbor lists for k=0

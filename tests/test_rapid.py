@@ -430,7 +430,7 @@ class TestSelectK:
 
     def _production_k(self, points):
         bands = band_indices(np.asarray(range_of(points)), self.config)
-        return [self.config.k_for_band(b) for b in bands]
+        return [self.config.ks[b] for b in bands]
 
     def test_band_indices_exact_edge_hits(self):
         # Points whose range is exactly an edge, on and off the axes.
@@ -470,10 +470,6 @@ class TestSelectK:
             RangeAwareConfig(delta=0.0)
         with pytest.raises(ContractError):
             RangeAwareConfig(k_far=0)
-
-    def test_dataset_presets(self):
-        assert RangeAwareConfig.semantic_kitti().ks == (10, 7, 5)
-        assert RangeAwareConfig.nuscenes().ks == (8, 6, 3)
 
     def test_fallback_chain(self):
         assert self.config.fallback_chain(0) == [10, 7, 5]
