@@ -47,7 +47,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _worker_counts(text: str) -> list[int]:
-    return [int(w) for w in text.split(",")]
+    counts = [int(w) for w in text.split(",")]
+    if min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"worker counts must be >= 1, got {text}")
+    return counts
 
 
 def _tolerance(text: str) -> float:
@@ -65,26 +68,24 @@ def _load_cloud(config: RunConfig) -> PointCloud:
             cloud = scene_io.load_kitti_labels(config.labels, cloud)
         return cloud
     if config.synthetic is not None:
-        spec = scene_io.scene_spec_from_dict(config.synthetic, config.sensor)
-        return scene_io.synthesize_scene(spec)
+        return scene_io.synthesize_scene(config.synthetic)
     raise _UsageError("no input: set input.scan or input.synthetic in the config")
 
 
+# argparse dest -> dotted config key, for each flag that overrides a config value
+_OVERRIDES = {
+    "scan": "input.scan",
+    "labels": "input.labels",
+    "out": "output.features",
+    "class_out": "output.class_features",
+    "workers": "workers",
+    "seed": "seed",
+}
+
+
 def _config_overrides(args: argparse.Namespace) -> dict:
-    over: dict = {}
-    if getattr(args, "scan", None):
-        over.setdefault("input", {})["scan"] = args.scan
-    if getattr(args, "labels", None):
-        over.setdefault("input", {})["labels"] = args.labels
-    if getattr(args, "out", None):
-        over.setdefault("output", {})["features"] = args.out
-    if getattr(args, "class_out", None):
-        over.setdefault("output", {})["class_features"] = args.class_out
-    if getattr(args, "workers", None):
-        over["workers"] = args.workers
-    if getattr(args, "seed", None) is not None:
-        over["seed"] = args.seed
-    return over
+    values = {key: getattr(args, dest, None) for dest, key in _OVERRIDES.items()}
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _print_roi_stats(features: PointwiseFeatureSet) -> None:

@@ -12,8 +12,13 @@ has a default; CLI flags override file values. Defaults:
     rapid.band_edges                              [20.0, 50.0] meters
     rapid.delta                                   2.0 meters
     eval.num_classes / eval.ignore                20 / [0]
-    workers                                       1
-    seed                                          0
+    workers                                       1 (at least 1)
+    seed                                          0 (at least 0)
+
+Every value, the synthetic scene's too, is read by its field's type and
+never coerced: a string or a bool is not a number, an integer field takes no
+fraction, a vector is a list of exactly its length, and a path is a string.
+Any other value raises ContractError.
 
 The ring rule's vertical resolution is SensorGeometry.from_fov of the beam
 count and the field of view; no key overrides it. Keys outside this list are
@@ -25,41 +30,83 @@ resolution override of older config files. The k triple (10, 7, 5) suits
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from .cloud import SensorGeometry
 from .errors import ContractError
+from .geometry import RigidTransform
 from .rapid import RangeAwareConfig
+from .scene_io import BoxPrimitive, CylinderPrimitive, PlanePrimitive, SyntheticSceneSpec
+
+_PRIMITIVES = {"plane": PlanePrimitive, "box": BoxPrimitive, "cylinder": CylinderPrimitive}
 
 
-def defaults() -> dict:
-    return {
-        "input": {"scan": None, "labels": None, "synthetic": None},
-        "output": {"features": "r_rapid.rapd", "class_features": None},
-        "sensor": {"beam_count": 64, "vertical_fov_deg": [-24.8, 2.0]},
-        "rapid": {
-            "k_close": 10,
-            "k_mid": 7,
-            "k_far": 5,
-            "band_edges": [20.0, 50.0],
-            "delta": 2.0,
-        },
-        "eval": {"num_classes": 20, "ignore": [0]},
-        "workers": 1,
-        "seed": 0,
-    }
+def _typed(value, kind, key: str):
+    """value as an instance of kind, an annotation built from int, float,
+    str, dict, Optional and tuple; ContractError for a value of any other
+    JSON type. Only an int read as a float is converted."""
+    args = get_args(kind)
+    if get_origin(kind) is Union:  # Optional[...]
+        return None if value is None else _typed(value, args[0], key)
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ContractError(f"{key} must be a list, got {value!r}")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if len(value) != len(args):
+            raise ContractError(f"{key} must hold {len(args)} values, got {len(value)}")
+        return tuple(_typed(v, a, f"{key}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
+    if kind is float and type(value) is int:
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ContractError(f"{key} must be {kind.__name__}, got {value!r}")
+    return value
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
+def _get(doc: dict, key: str, kind, default, at: str = ""):
+    """The value at the dotted key of doc read as kind, or default when a
+    key on the way is absent; at prefixes the key in error messages."""
+    *sections, last = key.split(".")
+    for i, section in enumerate(sections):
+        doc = _typed(doc.get(section, {}), dict, at + ".".join(sections[: i + 1]))
+    return _typed(doc[last], kind, at + key) if last in doc else default
+
+
+def _fields(cls, doc, key: str):
+    """The frozen dataclass cls from a JSON object: each field read by its
+    annotation, a missing field at its default; other keys are ignored."""
+    doc, hints = _typed(doc, dict, key), get_type_hints(cls)
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING:
+            raise ContractError(f"{key}.{f.name} is missing")
+    return cls(**{n: _typed(v, hints[n], f"{key}.{n}") for n, v in doc.items() if n in hints})
+
+
+def _scene(doc: dict, geometry: SensorGeometry, at: str) -> SyntheticSceneSpec:
+    """The synthetic scene of a config, in the sensor's ring layout."""
+    prims = []
+    for i, p in enumerate(_get(doc, "primitives", tuple[dict, ...], (), at)):
+        key = f"{at}primitives[{i}]"
+        kind = _typed(p.get("type"), str, f"{key}.type")
+        if kind not in _PRIMITIVES:
+            raise ContractError(f"{key}: unknown primitive type {kind!r}")
+        prims.append(_fields(_PRIMITIVES[kind], p, key))
+        if prims[-1].count < 0:
+            raise ContractError(f"{key}.count must be >= 0")
+    pose = _get(doc, "pose", Optional[dict], None, at) or {}
+    vector, identity = tuple[float, float, float], RigidTransform.identity()
+    return SyntheticSceneSpec(
+        primitives=tuple(prims),
+        geometry=geometry,
+        sensor_pose=RigidTransform(
+            _get(pose, "rotation", tuple[vector, ...], identity.rotation, at + "pose."),
+            _get(pose, "translation", vector, identity.translation, at + "pose."),
+        ),
+        noise_sigma=_get(doc, "noise_sigma", float, 0.0, at),
+        seed=_get(doc, "seed", int, 0, at),
+    )
 
 
 @dataclass(frozen=True)
@@ -68,7 +115,7 @@ class RunConfig:
 
     scan: Optional[str]
     labels: Optional[str]
-    synthetic: Optional[dict]
+    synthetic: Optional[SyntheticSceneSpec]
     features_out: str
     class_features_out: Optional[str]
     sensor: SensorGeometry
@@ -82,57 +129,48 @@ class RunConfig:
     def load(
         cls, path: Optional[str] = None, overrides: Optional[dict] = None
     ) -> "RunConfig":
-        """Defaults, then the config file, then CLI overrides."""
-        doc = defaults()
+        """The config file, then overrides (dotted key -> value, from CLI flags);
+        an unset key takes its default."""
+        doc: dict = {}
         if path is not None:
             try:
-                file_doc = json.loads(Path(path).read_text())
+                doc = json.loads(Path(path).read_text())
             except json.JSONDecodeError as exc:
                 raise ContractError(f"{path}: invalid config JSON ({exc})") from exc
-            if not isinstance(file_doc, dict):
+            if not isinstance(doc, dict):
                 raise ContractError(f"{path}: config must be a JSON object")
-            doc = _deep_merge(doc, file_doc)
-        if overrides:
-            doc = _deep_merge(doc, overrides)
-        return cls.from_dict(doc)
+        return cls.from_dict(doc, overrides)
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
+    def from_dict(cls, doc: dict, overrides: Optional[dict] = None) -> "RunConfig":
         """The resolved config; a malformed value raises ContractError."""
-        try:
-            sensor, rap = doc["sensor"], doc["rapid"]
-            for section, key in (
-                ("input", "scan"), ("input", "labels"),
-                ("output", "features"), ("output", "class_features"),
-            ):
-                if not isinstance(doc[section][key], (str, type(None))):
-                    raise ContractError(f"{section}.{key} must be a path string")
-            seed = int(doc["seed"])
-            if seed < 0:
-                raise ContractError("seed must be >= 0")
-            return cls(
-                scan=doc["input"]["scan"],
-                labels=doc["input"]["labels"],
-                synthetic=doc["input"]["synthetic"],
-                features_out=doc["output"]["features"],
-                class_features_out=doc["output"]["class_features"],
-                sensor=SensorGeometry.from_fov(
-                    int(sensor["beam_count"]), sensor["vertical_fov_deg"]
-                ),
-                rapid=RangeAwareConfig(
-                    band_edges=tuple(float(e) for e in rap["band_edges"]),
-                    k_close=int(rap["k_close"]),
-                    k_mid=int(rap["k_mid"]),
-                    k_far=int(rap["k_far"]),
-                    delta=float(rap["delta"]),
-                ),
-                eval_num_classes=int(doc["eval"]["num_classes"]),
-                eval_ignore=tuple(int(i) for i in doc["eval"]["ignore"]),
-                workers=int(doc["workers"]),
-                seed=seed,
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ContractError(f"malformed config value: {type(exc).__name__} {exc}") from exc
+        over = overrides or {}
+
+        def get(key: str, kind, default):
+            return _typed(over[key], kind, key) if key in over else _get(doc, key, kind, default)
+
+        workers, seed = get("workers", int, 1), get("seed", int, 0)
+        for key, value, low in (("workers", workers, 1), ("seed", seed, 0)):
+            if value < low:
+                raise ContractError(f"{key} must be >= {low}, got {value}")
+        sensor = SensorGeometry.from_fov(
+            get("sensor.beam_count", int, 64),
+            get("sensor.vertical_fov_deg", tuple[float, float], (-24.8, 2.0)),
+        )
+        synthetic = get("input.synthetic", Optional[dict], None)
+        return cls(
+            scan=get("input.scan", Optional[str], None),
+            labels=get("input.labels", Optional[str], None),
+            synthetic=None if synthetic is None else _scene(synthetic, sensor, "input.synthetic."),
+            features_out=get("output.features", str, "r_rapid.rapd"),
+            class_features_out=get("output.class_features", Optional[str], None),
+            sensor=sensor,
+            rapid=_fields(RangeAwareConfig, doc.get("rapid", {}), "rapid"),
+            eval_num_classes=get("eval.num_classes", int, 20),
+            eval_ignore=get("eval.ignore", tuple[int, ...], (0,)),
+            workers=workers,
+            seed=seed,
+        )
 
 
 def config_echo(config: RunConfig) -> dict[str, Any]:

@@ -26,7 +26,7 @@ class InsufficientPointsError(RapidError):
 
 
 class UndefinedAngleError(RapidError):
-    """Cylindrical angles are undefined for a zero-norm point."""
+    """The elevation ring rule is undefined at the origin (0, 0, 0)."""
 
 
 class FormatError(RapidError):

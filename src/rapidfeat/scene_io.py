@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -240,50 +240,6 @@ def synthesize_scene(spec: SyntheticSceneSpec) -> PointCloud:
     )
 
 
-_PRIMITIVE_TYPES = {
-    "plane": PlanePrimitive,
-    "box": BoxPrimitive,
-    "cylinder": CylinderPrimitive,
-}
-
-
-def _vector3(value) -> tuple[float, float, float]:
-    x, y, z = value
-    return float(x), float(y), float(z)
-
-
-_CONVERTERS = {"int": int, "float": float, "tuple[float, float, float]": _vector3}
-
-
-def scene_spec_from_dict(d: dict, geometry: SensorGeometry) -> SyntheticSceneSpec:
-    """Build a scene spec from a config-file dictionary, converting each
-    primitive field by its annotated type. A missing or malformed value
-    raises ContractError; keys no primitive has are ignored."""
-    try:
-        prims = []
-        for p in d.get("primitives", []):
-            cls = _PRIMITIVE_TYPES.get(p.get("type"))
-            if cls is None:
-                raise FormatError(f"unknown primitive type {p.get('type')!r}")
-            prims.append(cls(**{f.name: _CONVERTERS[f.type](p[f.name]) for f in fields(cls)}))
-            if prims[-1].count < 0:
-                raise ContractError(f"{p['type']} primitive count must be >= 0")
-        pose = {} if d.get("pose") is None else d["pose"]
-        transform = RigidTransform(
-            rotation=np.asarray(pose.get("rotation", np.eye(3))),
-            translation=np.asarray(pose.get("translation", np.zeros(3))),
-        )
-        return SyntheticSceneSpec(
-            primitives=tuple(prims),
-            geometry=geometry,
-            sensor_pose=transform,
-            noise_sigma=float(d.get("noise_sigma", 0.0)),
-            seed=int(d.get("seed", 0)),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ContractError(f"input.synthetic: {type(exc).__name__} {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # feature / weight container
 # ---------------------------------------------------------------------------
@@ -475,6 +431,8 @@ def load_feature_file(path: PathLike) -> FeatureFile:
             _check_record(path, rec, ("matrix", "pointwise"))
             if rec["type"] == "matrix":
                 matrices.append(_matrix_from_record(rec, payload))
+            elif arrays is not None:
+                raise FormatError(f"{path}: more than one pointwise record")
             else:
                 arrays = rec["arrays"]
         if arrays is not None:

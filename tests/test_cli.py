@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from rapidfeat import (
+    BoxPrimitive,
     ConfusionMatrix,
+    RangeAwareConfig,
     RunConfig,
     SensorGeometry,
     accumulate,
@@ -93,6 +95,35 @@ class TestRunConfig:
         assert config.rapid.band_edges == (20.0, 50.0)
         assert config.rapid.delta == 2.0
         assert config.workers == 1
+        assert vars(config) == {
+            "scan": None,
+            "labels": None,
+            "synthetic": None,
+            "features_out": "r_rapid.rapd",
+            "class_features_out": None,
+            "sensor": SensorGeometry.from_fov(64, (-24.8, 2.0)),
+            "rapid": RangeAwareConfig((20.0, 50.0), k_close=10, k_mid=7, k_far=5, delta=2.0),
+            "eval_num_classes": 20,
+            "eval_ignore": (0,),
+            "workers": 1,
+            "seed": 0,
+        }
+
+    def test_integer_reads_as_float(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"rapid": {"band_edges": [15, 40], "delta": 1}}))
+        c = RunConfig.load(str(path))
+        assert repr((c.rapid.band_edges, c.rapid.delta)) == "((15.0, 40.0), 1.0)"
+
+    def test_scene_is_read_at_load(self, config_file):
+        rotation = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
+        scene = {**SCENE, "pose": {"rotation": rotation, "translation": [1, 2, 3]}}
+        spec = RunConfig.load(str(config_file(input={"synthetic": scene}))).synthetic
+        assert spec.primitives[1] == BoxPrimitive((8.0, 3.0, 0.0), (4.0, 2.0, 1.6), 600, 2, 0.6)
+        assert np.array_equal(spec.sensor_pose.rotation, rotation)
+        assert np.array_equal(spec.sensor_pose.translation, [1, 2, 3])
+        assert (spec.noise_sigma, spec.seed) == (0.02, 11)
+        assert spec.geometry == SensorGeometry.from_fov(16, (-10, 10))
 
     def test_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "c.json"
@@ -170,13 +201,47 @@ class TestRunConfig:
             pytest.param({"sensor": {"vertical_fov_deg": [math.nan, 10]}}, id="fov-nan"),
             pytest.param({"sensor": {"vertical_fov_deg": [-10, math.inf]}}, id="fov-inf"),
             pytest.param({"rapid": {"delta": math.nan}}, id="delta-nan"),
+            pytest.param({"rapid": {"k_close": "10"}}, id="k-close-string"),
+            pytest.param({"rapid": {"delta": "2"}}, id="delta-string"),
+            pytest.param({"eval": {"ignore": ["0"]}}, id="ignore-string"),
+            pytest.param({"rapid": {"band_edges": ["20", "50"]}}, id="band-edges-string"),
+            pytest.param({"sensor": {"beam_count": True}}, id="beam-count-bool"),
+            pytest.param({"seed": True}, id="seed-bool"),
+            pytest.param({"sensor": {"vertical_fov_deg": [True, 10]}}, id="fov-bool"),
+            pytest.param({"sensor": {"beam_count": 16.9}}, id="beam-count-fraction"),
+            pytest.param({"workers": 2.7}, id="workers-fraction"),
+            pytest.param({"eval": {"num_classes": 20.0}}, id="num-classes-float"),
+            pytest.param({"workers": 0}, id="workers-zero"),
+            pytest.param({"workers": -3}, id="workers-negative"),
+            pytest.param({"output": {"features": None}}, id="features-null"),
+            pytest.param({"input": {"synthetic": _scene_with(0, count="900")}}, id="count-string"),
+            pytest.param({"input": {"synthetic": _scene_with(0, count=900.7)}}, id="count-fraction"),
+            pytest.param({"input": {"synthetic": _scene_with(1, class_id="1")}}, id="class-string"),
+            pytest.param(
+                {"input": {"synthetic": _scene_with(0, origin=["0", "0", "1"])}}, id="origin-string"
+            ),
+            pytest.param({"input": {"synthetic": {**SCENE, "seed": 2.9}}}, id="scene-seed-fraction"),
+            pytest.param({"input": {"synthetic": {**SCENE, "noise_sigma": "0.1"}}}, id="noise-string"),
+            pytest.param(
+                {"input": {"synthetic": {**SCENE, "pose": {"translation": ["1", "0", "0"]}}}},
+                id="translation-string",
+            ),
+            pytest.param({"input": {"synthetic": _scene_with(0, type=["plane"])}}, id="type-list"),
         ],
     )
     def test_malformed_value_is_data_error(self, config_file, capsys, extra):
         # Each used to end in a traceback (ValueError, TypeError,
         # ZeroDivisionError or AttributeError), or in the seed, NaN and
-        # infinity cases to run.
+        # infinity cases to run; every case from k-close-string on except
+        # type-list used to run too, its value coerced or, for
+        # features-null, to end in a TypeError traceback.
         assert main(["extract", "--config", str(config_file(**extra))]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_workers_flag_zero_is_data_error(self, config_file, capsys):
+        # --workers 0 used to be dropped, so the config's worker count ran.
+        assert main(["extract", "--config", str(config_file()), "--workers", "0"]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
@@ -391,7 +456,7 @@ class TestBench:
         second = capsys.readouterr().out.splitlines()[0]
         assert first.split("sha")[0] == second.split("sha")[0]
 
-    @pytest.mark.parametrize("workers_list", ["x", "1,,2"])
+    @pytest.mark.parametrize("workers_list", ["x", "1,,2", "0", "1,-2"])
     def test_malformed_workers_list_is_usage_error(self, config_file, capsys, workers_list):
         argv = ["bench", "--config", str(config_file()), "--workers-list", workers_list]
         assert main(argv) == EXIT_USAGE
@@ -500,8 +565,7 @@ class TestHeatmap:
         import rapidfeat as rf
 
         config = RunConfig.load(str(config_file()))
-        spec = rf.scene_io.scene_spec_from_dict(SCENE, config.sensor)
-        cloud = rf.synthesize_scene(spec)
+        cloud = rf.synthesize_scene(config.synthetic)
         angle = 1.1
         rot = np.array(
             [

@@ -413,6 +413,19 @@ class TestContainerFuzz:
         path.write_bytes(raw)
         assert len(load_feature_file(path).pointwise.roi) == 40
 
+    def test_second_pointwise_record(self, tmp_path):
+        # A repeated pointwise record whose valid_width points at the roi
+        # bytes: it used to load, the last record winning.
+        _container_bytes(tmp_path)
+        path = tmp_path / "f.rapd"
+        header, payload = _read_container(path)
+        first = header["records"][-1]
+        arrays = {**first["arrays"], "valid_width": first["arrays"]["roi"]}
+        header["records"].append({**first, "arrays": arrays})
+        _write_container(path, header, payload)
+        with pytest.raises(FormatError, match="more than one pointwise record"):
+            load_feature_file(path)
+
     def test_nonpositive_variance(self, tmp_path):
         _container_bytes(tmp_path)
         path = tmp_path / "w.rapd"
