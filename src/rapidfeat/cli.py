@@ -333,8 +333,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RapidError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RapidError, OSError, MemoryError) as exc:  # MemoryError: a scene too large
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
 
 

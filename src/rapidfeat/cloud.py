@@ -113,8 +113,8 @@ class SensorGeometry:
         radians(high - low) / beam_count, so the beams sit on bin edges.
         """
         lo, hi = vertical_fov_deg
-        if beam_count < 1:
-            raise ContractError(f"beam_count must be >= 1, got {beam_count}")
+        if not 1 <= beam_count < 2**31:  # ring ids are int32
+            raise ContractError(f"beam_count must be in [1, 2**31), got {beam_count}")
         if not hi > lo:  # false for nan too
             raise ContractError("vertical_fov_deg must be (low, high) with high > low")
         return cls(beam_count=beam_count, delta_phi=math.radians(hi - lo) / beam_count)

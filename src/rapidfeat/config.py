@@ -18,7 +18,10 @@ has a default; CLI flags override file values. Defaults:
 Every value, the synthetic scene's too, is read by its field's type and
 never coerced: a string or a bool is not a number, an integer field takes no
 fraction, a vector is a list of exactly its length, and a path is a string.
-Any other value raises ContractError.
+A number must be finite: NaN, Infinity and 1e400 (read as infinity) are
+errors, and an integer in a float field must fit a finite float, so a
+400-digit one is too. Any other value raises ContractError. The reader is
+scene_io's, which reads the .rapd header and the weight meta the same way.
 
 The ring rule's vertical resolution is SensorGeometry.from_fov of the beam
 count and the field of view; no key overrides it. Keys outside this list are
@@ -30,58 +33,18 @@ resolution override of older config files. The k triple (10, 7, 5) suits
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Optional
 
 from .cloud import SensorGeometry
 from .errors import ContractError
 from .geometry import RigidTransform
 from .rapid import RangeAwareConfig
 from .scene_io import BoxPrimitive, CylinderPrimitive, PlanePrimitive, SyntheticSceneSpec
+from .scene_io import _fields, _get, _typed
 
 _PRIMITIVES = {"plane": PlanePrimitive, "box": BoxPrimitive, "cylinder": CylinderPrimitive}
-
-
-def _typed(value, kind, key: str):
-    """value as an instance of kind, an annotation built from int, float,
-    str, dict, Optional and tuple; ContractError for a value of any other
-    JSON type. Only an int read as a float is converted."""
-    args = get_args(kind)
-    if get_origin(kind) is Union:  # Optional[...]
-        return None if value is None else _typed(value, args[0], key)
-    if get_origin(kind) is tuple:
-        if not isinstance(value, list):
-            raise ContractError(f"{key} must be a list, got {value!r}")
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        if len(value) != len(args):
-            raise ContractError(f"{key} must hold {len(args)} values, got {len(value)}")
-        return tuple(_typed(v, a, f"{key}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
-    if kind is float and type(value) is int:
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ContractError(f"{key} must be {kind.__name__}, got {value!r}")
-    return value
-
-
-def _get(doc: dict, key: str, kind, default, at: str = ""):
-    """The value at the dotted key of doc read as kind, or default when a
-    key on the way is absent; at prefixes the key in error messages."""
-    *sections, last = key.split(".")
-    for i, section in enumerate(sections):
-        doc = _typed(doc.get(section, {}), dict, at + ".".join(sections[: i + 1]))
-    return _typed(doc[last], kind, at + key) if last in doc else default
-
-
-def _fields(cls, doc, key: str):
-    """The frozen dataclass cls from a JSON object: each field read by its
-    annotation, a missing field at its default; other keys are ignored."""
-    doc, hints = _typed(doc, dict, key), get_type_hints(cls)
-    for f in fields(cls):
-        if f.name not in doc and f.default is MISSING:
-            raise ContractError(f"{key}.{f.name} is missing")
-    return cls(**{n: _typed(v, hints[n], f"{key}.{n}") for n, v in doc.items() if n in hints})
 
 
 def _scene(doc: dict, geometry: SensorGeometry, at: str) -> SyntheticSceneSpec:
@@ -89,12 +52,10 @@ def _scene(doc: dict, geometry: SensorGeometry, at: str) -> SyntheticSceneSpec:
     prims = []
     for i, p in enumerate(_get(doc, "primitives", tuple[dict, ...], (), at)):
         key = f"{at}primitives[{i}]"
-        kind = _typed(p.get("type"), str, f"{key}.type")
+        kind = _get(p, "type", str, at=f"{key}.")
         if kind not in _PRIMITIVES:
             raise ContractError(f"{key}: unknown primitive type {kind!r}")
         prims.append(_fields(_PRIMITIVES[kind], p, key))
-        if prims[-1].count < 0:
-            raise ContractError(f"{key}.count must be >= 0")
     pose = _get(doc, "pose", Optional[dict], None, at) or {}
     vector, identity = tuple[float, float, float], RigidTransform.identity()
     return SyntheticSceneSpec(
@@ -133,12 +94,10 @@ class RunConfig:
         an unset key takes its default."""
         doc: dict = {}
         if path is not None:
-            try:
-                doc = json.loads(Path(path).read_text())
-            except json.JSONDecodeError as exc:
+            try:  # ValueError: bad UTF-8, bad JSON, or an integer of too many digits
+                doc = _typed(json.loads(Path(path).read_text()), dict, f"{path}: config")
+            except ValueError as exc:
                 raise ContractError(f"{path}: invalid config JSON ({exc})") from exc
-            if not isinstance(doc, dict):
-                raise ContractError(f"{path}: config must be a JSON object")
         return cls.from_dict(doc, overrides)
 
     @classmethod

@@ -281,7 +281,7 @@ class WeightSet:
 
     @classmethod
     def _assemble(
-        cls, n_enc: int, n_dec: int, tensor: Callable[[str], np.ndarray], eps: list, activation: str
+        cls, n_enc: int, n_dec: int, tensor: Callable[[str], np.ndarray], eps: tuple, activation: str
     ) -> "WeightSet":
         """Weights whose tensors come from tensor(container name), asked for in
         the order seeded weights draw them: encoder stages, decoder stages,
@@ -291,7 +291,7 @@ class WeightSet:
             return kind(*(tensor(f"{prefix}.{f}") for f in _TENSOR_FIELDS[kind]), *eps)
 
         inner_enc = tuple(
-            (stage(LinearStage, f"inner.enc{i}"), stage(NormStage, f"inner.enc{i}", float(eps[i])))
+            (stage(LinearStage, f"inner.enc{i}"), stage(NormStage, f"inner.enc{i}", eps[i]))
             for i in range(n_enc)
         )
         inner_dec = tuple(stage(LinearStage, f"inner.dec{i}") for i in range(n_dec))
@@ -305,7 +305,7 @@ class WeightSet:
         w = dims.stage_widths()
         shapes = _layout(d_in, w, w[::-1], dims.latents)
         tensor = lambda name: make(name.rsplit(".", 1)[1], shapes[name])  # noqa: E731
-        return cls._assemble(dims.stages, dims.stages, tensor, [eps] * dims.stages, activation)
+        return cls._assemble(dims.stages, dims.stages, tensor, (eps,) * dims.stages, activation)
 
     @classmethod
     def seeded(
@@ -352,27 +352,17 @@ class WeightSet:
     @classmethod
     def load(cls, path) -> "WeightSet":
         tensors, meta = scene_io.load_tensors(path)
-        if not isinstance(meta, dict):
-            raise FormatError(f"{path}: weight meta must be a JSON object")
 
         def tensor(name: str) -> np.ndarray:
             if name not in tensors:
                 raise FormatError(f"{path}: weight tensor {name!r} missing")
             return tensors[name]
 
-        def count(key: str) -> int:
-            value = meta.get(key)
-            if type(value) is not int or value < 0:
-                raise FormatError(f"{path}: meta {key!r} must be a non-negative integer")
-            return value
-
-        n_enc, n_dec = count("encoder_stages"), count("decoder_stages")
-        eps = meta.get("bn_eps")
-        if not isinstance(eps, list) or len(eps) < n_enc or not all(
-            type(e) in (int, float) for e in eps
-        ):
-            raise FormatError(f"{path}: meta 'bn_eps' needs one number per encoder stage")
-        try:  # a decoded set that breaks the layout or a variance contract
+        try:  # a malformed meta, or a decoded set that breaks the layout or a variance contract
+            n_enc, n_dec = (scene_io._get(meta, f"{k}_stages", int) for k in ("encoder", "decoder"))
+            eps = scene_io._get(meta, "bn_eps", tuple[float, ...])
+            if min(n_enc, n_dec) < 0 or len(eps) < n_enc:
+                raise ContractError("meta needs stage counts >= 0 and a bn_eps per encoder stage")
             return cls._assemble(n_enc, n_dec, tensor, eps, meta.get("activation"))
         except ContractError as exc:
             raise FormatError(f"{path}: {exc}") from exc

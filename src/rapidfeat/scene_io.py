@@ -17,9 +17,11 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+import sys
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -39,6 +41,64 @@ MAGIC = b"RAPD"
 CONTAINER_VERSION = 1
 
 PathLike = Union[str, Path]
+
+
+# ---------------------------------------------------------------------------
+# typed JSON reader: the one reader of the run config, the container header
+# and records, and the weight meta
+# ---------------------------------------------------------------------------
+
+
+def _typed(value, kind, key: str):
+    """value as an instance of kind, an annotation built from int, float,
+    str, dict, Optional and tuple; ContractError for a value of any other
+    JSON type. A bool is never a number, and a float must be finite: an int
+    read as a float is converted, and one beyond the float range is an error."""
+    if kind is float and type(value) in (int, float):
+        if not abs(value) <= sys.float_info.max:  # false for nan too; exact for any int
+            raise ContractError(f"{key} must be a finite number")
+        return float(value)
+    if type(kind) is type:  # int, float, str or dict
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ContractError(f"{key} must be {kind.__name__}, got {value!r}")
+        return value
+    args = get_args(kind)
+    if get_origin(kind) is Union:  # Optional[...]
+        return None if value is None else _typed(value, args[0], key)
+    if not isinstance(value, list):  # tuple[...]
+        raise ContractError(f"{key} must be a list, got {value!r}")
+    if args[-1] is Ellipsis:
+        args = args[:1] * len(value)
+    if len(value) != len(args):
+        raise ContractError(f"{key} must hold {len(args)} values, got {len(value)}")
+    return tuple(_typed(v, a, f"{key}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
+
+
+def _get(doc: dict, key: str, kind, default=MISSING, at: str = ""):
+    """The value at the dotted key of doc read as kind, or default when a
+    key on the way is absent (ContractError without a default); at prefixes
+    the key in error messages."""
+    *sections, last = key.split(".")
+    for i, section in enumerate(sections):
+        doc = _typed(doc.get(section, {}), dict, at + ".".join(sections[: i + 1]))
+    if last in doc:
+        return _typed(doc[last], kind, at + key)
+    if default is MISSING:
+        raise ContractError(f"{at}{key} is missing")
+    return default
+
+
+_hints = cache(get_type_hints)  # per class: resolving annotations is slow
+
+
+def _fields(cls, doc, key: str):
+    """The frozen dataclass cls from a JSON object: each field read by its
+    annotation, a missing field at its default; other keys are ignored."""
+    doc, hints = _typed(doc, dict, key), _hints(cls)
+    for f in fields(cls):
+        if f.name not in doc and f.default is MISSING:
+            raise ContractError(f"{key}.{f.name} is missing")
+    return cls(**{n: _typed(v, hints[n], f"{key}.{n}") for n, v in doc.items() if n in hints})
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +183,15 @@ def load_csv_cloud(path: PathLike) -> PointCloud:
 # ---------------------------------------------------------------------------
 
 
+def _check_primitive(prim, **sizes: float) -> None:
+    """ContractError unless prim's sizes and count are >= 0 and its class id fits int32."""
+    for name, value in {**sizes, "count": prim.count}.items():
+        if not value >= 0:  # false for nan too
+            raise ContractError(f"{name} must be >= 0, got {value}")
+    if not -(2**31) <= prim.class_id < 2**31:
+        raise ContractError(f"class_id must fit int32, got {prim.class_id}")
+
+
 @dataclass(frozen=True)
 class PlanePrimitive:
     """Rectangular patch origin + a*u_axis + b*v_axis, a,b uniform."""
@@ -135,6 +204,9 @@ class PlanePrimitive:
     count: int
     class_id: int
     reflectivity: float
+
+    def __post_init__(self) -> None:
+        _check_primitive(self, extent_u=self.extent_u, extent_v=self.extent_v)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         a = rng.uniform(-self.extent_u, self.extent_u, self.count)
@@ -156,6 +228,12 @@ class BoxPrimitive:
     count: int
     class_id: int
     reflectivity: float
+
+    def __post_init__(self) -> None:
+        _check_primitive(self, size=min(self.size))
+        sx, sy, sz = self.size
+        if not sy * sz + sx * sz + sx * sy > 0:
+            raise ContractError(f"box size {self.size} has no surface area")
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         sx, sy, sz = self.size
@@ -187,6 +265,9 @@ class CylinderPrimitive:
     class_id: int
     reflectivity: float
 
+    def __post_init__(self) -> None:
+        _check_primitive(self, radius=self.radius, height=self.height)
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         theta = rng.uniform(0.0, 2.0 * np.pi, self.count)
         z = rng.uniform(-self.height / 2.0, self.height / 2.0, self.count)
@@ -210,7 +291,7 @@ class SyntheticSceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.noise_sigma < 0 or self.seed < 0:
+        if not (self.noise_sigma >= 0 and self.seed >= 0):  # false for nan too
             raise ContractError("noise_sigma and seed must be >= 0")
 
 
@@ -280,42 +361,54 @@ def _read_container(path: PathLike) -> tuple[dict, bytes]:
         raise FormatError(f"{path}: unsupported container version {version}")
     if len(raw) < 12 + head_len:
         raise FormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[12 : 12 + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    try:  # ValueError: bad UTF-8, bad JSON, or an integer of too many digits
+        header = _typed(json.loads(raw[12 : 12 + head_len].decode("utf-8")), dict, "header")
+    except (ValueError, ContractError) as exc:
         raise FormatError(f"{path}: corrupt header ({exc})") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: header is not a JSON object")
     return header, raw[12 + head_len :]
 
 
-def _records(path: PathLike, header: dict) -> list:
-    records = header.get("records", [])
-    if not isinstance(records, list):
-        raise FormatError(f"{path}: records is not a list")
-    return records
+def _contents(header: dict, kind: str, types: tuple[str, ...]) -> tuple[list, dict]:
+    """The (type, record, key prefix) of each record and the meta of a header
+    that holds kind; ContractError for another kind or record type."""
+    if (found := _get(header, "kind", str)) != kind:
+        raise ContractError(f"container holds {found!r}, not {kind}")
+    records = []
+    for i, rec in enumerate(_get(header, "records", tuple[dict, ...], ())):
+        at = f"records[{i}]."
+        if (rtype := _get(rec, "type", str, at=at)) not in types:
+            raise ContractError(f"{at}type: unexpected record type {rtype!r}")
+        records.append((rtype, rec, at))
+    return records, _get(header, "meta", dict, {})
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+@dataclass(frozen=True)
+class _ArrayDescriptor:
+    """Where an array sits in the payload, as the header describes it."""
+
+    dtype: str
+    shape: tuple[int, ...]
+    offset: int
+
+    def __post_init__(self) -> None:
+        if min(self.shape, default=0) < 0 or self.offset < 0:
+            raise ContractError(f"negative shape or offset in {self}")
 
 
-def _read_array(payload: bytes, desc: dict, dtype: str) -> np.ndarray:
-    """The array desc locates; FormatError unless it has the writer's dtype."""
-    if not isinstance(desc, dict) or desc.get("dtype") != dtype:
-        raise FormatError(f"bad array descriptor {desc!r}: dtype is not {dtype}")
-    shape, start = desc.get("shape"), desc.get("offset")
-    if not isinstance(shape, list) or not all(_is_count(n) for n in shape):
-        raise FormatError(f"bad array descriptor {desc!r}: shape")
-    if not _is_count(start):
-        raise FormatError(f"bad array descriptor {desc!r}: offset")
-    nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+def _read_array(payload: bytes, rec: dict, name: str, dtype: str, at: str) -> np.ndarray:
+    """The array rec's descriptor arrays.name locates; ContractError unless
+    it has the writer's dtype and lies in the payload."""
+    key = f"{at}arrays.{name}"
+    desc = _fields(_ArrayDescriptor, _get(rec, f"arrays.{name}", dict, at=at), key)
+    if desc.dtype != dtype:
+        raise ContractError(f"{key}: dtype {desc.dtype!r} is not {dtype}")
+    start, nbytes = desc.offset, np.dtype(dtype).itemsize * math.prod(desc.shape)
     if start + nbytes > len(payload):
-        raise FormatError("truncated payload")
+        raise ContractError(f"{key}: truncated payload")
     try:
-        return np.frombuffer(payload[start : start + nbytes], dtype=dtype).reshape(shape)
+        return np.frombuffer(payload[start : start + nbytes], dtype=dtype).reshape(desc.shape)
     except ValueError as exc:  # a zero-size shape numpy cannot represent
-        raise FormatError(f"bad array descriptor {desc!r}: {exc}") from exc
+        raise ContractError(f"{key}: {exc}") from exc
 
 
 def _matrix_record(builder: _PayloadBuilder, mat: RapidMatrix) -> dict:
@@ -336,14 +429,13 @@ def _matrix_record(builder: _PayloadBuilder, mat: RapidMatrix) -> dict:
     }
 
 
-def _matrix_from_record(rec: dict, payload: bytes) -> RapidMatrix:
-    s = rec["scale"]
+def _matrix_from_record(rec: dict, payload: bytes, at: str) -> RapidMatrix:
     return RapidMatrix(
-        values=_read_array(payload, rec["arrays"]["values"], "<f4").astype(np.float64),
-        roi_id=rec["roi_id"],
-        k=rec["k"],
-        scale=ReflectivityScale(s["r_min"], s["r_max"], s["d_min"], s["d_max"]),
-        anchors=_read_array(payload, rec["arrays"]["anchors"], "<i8").astype(np.int64),
+        roi_id=_get(rec, "roi_id", str, at=at),
+        k=_get(rec, "k", int, at=at),
+        scale=_fields(ReflectivityScale, _get(rec, "scale", dict, at=at), f"{at}scale"),
+        values=_read_array(payload, rec, "values", "<f4", at).astype(np.float64),
+        anchors=_read_array(payload, rec, "anchors", "<i8", at).astype(np.int64),
     )
 
 
@@ -382,73 +474,28 @@ def save_feature_file(
     _write_container(path, header, b"".join(builder.chunks))
 
 
-_NUMBER = (int, float)
-
-# Dotted key paths each record type needs for decoding, with their JSON types.
-_RECORD_KEYS = {
-    "matrix": {
-        "roi_id": str,
-        "k": int,
-        "scale.r_min": _NUMBER,
-        "scale.r_max": _NUMBER,
-        "scale.d_min": _NUMBER,
-        "scale.d_max": _NUMBER,
-        "arrays.values": dict,
-        "arrays.anchors": dict,
-    },
-    "pointwise": {"arrays.values": dict, "arrays.roi": dict, "arrays.valid_width": dict},
-    "tensor": {"name": str, "arrays.data": dict},
-}
-
-
-def _check_record(path: PathLike, rec, kinds: tuple[str, ...]) -> None:
-    """FormatError unless rec has one of the given types and every key it
-    needs, each of the JSON type that key takes."""
-    kind = rec.get("type") if isinstance(rec, dict) else None
-    if not isinstance(kind, str) or kind not in kinds:
-        raise FormatError(f"{path}: unexpected record type {kind!r}")
-    for key, expected in _RECORD_KEYS[kind].items():
-        node = rec
-        for part in key.split("."):
-            node = node.get(part) if isinstance(node, dict) else None
-        if node is None:
-            raise FormatError(f"{path}: {kind} record lacks {key!r}")
-        if isinstance(node, bool) or not isinstance(node, expected):
-            raise FormatError(f"{path}: {kind} record has a malformed {key!r}")
-
-
 def load_feature_file(path: PathLike) -> FeatureFile:
     """Decode a feature container; FormatError on any malformed header,
     record or array descriptor, and on a decoded record that breaks a contract."""
     header, payload = _read_container(path)
-    if header.get("kind") != "rapid-features":
-        raise FormatError(f"{path}: container holds {header.get('kind')!r}, not features")
-    matrices = []
-    arrays = None
-    pointwise = None
+    matrices, arrays = [], None
     try:
-        for rec in _records(path, header):
-            _check_record(path, rec, ("matrix", "pointwise"))
-            if rec["type"] == "matrix":
-                matrices.append(_matrix_from_record(rec, payload))
+        records, meta = _contents(header, "rapid-features", ("matrix", "pointwise"))
+        for rtype, rec, at in records:
+            if rtype == "matrix":
+                matrices.append(_matrix_from_record(rec, payload, at))
             elif arrays is not None:
-                raise FormatError(f"{path}: more than one pointwise record")
+                raise ContractError(f"{at}type: more than one pointwise record")
             else:
-                arrays = rec["arrays"]
-        if arrays is not None:
-            pointwise = PointwiseFeatureSet(
-                values=_read_array(payload, arrays["values"], "<f4").astype(np.float64),
-                roi=_read_array(payload, arrays["roi"], "<i4").astype(np.int32),
-                valid_width=_read_array(payload, arrays["valid_width"], "<i4").astype(
-                    np.int32
-                ),
-                matrices=tuple(matrices),
-            )
+                arrays = (
+                    _read_array(payload, rec, "values", "<f4", at).astype(np.float64),
+                    _read_array(payload, rec, "roi", "<i4", at).astype(np.int32),
+                    _read_array(payload, rec, "valid_width", "<i4", at).astype(np.int32),
+                )
+        pointwise = None if arrays is None else PointwiseFeatureSet(*arrays, tuple(matrices))
     except ContractError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    return FeatureFile(
-        matrices=tuple(matrices), pointwise=pointwise, meta=header.get("meta", {})
-    )
+    return FeatureFile(matrices=tuple(matrices), pointwise=pointwise, meta=meta)
 
 
 def save_tensors(path: PathLike, tensors: dict[str, np.ndarray], meta: dict) -> None:
@@ -464,14 +511,15 @@ def save_tensors(path: PathLike, tensors: dict[str, np.ndarray], meta: dict) -> 
 
 def load_tensors(path: PathLike) -> tuple[dict[str, np.ndarray], dict]:
     header, payload = _read_container(path)
-    if header.get("kind") != "weights":
-        raise FormatError(f"{path}: container holds {header.get('kind')!r}, not weights")
-    tensors = {}
-    for rec in _records(path, header):
-        _check_record(path, rec, ("tensor",))
-        data = _read_array(payload, rec["arrays"]["data"], "<f8")
-        tensors[rec["name"]] = data.astype(np.float64)
-    return tensors, header.get("meta", {})
+    try:
+        records, meta = _contents(header, "weights", ("tensor",))
+        tensors = {
+            _get(rec, "name", str, at=at): _read_array(payload, rec, "data", "<f8", at)
+            for _, rec, at in records
+        }
+    except ContractError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    return {name: data.astype(np.float64) for name, data in tensors.items()}, meta
 
 
 def write_pgm(values01: np.ndarray, path: PathLike) -> None:

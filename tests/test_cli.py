@@ -227,6 +227,17 @@ class TestRunConfig:
                 id="translation-string",
             ),
             pytest.param({"input": {"synthetic": _scene_with(0, type=["plane"])}}, id="type-list"),
+            pytest.param({"input": {"synthetic": {**SCENE, "noise_sigma": math.nan}}}, id="noise-nan"),
+            pytest.param({"rapid": {"delta": 1e400}}, id="delta-1e400"),
+            pytest.param({"rapid": {"delta": 10**400}}, id="delta-400-digits"),
+            pytest.param({"sensor": {"beam_count": 10**400}}, id="beam-count-400-digits"),
+            pytest.param({"rapid": {"band_edges": [20, math.inf]}}, id="band-edge-inf"),
+            pytest.param({"input": {"synthetic": _scene_with(0, extent_u=math.nan)}}, id="extent-nan"),
+            pytest.param({"input": {"synthetic": _scene_with(0, extent_u=-15)}}, id="extent-negative"),
+            pytest.param({"input": {"synthetic": _scene_with(1, size=[0, 0, 0])}}, id="size-zero"),
+            pytest.param({"input": {"synthetic": _scene_with(1, size=[-4, 2, 1.6])}}, id="size-negative"),
+            pytest.param({"input": {"synthetic": _scene_with(1, class_id=2**40)}}, id="class-2**40"),
+            pytest.param({"input": {"synthetic": _scene_with(0, count=10**18)}}, id="count-10**18"),
         ],
     )
     def test_malformed_value_is_data_error(self, config_file, capsys, extra):
@@ -234,7 +245,9 @@ class TestRunConfig:
         # ZeroDivisionError or AttributeError), or in the seed, NaN and
         # infinity cases to run; every case from k-close-string on except
         # type-list used to run too, its value coerced or, for
-        # features-null, to end in a TypeError traceback.
+        # features-null, to end in a TypeError traceback. From noise-nan on,
+        # the NaN noise, the infinite delta and band edge ran too; the rest
+        # ended in an OverflowError, ValueError or MemoryError traceback.
         assert main(["extract", "--config", str(config_file(**extra))]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
@@ -242,6 +255,15 @@ class TestRunConfig:
     def test_workers_flag_zero_is_data_error(self, config_file, capsys):
         # --workers 0 used to be dropped, so the config's worker count ran.
         assert main(["extract", "--config", str(config_file()), "--workers", "0"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_integer_of_too_many_digits_is_data_error(self, config_file, capsys):
+        # json refuses an integer of more than 4300 digits with a ValueError
+        # that is not a JSONDecodeError; it used to end in a traceback.
+        path = config_file(rapid={"delta": 0})
+        path.write_text(path.read_text().replace('"delta": 0', '"delta": ' + "9" * 5000))
+        assert main(["extract", "--config", str(path)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
@@ -504,7 +526,7 @@ class TestHeatmap:
         code = main(["heatmap", str(feat), "--roi", "x", "--out", str(tmp_path / "i.pgm")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        assert "lacks 'k'" in err
+        assert "records[0].k is missing" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -520,6 +542,10 @@ class TestHeatmap:
                 header, scale={"r_min": "0", "r_max": 1, "d_min": 0, "d_max": 1}
             ),
             lambda header: _with_field(header, roi_id=7),
+            lambda header: _with_field(
+                header, scale={"r_min": math.nan, "r_max": 1, "d_min": 0, "d_max": 1}
+            ),
+            lambda header: _with_field(header, k=True),
         ],
         ids=[
             "header-list",
@@ -530,6 +556,8 @@ class TestHeatmap:
             "k-list",
             "scale-string",
             "roi-id-number",
+            "scale-nan",
+            "k-bool",
         ],
     )
     def test_malformed_header_is_data_error(self, tmp_path, capsys, corrupt):

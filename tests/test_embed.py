@@ -1,5 +1,6 @@
 """Voxel attention forward math and the embedding losses."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -702,6 +703,9 @@ class TestWeightSetIO:
             pytest.param(lambda h: _set_meta(h, "encoder_stages", 3), id="stages-beyond-tensors"),
             pytest.param(lambda h: _set_meta(h, "decoder_stages", None), id="stages-null"),
             pytest.param(lambda h: {**h, "meta": []}, id="meta-list"),
+            pytest.param(lambda h: _set_meta(h, "encoder_stages", 1.0), id="stages-float"),
+            pytest.param(lambda h: _set_meta(h, "bn_eps", [math.nan] * 2), id="bn_eps-nan"),
+            pytest.param(lambda h: _set_meta(h, "decoder_stages", -1), id="stages-negative"),
         ],
     )
     def test_malformed_container_is_format_error(self, tmp_path, corrupt):

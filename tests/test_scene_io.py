@@ -1,5 +1,7 @@
 """On-disk formats: KITTI scan/label decoding, containers, synthetic scenes."""
 
+import json
+import math
 import struct
 
 import numpy as np
@@ -8,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rapidfeat import (
+    BoxPrimitive,
+    ContractError,
+    CylinderPrimitive,
     EmbeddingDims,
     EmptySceneError,
     FormatError,
@@ -30,6 +35,8 @@ from rapidfeat import (
 )
 from rapidfeat.cli import EXIT_DATA, main
 from rapidfeat.scene_io import (
+    CONTAINER_VERSION,
+    MAGIC,
     _read_container,
     _write_container,
     load_feature_file,
@@ -164,6 +171,26 @@ class TestSynthesizeScene:
         with pytest.raises(EmptySceneError):
             synthesize_scene(spec)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: PlanePrimitive((0, 0, 0), (1, 0, 0), (0, 1, 0), 1, -1, 10, 1, 0.5),
+            lambda: PlanePrimitive((0, 0, 0), (1, 0, 0), (0, 1, 0), 1, 1, -1, 1, 0.5),
+            lambda: PlanePrimitive((0, 0, 0), (1, 0, 0), (0, 1, 0), 1, 1, 10, 2**31, 0.5),
+            lambda: BoxPrimitive((0, 0, 0), (1, math.nan, 1), 10, 1, 0.5),
+            lambda: BoxPrimitive((0, 0, 0), (1, 0, 0), 10, 1, 0.5),
+            lambda: CylinderPrimitive((0, 0, 0), -1, 1, 10, 1, 0.5),
+            lambda: CylinderPrimitive((0, 0, 0), 1, math.nan, 10, 1, 0.5),
+            lambda: SyntheticSceneSpec((), small_geometry(), noise_sigma=math.nan),
+        ],
+        ids=["extent", "count", "class-id", "size-nan", "size-flat", "radius", "height-nan", "noise"],
+    )
+    def test_primitive_out_of_range(self, make):
+        # Each used to build, then fail in sampling or label casting, or for
+        # the NaN noise to sample a noise-free cloud.
+        with pytest.raises(ContractError):
+            make()
+
 
 def random_matrix(rng, u, k, roi="ring000-close"):
     values = np.sort(rng.uniform(0, 1, size=(u, k)).astype(np.float32), axis=1)
@@ -276,6 +303,18 @@ class TestFeatureContainer:
             _write_container(path, {**header, "records": records}, payload)
             with pytest.raises(FormatError):
                 load_feature_file(path)
+
+    def test_integer_of_too_many_digits_in_header(self, tmp_path, rng):
+        # json refuses an integer of more than 4300 digits with a ValueError
+        # that is not a JSONDecodeError; it used to escape load_feature_file.
+        path = tmp_path / "n.rapd"
+        save_feature_file(path, [random_matrix(rng, 3, 2)])
+        header, payload = _read_container(path)
+        head = json.dumps({**header, "records": [{**header["records"][0], "k": 0}]})
+        head = head.replace('"k": 0', '"k": ' + "9" * 5000).encode()
+        path.write_bytes(MAGIC + struct.pack("<II", CONTAINER_VERSION, len(head)) + head + payload)
+        with pytest.raises(FormatError):
+            load_feature_file(path)
 
     def test_malformed_array_descriptor(self, tmp_path, rng):
         path = tmp_path / "d.rapd"
