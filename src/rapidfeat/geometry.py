@@ -9,7 +9,14 @@ candidates they choose: brute force takes every point, the KD-tree retrieves a
 superset of the nearest. One re-rank then computes every candidate distance
 and sorts the candidates by the (distance, index) pair, so ties leave it in
 ascending index order whatever order the candidates came in. Both routes
-check their subset with :func:`sorted_subset`.
+check their subset with :func:`sorted_subset`. The tree retrieves every
+anchor at depth n + 2 first and widens, by doubling, only the anchors whose
+n-th exact distance does not sit strictly inside the tree's horizon.
+
+:func:`knn_distance_range` serves a caller that reads only the smallest
+first and the largest n-th distance over all anchors: the tree's distances
+point out the few rows that can hold them, and only those are ranked
+exactly, so the result equals the extremes of the full ranking bit for bit.
 
 Metrics are expressed as embeddings: a metric is a callable mapping
 ``(cloud, subset) -> (n, D) float64`` such that the metric distance between
@@ -179,23 +186,31 @@ def _tree_candidate_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted candidate rows via KD-tree retrieval plus exact re-ranking.
 
-    The retrieval widens until the n-th exact distance sits strictly inside
-    the tree's horizon, which guarantees the first n entries are exactly the
-    n smallest and that every candidate tied with the n-th distance was
-    retrieved.
+    Every anchor is retrieved at depth n + 2 first. An anchor is done once
+    its n-th exact distance sits strictly inside the tree's horizon, which
+    guarantees its first n entries are exactly the n smallest and that every
+    candidate tied with the n-th distance was retrieved; only the anchors
+    that fail are retrieved again, at double depth. Every row keeps its
+    (d2, index)-first n + 2 candidates (all u when u is smaller).
     """
     q = x if queries is None else queries
     u = len(x)
-    own = np.arange(u, dtype=np.int64) if queries is None else None
     tree = cKDTree(x, leafsize=32)
-    m = min(u, n + 4)
-    while True:
-        d_tree, idx = tree.query(q, k=m)
+    width = m = min(u, n + 2)
+    idx_out = np.empty((len(q), width), dtype=np.int64)
+    d2_out = np.empty((len(q), width), dtype=np.float64)
+    rows = np.arange(len(q))
+    while len(rows):
+        q_rows = q[rows]
+        d_tree, idx = tree.query(q_rows, k=m)
         idx = idx.astype(np.int64, copy=False)
-        idx_s, d2_s = _ranked(x, q, idx, own)
-        if m >= u or np.all(d2_s[:, n - 1] < d_tree[:, -1] ** 2 * (1.0 - 1e-12)):
-            return idx_s, d2_s
+        idx_s, d2_s = _ranked(x, q_rows, idx, rows if queries is None else None)
+        done = (d2_s[:, n - 1] < d_tree[:, -1] ** 2 * (1.0 - 1e-12)) | (m >= u)
+        idx_out[rows[done]] = idx_s[done, :width]
+        d2_out[rows[done]] = d2_s[done, :width]
+        rows = rows[~done]
         m = min(u, 2 * m)
+    return idx_out, d2_out
 
 
 def nearest_candidate_rows(
@@ -218,6 +233,29 @@ def nearest_candidate_rows(
     if u <= BRUTE_FORCE_CUTOFF or n >= depth:
         return _brute_candidate_rows(x, queries)
     return _tree_candidate_rows(x, n, queries)
+
+
+def knn_distance_range(x: np.ndarray, n: int) -> tuple[np.float64, np.float64]:
+    """(d2_min, d2_max): the smallest first and the largest n-th squared
+    distance of nearest_candidate_rows(x, n), bit for bit, from exact ranks
+    of the few rows that can hold them.
+
+    The tree route queries every row at depth n + 1 with the row itself
+    included, so column j of the tree distances is the j-th distance to
+    another row, up to rounding. Only rows whose tree value lies within a
+    relative 1e-9 of the extreme are ranked exactly, as queries that find
+    themselves (or a duplicate) at distance 0 in column 0.
+    """
+    u = len(x)
+    if u <= BRUTE_FORCE_CUTOFF or not 1 <= n < u - 1:  # nearest_candidate_rows checks n
+        _, d2 = nearest_candidate_rows(x, n)
+        return d2[:, 0].min(), d2[:, n - 1].max()
+    d_tree, _ = cKDTree(x, leafsize=32).query(x, k=n + 1)
+    first, nth = d_tree[:, 1], d_tree[:, n]
+    near = first <= first.min() * (1.0 + 1e-9)
+    far = nth >= nth.max() * (1.0 - 1e-9)
+    _, d2 = nearest_candidate_rows(x, n + 1, queries=x[near | far])
+    return d2[:, 1].min(), d2[:, n].max()
 
 
 def sorted_subset(

@@ -10,8 +10,10 @@ the result invariant to rigid motions and to point storage order.
 
 Neighbor selection is two exact k-depth KNN passes. The first, over the
 coordinates, defines the pair set from which the reflectivity scale is
-computed (the map g needs the distance range, which needs neighbor pairs).
-The second runs over the embedding (x, y, z, g(r)); its k smallest
+computed (the map g needs the distance range, which needs neighbor pairs);
+it reads only two order statistics of that set, the smallest first and the
+largest k-th distance, so it ranks exactly only the rows that can hold
+them. The second runs over the embedding (x, y, z, g(r)); its k smallest
 distances are the row. Both passes are exact to depth k, so matrix values
 never depend on storage order.
 """
@@ -26,7 +28,12 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import ContractError
-from .geometry import MetricEmbedding, nearest_candidate_rows, sorted_subset
+from .geometry import (
+    MetricEmbedding,
+    knn_distance_range,
+    nearest_candidate_rows,
+    sorted_subset,
+)
 
 
 @dataclass(frozen=True)
@@ -48,8 +55,8 @@ class RangeAwareConfig:
         lo, hi = self.band_edges
         if not 0.0 < lo < hi:
             raise ContractError("band_edges must satisfy 0 < close/mid < mid/far")
-        if min(self.k_close, self.k_mid, self.k_far) < 1:
-            raise ContractError("all k values must be >= 1")
+        if not 1 <= min(self.ks) <= max(self.ks) < 2**31:  # valid_width is int32
+            raise ContractError(f"all k values must lie in [1, 2**31), got {self.ks}")
         if not self.delta > 0:  # false for nan too
             raise ContractError(f"delta must be positive, got {self.delta}")
 
@@ -162,15 +169,14 @@ def _rapid_rows(
     """Un-normalized sorted-per-row 4D distance rows in ascending-anchor order."""
     _, anchors = sorted_subset(subset, len(cloud), k)
     refl = cloud.remission[anchors]
-    _, d2_rows = nearest_candidate_rows(cloud.points[anchors], k)
-
-    # Coordinate k-NN pairs define the scale of the reflectivity map.
-    knn_d2 = d2_rows[:, :k]
+    # Coordinate k-NN pairs define the scale of the reflectivity map; it
+    # reads only their smallest and largest distance.
+    d2_min, d2_max = knn_distance_range(cloud.points[anchors], k)
     scale = ReflectivityScale(
         r_min=float(refl.min()),
         r_max=float(refl.max()),
-        d_min=float(np.sqrt(knn_d2.min())),
-        d_max=float(np.sqrt(knn_d2.max())),
+        d_min=float(np.sqrt(d2_min)),
+        d_max=float(np.sqrt(d2_max)),
     )
 
     # The row: the k smallest distances in the 4D embedding (x, y, z, g(r)).
@@ -181,7 +187,15 @@ def _rapid_rows(
 
 
 def _lexsorted(rows: np.ndarray, anchors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.lexsort(rows[:, ::-1].T)
+    """Rows in stable lexicographic order, with their anchors.
+
+    Needs every value >= +0.0 and no NaN, which holds for distances and for
+    their normalized values: big-endian IEEE bytes of such values compare
+    as the values do, so one stable argsort of each row's bytes, viewed as
+    a single V{8k} key, is the lexicographic order.
+    """
+    key = np.ascontiguousarray(rows, dtype=">f8").view(f"V{8 * rows.shape[1]}")
+    order = np.argsort(key.ravel(), kind="stable")
     return rows[order], anchors[order]
 
 

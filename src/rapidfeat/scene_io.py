@@ -184,10 +184,13 @@ def load_csv_cloud(path: PathLike) -> PointCloud:
 
 
 def _check_primitive(prim, **sizes: float) -> None:
-    """ContractError unless prim's sizes and count are >= 0 and its class id fits int32."""
+    """ContractError unless prim's sizes and count are >= 0, a (count, 3)
+    float64 array can be sized and its class id fits int32."""
     for name, value in {**sizes, "count": prim.count}.items():
         if not value >= 0:  # false for nan too
             raise ContractError(f"{name} must be >= 0, got {value}")
+    if prim.count > np.iinfo(np.intp).max // 24:
+        raise ContractError(f"count {prim.count} is too large for a (count, 3) float64 array")
     if not -(2**31) <= prim.class_id < 2**31:
         raise ContractError(f"class_id must fit int32, got {prim.class_id}")
 

@@ -8,6 +8,7 @@ rho            4D distance of one pair  vs  distances in reflectivity_metric
 compute_scale  scale from neighbor lists  vs  the scale rapid_unnormalized returns
 select_k       k for one point's range band  vs  band_indices
 cylindrical_bin  elevation bin of one point  vs  the ring ids of partition_rings
+lexsort_rows   np.lexsort over the columns  vs  the one-key row sort of rapid
 
 The embed oracles are the straightforward forms of the voxel-order code,
 each compared byte for byte with what production returns:
@@ -112,6 +113,11 @@ def cylindrical_bin(
     return int(np.floor(theta / delta_theta)), int(
         np.floor(phi / geometry.delta_phi)
     )
+
+
+def lexsort_rows(rows: np.ndarray) -> np.ndarray:
+    """Stable lexicographic row order, first column the primary key."""
+    return np.lexsort(rows[:, ::-1].T)
 
 
 def voxelize_unique(points: np.ndarray, voxel_size: float) -> VoxelGroups:

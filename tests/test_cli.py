@@ -238,6 +238,8 @@ class TestRunConfig:
             pytest.param({"input": {"synthetic": _scene_with(1, size=[-4, 2, 1.6])}}, id="size-negative"),
             pytest.param({"input": {"synthetic": _scene_with(1, class_id=2**40)}}, id="class-2**40"),
             pytest.param({"input": {"synthetic": _scene_with(0, count=10**18)}}, id="count-10**18"),
+            pytest.param({"input": {"synthetic": _scene_with(0, count=2**61)}}, id="count-2**61"),
+            pytest.param({"rapid": {"k_close": 2**70}}, id="k-close-2**70"),
         ],
     )
     def test_malformed_value_is_data_error(self, config_file, capsys, extra):

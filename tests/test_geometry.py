@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from rapidfeat import (
     ContractError,
@@ -18,7 +19,8 @@ from rapidfeat import (
     rapid_unnormalized,
     range_of,
 )
-from rapidfeat.geometry import nearest_candidate_rows
+from rapidfeat import geometry
+from rapidfeat.geometry import knn_distance_range, nearest_candidate_rows
 
 from conftest import random_cloud
 
@@ -359,3 +361,98 @@ class TestCrossSetRows:
             nearest_candidate_rows(x, 0, queries=x[:2])
         idx, _ = nearest_candidate_rows(x, 5, queries=x[:2])
         assert sorted(idx[0].tolist()) == [0, 1, 2, 3, 4]
+
+
+class TestPerRowWidening:
+    @pytest.mark.parametrize("self_query", [False, True])
+    def test_only_failing_rows_are_widened(self, rng, monkeypatch, self_query):
+        # Generic anchors pass the horizon test at depth n + 2. The anchor at
+        # the centre of a star of rows at exactly 0.5 ties at its n-th
+        # distance across that horizon (a self-query retrieves itself as one
+        # of the n + 2), so it alone is retrieved again, at double depth.
+        queried = []
+
+        class SpyTree(cKDTree):
+            def query(self, q, k):
+                queried.append((np.array(q), k))
+                return super().query(q, k=k)
+
+        monkeypatch.setattr(geometry, "cKDTree", SpyTree)
+        centre = np.array([20.0, 20.0, 20.0])
+        star = centre + 0.5 * np.vstack([np.eye(3), -np.eye(3)])
+        generic = rng.normal(size=(200, 3))
+        if self_query:
+            x, q, n = np.vstack([generic, centre, star[[0, 3]]]), None, 1
+        else:
+            x, q, n = np.vstack([generic, star]), np.vstack([generic[:30], centre]), 3
+        idx, d2 = nearest_candidate_rows(x, n, queries=q)
+        want_idx, want_d2 = cross_set_oracle(x, q, n)
+        assert np.array_equal(idx[:, :n], want_idx)
+        assert np.array_equal(d2[:, :n], want_d2)
+        assert idx.shape == d2.shape == (len(want_idx), n + 2)
+        (first, k1), (second, k2) = queried
+        assert len(first) == len(want_idx) and k1 == n + 2
+        assert np.array_equal(second, centre[None]) and k2 == 2 * (n + 2)
+
+
+def range_oracle(x, n):
+    """Smallest first and largest n-th squared distance of a full ranking."""
+    _, d2 = cross_set_oracle(x, None, n)
+    return d2[:, 0].min(), d2[:, n - 1].max()
+
+
+class TestKnnDistanceRange:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        u=st.integers(2, 200),
+        depth=st.integers(1, 10),
+        span=st.integers(0, 6),
+        seed=st.integers(0, 2 ** 31),
+    )
+    def test_integer_lattice_matches_full_ranking(self, u, depth, span, seed):
+        # Small spans put many rows on one lattice site: ties and duplicates
+        # at both extremes, on the brute route (u <= 64) and the tree route.
+        x = np.random.default_rng(seed).integers(0, span + 1, size=(u, 3)).astype(np.float64)
+        n = min(depth, u - 1)
+        assert knn_distance_range(x, n) == range_oracle(x, n)
+
+    @pytest.mark.parametrize("u", [40, 300])
+    def test_all_coincident(self, u):
+        x = np.full((u, 3), 7.25)
+        assert knn_distance_range(x, 5) == range_oracle(x, 5) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("u", [40, 300, 2000])
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    def test_continuous_cloud(self, rng, u, offset):
+        x = rng.normal(size=(u, 3)) * [3.0, 1.0, 0.2] + offset
+        for n in (1, 4, 10):
+            assert knn_distance_range(x, n) == range_oracle(x, n)
+
+    @pytest.mark.parametrize("extreme", ["min", "max"])
+    def test_tree_rounding_reorders_the_extreme_rows(self, extreme):
+        # Two pairs at nearly equal distance whose exact order the tree's
+        # rounding flips; filler grid points sit farther apart (min) or
+        # closer together (max) than the pairs. A scale read off the tree's
+        # extreme row alone would return the other pair's distance.
+        rng = np.random.default_rng(0)
+        p = np.arange(20000)[:, None] * [100.0, 0.0, 0.0] + rng.uniform(0, 1, (20000, 3))
+        step = rng.normal(size=p.shape)
+        q = p + step / np.linalg.norm(step, axis=1)[:, None]
+        exact = np.einsum("ij,ij->i", q - p, q - p)
+        tree = cKDTree(np.vstack([p, q])).query(p, k=2)[0][:, 1]
+        order = np.argsort(exact, kind="stable")
+        flips = np.flatnonzero((np.diff(tree[order]) < 0) & (np.diff(exact[order]) > 0))
+        assert len(flips) > 0
+        pair = order[[flips[0], flips[0] + 1]]
+        g = np.arange(5) * (10.0 if extreme == "min" else 0.1)
+        filler = np.stack(np.meshgrid(g, g, g), axis=-1).reshape(-1, 3) - 1e3
+        x = np.vstack([p[pair], q[pair], filler])
+        assert knn_distance_range(x, 1) == range_oracle(x, 1)
+
+    def test_depth_bounds(self, rng):
+        for u in (40, 300):
+            x = rng.normal(size=(u, 3))
+            for n in (0, u):
+                with pytest.raises(ContractError):
+                    knn_distance_range(x, n)
+            assert knn_distance_range(x, u - 1) == range_oracle(x, u - 1)

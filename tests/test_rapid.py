@@ -22,10 +22,10 @@ from rapidfeat import (
     reflectivity_metric,
 )
 
-from rapidfeat.rapid import band_indices
+from rapidfeat.rapid import _lexsorted, band_indices
 
 from conftest import random_cloud, small_geometry
-from oracles import compute_scale, rho, select_k
+from oracles import compute_scale, lexsort_rows, rho, select_k
 
 
 def collinear_cloud(reflectivity=0.7):
@@ -63,8 +63,7 @@ def exhaustive_rapid_rows(cloud, subset, k):
         rho_all = np.sqrt(d2[a] + (g[a] - g) ** 2)
         rho_all[a] = np.inf
         rows[a] = np.sort(rho_all)[:k]
-    order = np.lexsort(rows[:, ::-1].T)
-    return rows[order], scale
+    return rows[lexsort_rows(rows)], scale
 
 
 class TestReflectivityMap:
@@ -256,6 +255,24 @@ class TestRapidStructure:
         assert np.all(m.values == 0.0)
 
 
+class TestRowSort:
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_matches_lexsort_oracle(self, rng, k):
+        # Few distinct values tie rows in every column; 0.0 is the normalized
+        # minimum and 1.0 the outlier padding. Repeated rows must keep their
+        # input order, as np.lexsort's stable order does.
+        ties = np.sort(rng.integers(0, 4, size=(300, k)) / 3.0, axis=1)
+        ties[::7, -1] = 1.0
+        ties[::11] = 0.0
+        smooth = np.sort(rng.uniform(0.0, 1.0, size=(200, k)), axis=1)
+        rows = np.vstack([ties, smooth, ties[:40], np.ones((5, k))])
+        anchors = rng.permutation(len(rows))
+        order = lexsort_rows(rows)
+        got_rows, got_anchors = _lexsorted(rows, anchors)
+        assert np.array_equal(got_rows, rows[order])
+        assert np.array_equal(got_anchors, anchors[order])
+
+
 class TestRapidInvariances:
     def test_isometry_unnormalized_1e9(self):
         rng = np.random.default_rng(42)
@@ -327,8 +344,7 @@ class TestRapidInvariances:
         # oracle: plain coordinate KNN distances, sorted the same way
         lists = knn_brute(np.arange(80), cloud, 5)
         expected = np.array([lists[a].distances for a in range(80)])
-        order = np.lexsort(expected[:, ::-1].T)
-        assert np.abs(rows - expected[order]).max() == 0.0
+        assert np.abs(rows - expected[lexsort_rows(expected)]).max() == 0.0
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(46)
@@ -470,6 +486,10 @@ class TestSelectK:
             RangeAwareConfig(delta=0.0)
         with pytest.raises(ContractError):
             RangeAwareConfig(k_far=0)
+        # valid_width stores k as int32
+        with pytest.raises(ContractError):
+            RangeAwareConfig(k_close=2**31)
+        assert RangeAwareConfig(k_close=2**31 - 1).k_max == 2**31 - 1
 
     def test_fallback_chain(self):
         assert self.config.fallback_chain(0) == [10, 7, 5]

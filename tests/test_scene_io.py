@@ -177,13 +177,17 @@ class TestSynthesizeScene:
             lambda: PlanePrimitive((0, 0, 0), (1, 0, 0), (0, 1, 0), 1, -1, 10, 1, 0.5),
             lambda: PlanePrimitive((0, 0, 0), (1, 0, 0), (0, 1, 0), 1, 1, -1, 1, 0.5),
             lambda: PlanePrimitive((0, 0, 0), (1, 0, 0), (0, 1, 0), 1, 1, 10, 2**31, 0.5),
+            lambda: PlanePrimitive((0, 0, 0), (1, 0, 0), (0, 1, 0), 1, 1, 2**61, 1, 0.5),
             lambda: BoxPrimitive((0, 0, 0), (1, math.nan, 1), 10, 1, 0.5),
             lambda: BoxPrimitive((0, 0, 0), (1, 0, 0), 10, 1, 0.5),
             lambda: CylinderPrimitive((0, 0, 0), -1, 1, 10, 1, 0.5),
             lambda: CylinderPrimitive((0, 0, 0), 1, math.nan, 10, 1, 0.5),
             lambda: SyntheticSceneSpec((), small_geometry(), noise_sigma=math.nan),
         ],
-        ids=["extent", "count", "class-id", "size-nan", "size-flat", "radius", "height-nan", "noise"],
+        ids=[
+            "extent", "count", "class-id", "count-2**61", "size-nan", "size-flat", "radius",
+            "height-nan", "noise",
+        ],
     )
     def test_primitive_out_of_range(self, make):
         # Each used to build, then fail in sampling or label casting, or for
