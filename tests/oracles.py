@@ -18,6 +18,7 @@ scatter_softmax_rows / scatter_sum_rows
                     axis-0 reduceat over point rows  vs  scatter_softmax / scatter_sum
 conv_oracle         one ravel_multi_index lookup per offset  vs  the kernel-map
                     depthwise convolution
+kernel_map_pairs    one ravel_multi_index lookup per offset  vs  VoxelGroups.kernel_map
 decode_per_point    projections of the (m, l, d) broadcast  vs  vsa_decode
 """
 
@@ -173,6 +174,25 @@ def conv_oracle(x: np.ndarray, coords: np.ndarray, kernel: np.ndarray) -> np.nda
         taps = kernel[:, :, dx + 1, dy + 1, dz + 1]
         out[found] += x[pos_c[found]] * taps
     return out
+
+
+def kernel_map_pairs(coords: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per offset in product((-1, 0, 1), repeat=3) order, the (destination,
+    source) voxel indices with source = destination + offset, from one
+    sorted-code search per offset."""
+    c = len(coords)
+    if c == 0:
+        return [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))] * 27
+    lo = coords.min(axis=0) - 1
+    extent = coords.max(axis=0) - lo + 3
+    codes = np.ravel_multi_index((coords - lo).T, extent)
+    pairs = []
+    for offset in product((-1, 0, 1), repeat=3):
+        nb_codes = np.ravel_multi_index((coords + np.array(offset) - lo).T, extent)
+        pos = np.minimum(np.searchsorted(codes, nb_codes), c - 1)
+        dst = np.flatnonzero(codes[pos] == nb_codes)
+        pairs.append((dst, pos[dst]))
+    return pairs
 
 
 def decode_per_point(

@@ -27,6 +27,7 @@ from rapidfeat import (
 )
 from rapidfeat.embed import (
     LinearStage,
+    NormStage,
     _class_pairs,
     _layout,
     _similarity,
@@ -37,6 +38,7 @@ from conftest import kitti_style_scan
 from oracles import (
     conv_oracle,
     decode_per_point,
+    kernel_map_pairs,
     scatter_softmax_rows,
     scatter_sum_rows,
     voxelize_unique,
@@ -354,6 +356,25 @@ class TestKernelMapConv:
         groups = grid_groups(rng.integers(0, 4, size=(20, 3)))
         assert groups.kernel_map is groups.kernel_map
 
+    @staticmethod
+    def assert_map_matches_oracle(groups):
+        got, want = groups.kernel_map, kernel_map_pairs(groups.voxel_coords)
+        assert len(got) == 27
+        for t, ((dst, src), (want_dst, want_src)) in enumerate(zip(got, want)):
+            assert dst.dtype == want_dst.dtype and np.array_equal(dst, want_dst), t
+            assert src.dtype == want_src.dtype and np.array_equal(src, want_src), t
+            assert np.all(np.diff(dst) > 0), t
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 300), span=st.integers(0, 12), seed=st.integers(0, 2 ** 31))
+    def test_map_matches_pair_oracle(self, n, span, seed):
+        coords = np.random.default_rng(seed).integers(-span, span + 1, size=(n, 3))
+        self.assert_map_matches_oracle(grid_groups(coords))
+
+    def test_map_of_empty_grid_and_single_voxel(self):
+        self.assert_map_matches_oracle(voxelize(np.zeros((0, 3)), 1.0))
+        self.assert_map_matches_oracle(grid_groups([[4, -2, 7]]))
+
 
 class TestVsaDecode:
     def test_single_point_single_latent(self):
@@ -402,6 +423,75 @@ class TestVsaDecode:
         feats = rng.normal(size=(len(pts), 5))
         got = vsa_decode(hv, feats, weights, groups)
         assert got.tobytes() == decode_per_point(hv, feats, weights, groups).tobytes()
+
+
+def multi_block_cloud(seed):
+    """(points, rng): about 20k points at voxel size 1 in shuffled storage
+    order, whose voxels in voxel order hold VOXEL_RUN points, then random
+    counts. The run opens with a voxel larger than a 4,096-point scatter
+    block, has voxels at numpy's pairwise-sum thresholds (8 and 128 points)
+    and ends its next 4,096 points exactly on a block edge; the cloud spans
+    more than two 8,192-point decode blocks."""
+    rng = np.random.default_rng(seed)
+    counts = VOXEL_RUN + list(rng.integers(1, 400, size=60))
+    cells = np.arange(len(counts)) * 7  # ascending raveled cells are in voxel order
+    coords = np.stack(np.unravel_index(cells, (11, 11, 11)), axis=1)
+    pts = np.repeat(coords, counts, axis=0) + rng.uniform(0.05, 0.95, (sum(counts), 3))
+    return pts[rng.permutation(len(pts))], rng
+
+
+VOXEL_RUN = [5000, 1, 8, 9, 127, 128, 129, 300, 1000, 1000, 1000, 394]
+
+
+class TestMultiBlock:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scatters_and_decode_match_row_oracles(self, seed):
+        pts, rng = multi_block_cloud(seed)
+        groups = voxelize(pts, 1.0)
+        assert groups.counts()[: len(VOXEL_RUN)].tolist() == VOXEL_RUN
+        assert sum(VOXEL_RUN) == 5000 + 4096 and groups.num_points > 2 * 8192
+        scores = rng.normal(size=(len(pts), 4)) * 8
+        got = scatter_softmax(scores, groups)
+        assert got.tobytes() == scatter_softmax_rows(scores, groups).tobytes()
+        x = rng.normal(size=(len(pts), 4, 6))
+        assert scatter_sum(x, groups).tobytes() == scatter_sum_rows(x, groups).tobytes()
+        dims = EmbeddingDims(latents=4, width=6, reduced=3, stages=1)
+        weights = WeightSet.seeded(dims, rng, in_width=5)
+        hv = rng.normal(size=(groups.num_voxels, dims.latents, dims.width))
+        feats = rng.normal(size=(len(pts), 5))
+        got = vsa_decode(hv, feats, weights, groups)
+        assert got.tobytes() == decode_per_point(hv, feats, weights, groups).tobytes()
+
+
+class TestInputsUnchanged:
+    def test_forward_functions_leave_inputs_unchanged(self):
+        rng, _, groups, feats, weights, latents, dims = make_instance(14, m=300)
+        c, l, d = groups.num_voxels, dims.latents, dims.width
+        hv = rng.normal(size=(c, l, d))
+        xr = rng.normal(size=(c, l, dims.reduced))
+        per_point = rng.normal(size=(len(feats), l, d))
+        scores = rng.normal(size=(len(feats), l))
+        lin, norm = weights.inner_encoder[0]
+        inputs = [feats, latents, hv, xr, per_point, scores, *weights._tensors().values()]
+        before = [a.copy() for a in inputs]
+        lin(hv)
+        norm(lin(hv))
+        _sparse_depthwise_conv(xr, groups.kernel_map, weights.ffn_conv1)
+        scatter_sum(per_point, groups)
+        scatter_softmax(scores, groups)
+        vsa_encode(feats, latents, weights, groups)
+        inner_bottleneck(hv, weights, groups)
+        vsa_decode(hv, feats, weights, groups)
+        for a, b in zip(inputs, before):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("shape", [(50, 3, 8), (7, 8), (1, 8)])
+    def test_norm_equals_its_formula(self, rng, shape):
+        gamma, beta, mean = (rng.normal(size=8) for _ in range(3))
+        var = rng.uniform(0.5, 1.5, 8)
+        x = rng.normal(size=shape) * 3
+        got = NormStage(gamma, beta, mean, var, 1e-5)(x)
+        assert got.tobytes() == ((x - mean) / np.sqrt(var + 1e-5) * gamma + beta).tobytes()
 
 
 class TestPointOrderEquivariance:
