@@ -12,11 +12,11 @@ offsets, found once with a sorted-code lookup (the MinkowskiEngine idiom).
 The point decoder broadcasts voxel features back to points and attends them
 against point-side queries.
 
-Voxel-side code runs in voxel order on flat, contiguous arrays: one sort
-puts the points in voxel order, scatters reduce along the contiguous axis,
+Voxel-side code runs in voxel order on flat arrays: one sort puts the
+points in voxel order, scatters reduce cache-sized runs of whole voxels,
 convolutions update the (c, l*d') row view, and the decoder projects voxel
-rows before gathering them per point. Reductions run in a fixed order, so
-results do not depend on scheduling.
+rows before gathering them per block of points. Reductions run in a fixed
+order, so results do not depend on scheduling or on block sizes.
 
 The contrastive loss pairs every point with its coordinate-nearest point of
 the same class and of any other class. The pairs come from exact per-class
@@ -113,19 +113,22 @@ class VoxelGroups:
         (destination, source) voxel indices with source = destination +
         offset. Built once per grid and shared by every convolution on it;
         destinations ascend within each offset; voxel + offset has code
-        code + dot(offset, strides), since the ravel is linear."""
+        code + dot(offset, strides), since the ravel is linear. Offset 26 - t
+        is offset t negated, so its pairs are those of t swapped."""
         coords = self.voxel_coords
         if len(coords) == 0:
             return ((coords[:, 0], coords[:, 0]),) * 27
         _, ey, ez = _padded_extent(coords)
         strides = np.array([ey * ez, ez, 1], dtype=np.int64)
         codes = (coords - coords.min(axis=0)) @ strides
-        pairs = []
-        for offset in product((-1, 0, 1), repeat=3):
+        centre = np.arange(len(codes))
+        pairs = [(centre, centre)] * 27
+        for t, offset in zip(range(13), product((-1, 0, 1), repeat=3)):
             nb_codes = codes + int(np.dot(offset, strides))
             pos = np.minimum(np.searchsorted(codes, nb_codes), len(codes) - 1)
             dst = np.flatnonzero(codes[pos] == nb_codes)
-            pairs.append((dst, pos[dst]))
+            pairs[t] = dst, pos[dst]
+            pairs[26 - t] = pairs[t][::-1]
         return tuple(pairs)
 
 
@@ -176,7 +179,9 @@ class LinearStage:
     bias: np.ndarray
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.weight + self.bias
+        y = x @ self.weight
+        y += self.bias
+        return y
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,11 @@ class NormStage:
             raise ContractError("batch-norm variance must be positive")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / np.sqrt(self.var + self.eps) * self.gamma + self.beta
+        y = x - self.mean  # (x - mean) / sqrt(var + eps) * gamma + beta, in place
+        y /= np.sqrt(self.var + self.eps)
+        y *= self.gamma
+        y += self.beta
+        return y
 
 
 _PROJECTIONS = ("enc_key", "enc_value", "dec_query", "dec_key", "dec_value")
@@ -377,6 +386,23 @@ def seeded_latents(dims: EmbeddingDims, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+_SCATTER_BLOCK = 4096  # points per voxel-aligned block of the scatters
+_DECODE_BLOCK = 8192  # points per block of the decoder
+
+
+def _voxel_blocks(rows: np.ndarray, groups: VoxelGroups):
+    """Per run of whole voxels of about _SCATTER_BLOCK points (a larger voxel
+    is a run of its own): its voxel slice, point indices, segment bounds and
+    rows, gathered in voxel order into a block that stays in cache."""
+    bounds = np.append(groups.starts, groups.num_points)
+    v0 = 0
+    while v0 < groups.num_voxels:
+        v1 = max(v0 + 1, int(np.searchsorted(bounds, bounds[v0] + _SCATTER_BLOCK, "right")) - 1)
+        idx = groups.order[bounds[v0] : bounds[v1]]
+        yield slice(v0, v1), idx, bounds[v0 : v1 + 1] - bounds[v0], np.take(rows, idx, axis=0)
+        v0 = v1
+
+
 def scatter_softmax(scores: np.ndarray, groups: VoxelGroups) -> np.ndarray:
     """Softmax over the points of each voxel, independently per column.
 
@@ -385,29 +411,23 @@ def scatter_softmax(scores: np.ndarray, groups: VoxelGroups) -> np.ndarray:
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != groups.num_points:
         raise ContractError(f"scores must be (m, l) with m={groups.num_points}")
-    grouped, counts = _voxel_major(s, groups), groups.counts()
-    seg_max = np.maximum.reduceat(grouped, groups.starts, axis=1)
-    e = np.exp(grouped - np.repeat(seg_max, counts, axis=1))
-    e /= np.repeat(np.add.reduceat(e, groups.starts, axis=1), counts, axis=1)
     out = np.empty_like(s)
-    out[groups.order] = e.T
-    return out
-
-
-def _voxel_major(x: np.ndarray, groups: VoxelGroups) -> np.ndarray:
-    """(columns, m) copy of x's rows in voxel order, in cache-sized blocks."""
-    rows = x.reshape(groups.num_points, prod(x.shape[1:]))
-    out = np.empty((rows.shape[1], groups.num_points))
-    for s in range(0, groups.num_points, 1024):
-        out[:, s : s + 1024] = rows[groups.order[s : s + 1024]].T
+    for _, idx, bounds, block in _voxel_blocks(s, groups):
+        starts, counts = bounds[:-1], np.diff(bounds)
+        e = np.exp(block - np.repeat(np.maximum.reduceat(block, starts), counts, axis=0))
+        e /= np.repeat(np.add.reduceat(e, starts), counts, axis=0)
+        out[idx] = e
     return out
 
 
 def scatter_sum(per_point: np.ndarray, groups: VoxelGroups) -> np.ndarray:
     """Per-voxel sum of point rows, deterministic segment reduction."""
     x = np.asarray(per_point, dtype=np.float64)
-    summed = np.add.reduceat(_voxel_major(x, groups), groups.starts, axis=1)
-    return np.ascontiguousarray(summed.T).reshape((groups.num_voxels,) + x.shape[1:])
+    rows = x.reshape(groups.num_points, prod(x.shape[1:]))
+    out = np.empty((groups.num_voxels, rows.shape[1]))
+    for voxels, _, bounds, block in _voxel_blocks(rows, groups):
+        out[voxels] = np.add.reduceat(block, bounds[:-1])
+    return out.reshape((groups.num_voxels,) + x.shape[1:])
 
 
 def _voxel_shape(weights: WeightSet, groups: VoxelGroups) -> tuple[int, int, int]:
@@ -450,11 +470,17 @@ def _sparse_depthwise_conv(
     kernel: np.ndarray,
 ) -> np.ndarray:
     """Depthwise 3x3x3 convolution over occupied voxels; absent neighbors
-    contribute zero. kernel_map is VoxelGroups.kernel_map of x's grid."""
+    contribute zero. kernel_map is VoxelGroups.kernel_map of x's grid, whose
+    centre offset (13) pairs every voxel with itself."""
     rows = x.reshape(len(x), prod(x.shape[1:]))
     out = np.zeros_like(rows)
-    for tap, (dst, src) in zip(kernel.reshape(-1, 27).T, kernel_map):
-        out[dst] = np.take(out, dst, axis=0) + np.take(rows, src, axis=0) * tap
+    for t, (tap, (dst, src)) in enumerate(zip(kernel.reshape(-1, 27).T, kernel_map)):
+        if t == 13:
+            out += rows * tap
+            continue
+        g = np.take(rows, src, axis=0)
+        g *= tap
+        out[dst] += g
     return out.reshape(x.shape)
 
 
@@ -491,13 +517,17 @@ def vsa_decode(
     hv = _checked("hv_hat (c, l, d)", hv_hat, _voxel_shape(weights, groups))
     g = _checked("feats (m, d_in)", feats, (groups.num_points, weights.dec_query.weight.shape[0]))
     q = weights.dec_query(g)
-    k_star = weights.dec_key(hv)[groups.point_voxel]  # project c voxel rows, then gather
-    v_star = weights.dec_value(hv)[groups.point_voxel]
-    scores = np.einsum("mld,md->ml", k_star, q)
-    scores = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(scores)
-    att = e / e.sum(axis=1, keepdims=True)
-    return np.einsum("ml,mld->md", att, v_star)
+    keys, values = weights.dec_key(hv), weights.dec_value(hv)  # project c voxel rows once
+    out = np.empty_like(q)
+    for lo in range(0, groups.num_points, _DECODE_BLOCK):
+        block = slice(lo, lo + _DECODE_BLOCK)
+        voxels = groups.point_voxel[block]
+        scores = np.einsum("mld,md->ml", np.take(keys, voxels, axis=0), q[block])
+        scores -= scores.max(axis=1, keepdims=True)
+        e = np.exp(scores, out=scores)
+        e /= e.sum(axis=1, keepdims=True)
+        out[block] = np.einsum("ml,mld->md", e, np.take(values, voxels, axis=0))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,7 @@ def _brute_candidate_rows(
 
 
 def _tree_candidate_rows(
-    x: np.ndarray, n: int, queries: Optional[np.ndarray] = None
+    x: np.ndarray, n: int, queries: Optional[np.ndarray] = None, tree: Optional[cKDTree] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted candidate rows via KD-tree retrieval plus exact re-ranking.
 
@@ -191,11 +191,12 @@ def _tree_candidate_rows(
     guarantees its first n entries are exactly the n smallest and that every
     candidate tied with the n-th distance was retrieved; only the anchors
     that fail are retrieved again, at double depth. Every row keeps its
-    (d2, index)-first n + 2 candidates (all u when u is smaller).
+    (d2, index)-first n + 2 candidates (all u when u is smaller). tree, if
+    given, is cKDTree(x, leafsize=32) built by the caller.
     """
     q = x if queries is None else queries
     u = len(x)
-    tree = cKDTree(x, leafsize=32)
+    tree = cKDTree(x, leafsize=32) if tree is None else tree
     width = m = min(u, n + 2)
     idx_out = np.empty((len(q), width), dtype=np.int64)
     d2_out = np.empty((len(q), width), dtype=np.float64)
@@ -250,11 +251,13 @@ def knn_distance_range(x: np.ndarray, n: int) -> tuple[np.float64, np.float64]:
     if u <= BRUTE_FORCE_CUTOFF or not 1 <= n < u - 1:  # nearest_candidate_rows checks n
         _, d2 = nearest_candidate_rows(x, n)
         return d2[:, 0].min(), d2[:, n - 1].max()
-    d_tree, _ = cKDTree(x, leafsize=32).query(x, k=n + 1)
+    tree = cKDTree(x, leafsize=32)
+    d_tree, _ = tree.query(x, k=n + 1)
     first, nth = d_tree[:, 1], d_tree[:, n]
     near = first <= first.min() * (1.0 + 1e-9)
     far = nth >= nth.max() * (1.0 - 1e-9)
-    _, d2 = nearest_candidate_rows(x, n + 1, queries=x[near | far])
+    # the tree route of nearest_candidate_rows(x, n + 1, queries=...), on this tree
+    _, d2 = _tree_candidate_rows(x, n + 1, x[near | far], tree)
     return d2[:, 1].min(), d2[:, n].max()
 
 

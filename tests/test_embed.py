@@ -26,6 +26,8 @@ from rapidfeat import (
     vsa_encode,
 )
 from rapidfeat.embed import (
+    _DECODE_BLOCK,
+    _SCATTER_BLOCK,
     LinearStage,
     NormStage,
     _class_pairs,
@@ -425,6 +427,9 @@ class TestVsaDecode:
         assert got.tobytes() == decode_per_point(hv, feats, weights, groups).tobytes()
 
 
+VOXEL_RUN = [5000, 1, 8, 9, 127, 128, 129, 300, 1000, 1000, 1000, 394]
+
+
 def multi_block_cloud(seed):
     """(points, rng): about 20k points at voxel size 1 in shuffled storage
     order, whose voxels in voxel order hold VOXEL_RUN points, then random
@@ -440,16 +445,15 @@ def multi_block_cloud(seed):
     return pts[rng.permutation(len(pts))], rng
 
 
-VOXEL_RUN = [5000, 1, 8, 9, 127, 128, 129, 300, 1000, 1000, 1000, 394]
-
-
 class TestMultiBlock:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_scatters_and_decode_match_row_oracles(self, seed):
         pts, rng = multi_block_cloud(seed)
         groups = voxelize(pts, 1.0)
         assert groups.counts()[: len(VOXEL_RUN)].tolist() == VOXEL_RUN
-        assert sum(VOXEL_RUN) == 5000 + 4096 and groups.num_points > 2 * 8192
+        # the layout meets the block sizes it is built for
+        assert sum(VOXEL_RUN) == VOXEL_RUN[0] + _SCATTER_BLOCK and VOXEL_RUN[0] > _SCATTER_BLOCK
+        assert groups.num_points > 2 * _DECODE_BLOCK
         scores = rng.normal(size=(len(pts), 4)) * 8
         got = scatter_softmax(scores, groups)
         assert got.tobytes() == scatter_softmax_rows(scores, groups).tobytes()
@@ -472,10 +476,11 @@ class TestInputsUnchanged:
         per_point = rng.normal(size=(len(feats), l, d))
         scores = rng.normal(size=(len(feats), l))
         lin, norm = weights.inner_encoder[0]
-        inputs = [feats, latents, hv, xr, per_point, scores, *weights._tensors().values()]
+        normed = rng.normal(size=(c, l, lin.weight.shape[1]))
+        inputs = [feats, latents, hv, xr, normed, per_point, scores, *weights._tensors().values()]
         before = [a.copy() for a in inputs]
         lin(hv)
-        norm(lin(hv))
+        norm(normed)
         _sparse_depthwise_conv(xr, groups.kernel_map, weights.ffn_conv1)
         scatter_sum(per_point, groups)
         scatter_softmax(scores, groups)

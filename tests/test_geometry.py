@@ -449,6 +449,15 @@ class TestKnnDistanceRange:
         x = np.vstack([p[pair], q[pair], filler])
         assert knn_distance_range(x, 1) == range_oracle(x, 1)
 
+    def test_one_tree_per_call(self, rng, monkeypatch):
+        # The exact rank of the kept rows reuses the tree of the first query.
+        built = []
+        tree_type = geometry.cKDTree
+        monkeypatch.setattr(geometry, "cKDTree", lambda *a, **kw: built.append(1) or tree_type(*a, **kw))
+        x = rng.normal(size=(2000, 3))
+        assert knn_distance_range(x, 4) == range_oracle(x, 4)
+        assert len(built) == 1
+
     def test_depth_bounds(self, rng):
         for u in (40, 300):
             x = rng.normal(size=(u, 3))
