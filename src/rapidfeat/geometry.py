@@ -17,6 +17,9 @@ n-th exact distance does not sit strictly inside the tree's horizon.
 first and the largest n-th distance over all anchors: the tree's distances
 point out the few rows that can hold them, and only those are ranked
 exactly, so the result equals the extremes of the full ranking bit for bit.
+In large subsets a cell-count certificate first rules out most rows, so
+the tree queries only the sample that sets its bounds and the rows it
+cannot rule out.
 
 Metrics are expressed as embeddings: a metric is a callable mapping
 ``(cloud, subset) -> (n, D) float64`` such that the metric distance between
@@ -28,6 +31,8 @@ feature pipeline embeds into 4D.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -41,6 +46,11 @@ MetricEmbedding = Callable[[PointCloud, np.ndarray], np.ndarray]
 # Below this subset size the accelerated path falls back to brute force; tree
 # construction overhead dominates for tiny regions.
 BRUTE_FORCE_CUTOFF = 64
+
+# From this subset size knn_distance_range queries only the rows a cell-count
+# certificate cannot rule out; below it, querying every row is cheaper.
+CERTIFY_CUTOFF = 4096
+_SAMPLE_STRIDE = 32
 
 _ORTHONORMAL_TOL = 1e-12
 
@@ -241,24 +251,80 @@ def knn_distance_range(x: np.ndarray, n: int) -> tuple[np.float64, np.float64]:
     distance of nearest_candidate_rows(x, n), bit for bit, from exact ranks
     of the few rows that can hold them.
 
-    The tree route queries every row at depth n + 1 with the row itself
+    The tree route queries rows at depth n + 1 with the row itself
     included, so column j of the tree distances is the j-th distance to
     another row, up to rounding. Only rows whose tree value lies within a
     relative 1e-9 of the extreme are ranked exactly, as queries that find
-    themselves (or a duplicate) at distance 0 in column 0.
+    themselves (or a duplicate) at distance 0 in column 0. An extreme tree
+    distance of exactly 0 is returned unranked: the tree and the rank
+    square the same coordinate differences, so it is exactly 0 in the rank
+    too, and ranking the rows of a duplicate group would widen each of them
+    to the group's size.
+
+    Below CERTIFY_CUTOFF rows every row is queried. From it on, only the
+    rows _range_candidates cannot rule out are; the near and far sets, and
+    so the result, are the same.
     """
     u = len(x)
     if u <= BRUTE_FORCE_CUTOFF or not 1 <= n < u - 1:  # nearest_candidate_rows checks n
         _, d2 = nearest_candidate_rows(x, n)
         return d2[:, 0].min(), d2[:, n - 1].max()
     tree = cKDTree(x, leafsize=32)
-    d_tree, _ = tree.query(x, k=n + 1)
+    q = x[_range_candidates(x, n, tree)] if u >= CERTIFY_CUTOFF else x
+    d_tree, _ = tree.query(q, k=n + 1)
     first, nth = d_tree[:, 1], d_tree[:, n]
-    near = first <= first.min() * (1.0 + 1e-9)
-    far = nth >= nth.max() * (1.0 - 1e-9)
+    lo, hi = first.min(), nth.max()
+    near = (first <= lo * (1.0 + 1e-9)) & (lo > 0)
+    far = (nth >= hi * (1.0 - 1e-9)) & (hi > 0)
     # the tree route of nearest_candidate_rows(x, n + 1, queries=...), on this tree
-    _, d2 = _tree_candidate_rows(x, n + 1, x[near | far], tree)
-    return d2[:, 1].min(), d2[:, n].max()
+    _, d2 = _tree_candidate_rows(x, n + 1, q[near | far], tree)
+    return (
+        d2[:, 1].min() if lo > 0 else np.float64(0.0),
+        d2[:, n].max() if hi > 0 else np.float64(0.0),
+    )
+
+
+def _range_candidates(x: np.ndarray, n: int, tree: cKDTree) -> np.ndarray:
+    """Mask of the rows of x that can hold the smallest first or the largest
+    n-th tree distance at depth n + 1; every row when unsure.
+
+    A stride sample bounds both extremes. Its largest n-th distance, shrunk
+    by 1e-6, is a lower bound L on the largest of all rows. In cells of
+    side L / (2 sqrt(D)), shrunk by 1e-6 again, any two rows of a 3x3x3
+    block of cells lie closer than L, so a row whose block holds n + 1 rows
+    has an n-th distance below the far threshold and is ruled out. Blocks
+    are counted over the sorted cell codes with the 13 mirrored offsets of
+    the half neighbourhood. The margins dwarf the relative rounding of the
+    tree's distances (far from underflow, as the 1e-9 selection assumes
+    too) and of the cell floor, which stays near 1e-9 of a cell as long as
+    the span is at most 2**20 cells; a wider span, or L = 0, falls back to
+    every row. A row at the smallest first distance has another row
+    within the sample's smallest, grown by 1e-6 (query_pairs), unless that
+    is 0, which the sample then already holds.
+    """
+    u, dim = x.shape
+    keep = np.zeros(u, dtype=bool)
+    keep[::_SAMPLE_STRIDE] = True
+    d_sample, _ = tree.query(x[keep], k=n + 1)
+    nearest = d_sample[:, 1].min()
+    side = d_sample[:, n].max() * (1.0 - 1e-6) / (2.0 * np.sqrt(dim)) * (1.0 - 1e-6)
+    extent = np.floor((tree.maxes - tree.mins) / side) + 3 if side > 0 else np.inf
+    if not np.all(extent <= 2 ** min(20, 60 // dim)):
+        return np.ones(u, dtype=bool)
+    strides = np.array([prod(int(e) for e in extent[i + 1 :]) for i in range(dim)])
+    codes = (np.floor((x - tree.mins) / side).astype(np.int64) + 1) @ strides
+    cells, cell_of, count = np.unique(codes, return_inverse=True, return_counts=True)
+    block = count.copy()
+    for offset in list(product((-1, 0, 1), repeat=dim))[: 3**dim // 2]:
+        nb = cells + int(np.dot(offset, strides))
+        pos = np.minimum(np.searchsorted(cells, nb), len(cells) - 1)
+        hit = np.flatnonzero(cells[pos] == nb)
+        block[hit] += count[pos[hit]]
+        block[pos[hit]] += count[hit]  # the mirrored offset
+    keep |= block[cell_of] <= n
+    if nearest > 0:
+        keep[tree.query_pairs(nearest * (1.0 + 1e-6), output_type="ndarray").ravel()] = True
+    return keep
 
 
 def sorted_subset(

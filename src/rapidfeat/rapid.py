@@ -12,7 +12,8 @@ Neighbor selection is two exact k-depth KNN passes. The first, over the
 coordinates, defines the pair set from which the reflectivity scale is
 computed (the map g needs the distance range, which needs neighbor pairs);
 it reads only two order statistics of that set, the smallest first and the
-largest k-th distance, so it ranks exactly only the rows that can hold
+largest k-th distance, so it queries only the rows a cell-count
+certificate cannot rule out and ranks exactly only the rows that can hold
 them. The second runs over the embedding (x, y, z, g(r)); its k smallest
 distances are the row. Both passes are exact to depth k, so matrix values
 never depend on storage order.

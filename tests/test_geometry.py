@@ -11,18 +11,23 @@ from rapidfeat import (
     InsufficientPointsError,
     PointCloud,
     RigidTransform,
+    SensorGeometry,
     apply_transform,
     euclidean_metric,
     knn_brute,
     knn_indexed,
+    load_kitti_scan,
     rapid,
     rapid_unnormalized,
     range_of,
+    save_kitti_scan,
 )
 from rapidfeat import geometry
 from rapidfeat.geometry import knn_distance_range, nearest_candidate_rows
+from rapidfeat.partition import elevation_rings
+from rapidfeat.rapid import RangeAwareConfig, band_indices
 
-from conftest import random_cloud
+from conftest import kitti_style_scan, random_cloud
 
 
 def rotation_z(angle: float) -> np.ndarray:
@@ -401,6 +406,41 @@ def range_oracle(x, n):
     return d2[:, 0].min(), d2[:, n - 1].max()
 
 
+def rounding_flip_cloud(extreme, tree_first):
+    """Two pairs at nearly equal distance whose exact order the tree's
+    rounding flips, then filler grid points that sit farther apart (min) or
+    closer together (max) than the pairs. A scale read off the tree's
+    extreme row alone would return the other pair's distance. Row 0 is a
+    row of the pair the tree puts first when tree_first, else of the other.
+    """
+    rng = np.random.default_rng(0)
+    p = np.arange(20000)[:, None] * [100.0, 0.0, 0.0] + rng.uniform(0, 1, (20000, 3))
+    step = rng.normal(size=p.shape)
+    q = p + step / np.linalg.norm(step, axis=1)[:, None]
+    exact = np.einsum("ij,ij->i", q - p, q - p)
+    tree = cKDTree(np.vstack([p, q])).query(p, k=2)[0][:, 1]
+    order = np.argsort(exact, kind="stable")
+    flips = np.flatnonzero((np.diff(tree[order]) < 0) & (np.diff(exact[order]) > 0))
+    assert len(flips) > 0
+    pair = order[[flips[0] + 1, flips[0]] if tree_first else [flips[0], flips[0] + 1]]
+    g = np.arange(5) * (10.0 if extreme == "min" else 0.1)
+    filler = np.stack(np.meshgrid(g, g, g), axis=-1).reshape(-1, 3) - 1e3
+    return np.vstack([p[pair], q[pair], filler])
+
+
+def spy_rank_widths(monkeypatch):
+    """Candidate row widths of every geometry._ranked call, recorded."""
+    widths = []
+    ranked = geometry._ranked
+
+    def spy(x, q, idx, own):
+        widths.append(idx.shape[1])
+        return ranked(x, q, idx, own)
+
+    monkeypatch.setattr(geometry, "_ranked", spy)
+    return widths
+
+
 class TestKnnDistanceRange:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -408,13 +448,17 @@ class TestKnnDistanceRange:
         depth=st.integers(1, 10),
         span=st.integers(0, 6),
         seed=st.integers(0, 2 ** 31),
+        certify=st.booleans(),
     )
-    def test_integer_lattice_matches_full_ranking(self, u, depth, span, seed):
+    def test_integer_lattice_matches_full_ranking(self, u, depth, span, seed, certify):
         # Small spans put many rows on one lattice site: ties and duplicates
-        # at both extremes, on the brute route (u <= 64) and the tree route.
+        # at both extremes, on the brute route (u <= 64) and both tree routes.
         x = np.random.default_rng(seed).integers(0, span + 1, size=(u, 3)).astype(np.float64)
         n = min(depth, u - 1)
-        assert knn_distance_range(x, n) == range_oracle(x, n)
+        with pytest.MonkeyPatch.context() as patch:
+            if certify:
+                patch.setattr(geometry, "CERTIFY_CUTOFF", 0)
+            assert knn_distance_range(x, n) == range_oracle(x, n)
 
     @pytest.mark.parametrize("u", [40, 300])
     def test_all_coincident(self, u):
@@ -422,7 +466,7 @@ class TestKnnDistanceRange:
         assert knn_distance_range(x, 5) == range_oracle(x, 5) == (0.0, 0.0)
 
     @pytest.mark.parametrize("u", [40, 300, 2000])
-    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e8])
     def test_continuous_cloud(self, rng, u, offset):
         x = rng.normal(size=(u, 3)) * [3.0, 1.0, 0.2] + offset
         for n in (1, 4, 10):
@@ -430,23 +474,7 @@ class TestKnnDistanceRange:
 
     @pytest.mark.parametrize("extreme", ["min", "max"])
     def test_tree_rounding_reorders_the_extreme_rows(self, extreme):
-        # Two pairs at nearly equal distance whose exact order the tree's
-        # rounding flips; filler grid points sit farther apart (min) or
-        # closer together (max) than the pairs. A scale read off the tree's
-        # extreme row alone would return the other pair's distance.
-        rng = np.random.default_rng(0)
-        p = np.arange(20000)[:, None] * [100.0, 0.0, 0.0] + rng.uniform(0, 1, (20000, 3))
-        step = rng.normal(size=p.shape)
-        q = p + step / np.linalg.norm(step, axis=1)[:, None]
-        exact = np.einsum("ij,ij->i", q - p, q - p)
-        tree = cKDTree(np.vstack([p, q])).query(p, k=2)[0][:, 1]
-        order = np.argsort(exact, kind="stable")
-        flips = np.flatnonzero((np.diff(tree[order]) < 0) & (np.diff(exact[order]) > 0))
-        assert len(flips) > 0
-        pair = order[[flips[0], flips[0] + 1]]
-        g = np.arange(5) * (10.0 if extreme == "min" else 0.1)
-        filler = np.stack(np.meshgrid(g, g, g), axis=-1).reshape(-1, 3) - 1e3
-        x = np.vstack([p[pair], q[pair], filler])
+        x = rounding_flip_cloud(extreme, tree_first=False)
         assert knn_distance_range(x, 1) == range_oracle(x, 1)
 
     def test_one_tree_per_call(self, rng, monkeypatch):
@@ -465,3 +493,98 @@ class TestKnnDistanceRange:
                 with pytest.raises(ContractError):
                     knn_distance_range(x, n)
             assert knn_distance_range(x, u - 1) == range_oracle(x, u - 1)
+
+    def test_duplicate_cluster_is_not_ranked(self, rng, monkeypatch):
+        # A tree distance of 0 is exactly 0 in the rank, so the rows of a
+        # duplicate cluster are not ranked; each would widen to its size.
+        widths = spy_rank_widths(monkeypatch)
+        x = np.vstack([rng.normal(size=(500, 3)), np.full((2000, 3), 0.25), rng.normal(size=(500, 3))])
+        assert knn_distance_range(x, 5) == range_oracle(x, 5)
+        assert 0 < len(widths) and max(widths) == 5 + 3  # no row widened
+
+
+class TestKnnDistanceRangeCertified(TestKnnDistanceRange):
+    """Every case above on the certificate route, which outside these tests
+    only regions of CERTIFY_CUTOFF rows take."""
+
+    # Hypothesis runs a test from one class only: the lattice test draws its route.
+    test_integer_lattice_matches_full_ranking = None
+
+    @pytest.fixture(autouse=True, scope="class")
+    def certify_every_size(self):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "CERTIFY_CUTOFF", 0)
+            yield
+
+
+class TestRangeCertificate:
+    @staticmethod
+    def depth_queries(monkeypatch, n):
+        """Rows per cKDTree.query at depth n + 1, recorded by a spy tree."""
+        rows = []
+
+        class SpyTree(cKDTree):
+            def query(self, q, k):
+                if k == n + 1:
+                    rows.append(len(q))
+                return super().query(q, k=k)
+
+        monkeypatch.setattr(geometry, "cKDTree", SpyTree)
+        return rows
+
+    def test_coincident_rows_are_not_ranked(self, monkeypatch):
+        # Both extremes are 0, so the L = 0 fallback queries every row and
+        # nothing is ranked. range_oracle of coincident rows is (0, 0) at
+        # any size (test_all_coincident).
+        widths = spy_rank_widths(monkeypatch)
+        assert knn_distance_range(np.full((20000, 3), 7.25), 5) == (0.0, 0.0)
+        assert widths == []
+
+    def test_isolated_row_outside_the_sample(self, rng, monkeypatch):
+        # The sample's n-th distances bound the largest one from below only;
+        # the isolated row holds it, and its cell block holds it alone.
+        monkeypatch.setattr(geometry, "CERTIFY_CUTOFF", 0)
+        x = rng.normal(size=(1500, 3))
+        x[1] = [40.0, -30.0, 20.0]
+        assert 1 % geometry._SAMPLE_STRIDE != 0
+        rows = self.depth_queries(monkeypatch, 4)
+        assert knn_distance_range(x, 4) == range_oracle(x, 4)
+        assert sum(rows) < len(x)
+
+    def test_tree_rounding_with_the_tree_minimum_sampled(self, monkeypatch):
+        # The stride sample holds row 0, of the pair the tree puts first; the
+        # exact minimum is the other pair, whose tree distance exceeds the
+        # sample's smallest by less than 1e-9 and which query_pairs must
+        # still return.
+        monkeypatch.setattr(geometry, "CERTIFY_CUTOFF", 0)
+        x = rounding_flip_cloud("min", tree_first=True)
+        assert knn_distance_range(x, 1) == range_oracle(x, 1)
+
+    def test_wide_span_queries_every_row(self, rng, monkeypatch):
+        # Two tight clusters 1e7 apart: the span is far more than 2**20
+        # cells of the sample's n-th distance, so the cell floor is not
+        # trusted and every row is queried.
+        monkeypatch.setattr(geometry, "CERTIFY_CUTOFF", 0)
+        x = np.vstack([rng.normal(size=(600, 3)), rng.normal(size=(600, 3)) + 1e7])
+        rows = self.depth_queries(monkeypatch, 4)
+        assert knn_distance_range(x, 4) == range_oracle(x, 4)
+        assert rows[-1] == len(x)
+
+    def test_ring_region_queries_few_rows(self, tmp_path, monkeypatch):
+        # The ring-0 close region of the 120k-point scan, read back from a
+        # .bin as extraction reads it: the sample and the rows the cell
+        # counts leave make up under a quarter of the region.
+        path = tmp_path / "scan.bin"
+        save_kitti_scan(kitti_style_scan(seed=77, beams=64, per_beam=1875), path)
+        cloud = load_kitti_scan(path)
+        region = (elevation_rings(cloud.points, SensorGeometry.from_fov(64, (-24.8, 2.0))) == 0) & (
+            band_indices(range_of(cloud.points), RangeAwareConfig()) == 0
+        )
+        x, n = cloud.points[region], RangeAwareConfig().k_close
+        assert len(x) > 80000
+        rows = self.depth_queries(monkeypatch, n)
+        got = knn_distance_range(x, n)
+        assert sum(rows) < len(x) / 4
+        monkeypatch.setattr(geometry, "CERTIFY_CUTOFF", len(x) + 1)
+        assert got == knn_distance_range(x, n)
+        assert rows[-1] == len(x)
