@@ -2,7 +2,7 @@
 
 The outer stage is voxel set attention: pointwise features are projected to
 keys and values, cross-attended against a small set of latent queries with a
-softmax computed independently inside each voxel group, and scatter-summed
+softmax computed independently inside each voxel group, and summed per voxel
 into a voxel-wise tensor. The inner stage compresses the feature width with
 linear+batchnorm stages, exchanges information between neighboring voxels
 with two depthwise 3x3x3 convolutions over the sparse voxel grid, and
@@ -12,11 +12,15 @@ offsets, found once with a sorted-code lookup (the MinkowskiEngine idiom).
 The point decoder broadcasts voxel features back to points and attends them
 against point-side queries.
 
-Voxel-side code runs in voxel order on flat arrays: one sort puts the
-points in voxel order, scatters reduce cache-sized runs of whole voxels,
-convolutions update the (c, l*d') row view, and the decoder projects voxel
-rows before gathering them per block of points. Reductions run in a fixed
-order, so results do not depend on scheduling or on block sizes.
+Voxel-side code runs in voxel order on flat arrays: one sort of one int64
+code per point puts the points in voxel order; the encoder walks cache-sized
+runs of whole voxels, where it forms each point's attention products and
+sums them per voxel, so no per-point (m, l, d) tensor exists; linear stages
+are one 2-D GEMM on the (rows, d) view; convolutions add slot by slot to
+prefixes of the (c, l*d') rows, with voxels ranked by their count of present
+offsets; and the decoder projects voxel rows before gathering them per block
+of points. Every sum keeps a fixed order, so results do not depend on
+scheduling or on block sizes.
 
 The contrastive loss pairs every point with its coordinate-nearest point of
 the same class and of any other class. The pairs come from exact per-class
@@ -111,16 +115,11 @@ class VoxelGroups:
     def kernel_map(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per 3x3x3 offset, in product((-1, 0, 1), repeat=3) order, the
         (destination, source) voxel indices with source = destination +
-        offset. Built once per grid and shared by every convolution on it;
-        destinations ascend within each offset; voxel + offset has code
-        code + dot(offset, strides), since the ravel is linear. Offset 26 - t
-        is offset t negated, so its pairs are those of t swapped."""
-        coords = self.voxel_coords
-        if len(coords) == 0:
-            return ((coords[:, 0], coords[:, 0]),) * 27
-        _, ey, ez = _padded_extent(coords)
-        strides = np.array([ey * ez, ez, 1], dtype=np.int64)
-        codes = (coords - coords.min(axis=0)) @ strides
+        offset. Built once per grid; destinations ascend within each offset;
+        voxel + offset has code code + dot(offset, strides), since the ravel
+        is linear. Offset 26 - t is offset t negated, so its pairs are those
+        of t swapped."""
+        codes, strides = _voxel_codes(self.voxel_coords)
         centre = np.arange(len(codes))
         pairs = [(centre, centre)] * 27
         for t, offset in zip(range(13), product((-1, 0, 1), repeat=3)):
@@ -131,10 +130,53 @@ class VoxelGroups:
             pairs[26 - t] = pairs[t][::-1]
         return tuple(pairs)
 
+    @cached_property
+    def conv_slots(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+        """(rank, slots): the kernel map regrouped so that each convolution
+        step adds to a prefix of rows. Voxels are ranked by their count of
+        present offsets, most first (a stable sort); voxel v is row rank[v].
+        Slot j holds, for each of the first n_j ranked voxels (those with
+        more than j present offsets), the (source voxel, offset) of its j-th
+        present offset in offset order, so adding slots 0, 1, ... in turn
+        sums every voxel's terms in offset order. Built once per grid and
+        shared by every convolution on it."""
+        pairs = self.kernel_map
+        counts = np.bincount(np.concatenate([dst for dst, _ in pairs]), minlength=self.num_voxels)
+        ranked, sizes = _longest_first(counts, 27)  # sizes[j] = n_j
+        rank = np.empty_like(ranked)
+        rank[ranked] = np.arange(len(ranked))
+        ends = np.cumsum(sizes)
+        begins = ends - sizes
+        src_at, off_at = np.empty(ends[-1], dtype=np.int64), np.empty(ends[-1], dtype=np.int64)
+        filled = np.zeros_like(counts)  # slots filled so far per voxel
+        for t, (dst, src) in enumerate(pairs):
+            at = begins[filled[dst]] + rank[dst]
+            src_at[at], off_at[at] = src, t
+            filled[dst] += 1
+        return rank, tuple((src_at[a:b], off_at[a:b]) for a, b in zip(begins, ends) if a < b)
 
-def _padded_extent(coords: np.ndarray) -> list[int]:
-    """Per-axis cells of the voxel box padded for 3x3x3 offsets, as Python ints."""
-    return [int(hi) - int(lo) + 4 for lo, hi in zip(coords.min(axis=0), coords.max(axis=0))]
+
+def _longest_first(counts: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ranked, longer): indices ranked by count, most first (a stable sort),
+    and for each j < depth the number of counts above j, so the items with
+    more than j entries are the first longer[j] ranked ones."""
+    ranked = np.argsort(-counts, kind="stable")
+    return ranked, np.searchsorted(-counts[ranked], -np.arange(depth), "left")
+
+
+def _voxel_codes(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, strides): the row-major code of each integer coordinate row in
+    the rows' bounding box padded for 3x3x3 offsets, and the box's strides.
+    Codes ascend in lexicographic coordinate order. ContractError if the
+    padded box has more cells than int64 codes index."""
+    if len(coords) == 0:
+        return np.zeros(0, dtype=np.int64), np.ones(3, dtype=np.int64)
+    lo = coords.min(axis=0)
+    extent = [int(h) - int(a) + 4 for a, h in zip(lo, coords.max(axis=0))]
+    if prod(extent) > np.iinfo(np.int64).max:
+        raise ContractError("voxel bounding box has more cells than int64 codes index")
+    strides = np.array([extent[1] * extent[2], extent[2], 1], dtype=np.int64)
+    return (coords - lo) @ strides, strides
 
 
 def voxelize(
@@ -152,19 +194,19 @@ def voxelize(
     if not np.all((scaled >= -(2.0 ** 63)) & (scaled < 2.0 ** 63)):
         raise ContractError("voxel coordinates must be finite and fit int64")
     coords = scaled.astype(np.int64)
-    if len(coords) and prod(_padded_extent(coords)) > np.iinfo(np.int64).max:
-        raise ContractError("voxel bounding box has more cells than int64 codes index")
-    order = np.lexsort(coords.T[::-1])  # stable: ties keep point order
-    ordered = coords[order]
-    first = np.ones(len(order), dtype=bool)  # where the sorted coordinates change
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    codes, _ = _voxel_codes(coords)
+    order = np.argsort(codes, kind="stable")  # ties keep point order
+    ordered = codes[order]
+    first = np.ones(len(order), dtype=bool)  # where the sorted codes change
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     point_voxel = np.empty_like(order)
     point_voxel[order] = np.cumsum(first) - 1
+    starts = np.flatnonzero(first)
     return VoxelGroups(
         point_voxel=point_voxel,
-        voxel_coords=ordered[first],
+        voxel_coords=coords[order[starts]],
         order=order,
-        starts=np.flatnonzero(first),
+        starts=starts,
     )
 
 
@@ -179,8 +221,12 @@ class LinearStage:
     bias: np.ndarray
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        y = x @ self.weight
-        y += self.bias
+        """x @ weight + bias over the last axis, as one 2-D GEMM on the
+        (rows, d) view rather than a stacked matmul over leading axes."""
+        y = x.reshape(-1, x.shape[-1]) @ self.weight
+        y = y.reshape(x.shape[:-1] + y.shape[-1:])
+        rows, (bias,) = _rowwise(y, self.bias)
+        rows += bias  # rows is a view of y
         return y
 
 
@@ -199,11 +245,22 @@ class NormStage:
             raise ContractError("batch-norm variance must be positive")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        y = x - self.mean  # (x - mean) / sqrt(var + eps) * gamma + beta, in place
-        y /= np.sqrt(self.var + self.eps)
-        y *= self.gamma
-        y += self.beta
-        return y
+        std = np.sqrt(self.var + self.eps)
+        rows, (mean, std, gamma, beta) = _rowwise(x, self.mean, std, self.gamma, self.beta)
+        y = rows - mean  # (x - mean) / sqrt(var + eps) * gamma + beta, in place
+        y /= std
+        y *= gamma
+        y += beta
+        return y.reshape(x.shape)
+
+
+def _rowwise(x: np.ndarray, *params: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """x as rows over all its axes but the first, and each last-axis
+    parameter tiled along such a row: the arithmetic of broadcasting over the
+    last axis, element for element, in numpy inner loops l*d rather than d
+    long."""
+    reps = prod(x.shape[1:-1])
+    return x.reshape(-1, reps * x.shape[-1]), [np.tile(p, reps) for p in params]
 
 
 _PROJECTIONS = ("enc_key", "enc_value", "dec_query", "dec_key", "dec_value")
@@ -388,19 +445,60 @@ def seeded_latents(dims: EmbeddingDims, rng: np.random.Generator) -> np.ndarray:
 
 _SCATTER_BLOCK = 4096  # points per voxel-aligned block of the scatters
 _DECODE_BLOCK = 8192  # points per block of the decoder
+_IN_ORDER = 8  # numpy's pairwise sum adds fewer terms than this in order
 
 
-def _voxel_blocks(rows: np.ndarray, groups: VoxelGroups):
+def _voxel_blocks(groups: VoxelGroups, *arrays: np.ndarray):
     """Per run of whole voxels of about _SCATTER_BLOCK points (a larger voxel
     is a run of its own): its voxel slice, point indices, segment bounds and
-    rows, gathered in voxel order into a block that stays in cache."""
+    the rows of each array, gathered in voxel order into blocks that stay in
+    cache."""
     bounds = np.append(groups.starts, groups.num_points)
     v0 = 0
     while v0 < groups.num_voxels:
         v1 = max(v0 + 1, int(np.searchsorted(bounds, bounds[v0] + _SCATTER_BLOCK, "right")) - 1)
         idx = groups.order[bounds[v0] : bounds[v1]]
-        yield slice(v0, v1), idx, bounds[v0 : v1 + 1] - bounds[v0], np.take(rows, idx, axis=0)
+        blocks = [np.take(a, idx, axis=0) for a in arrays]
+        yield slice(v0, v1), idx, bounds[v0 : v1 + 1] - bounds[v0], blocks
         v0 = v1
+
+
+def _segment_sums(rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """np.add.reduceat(rows, bounds[:-1]) bit for bit, in fewer inner loops.
+
+    numpy reduces a segment to its first row plus the sum of its other rows,
+    and adds fewer than _IN_ORDER of those in order, starting from -0.0.
+    Segments of up to _IN_ORDER rows are summed that way here, slot by slot
+    as in the convolution: ranked by length, longest first (a stable sort),
+    so slot j adds the j-th rows of a prefix of the segments. Longer
+    segments go through reduceat itself.
+    """
+    starts, counts = bounds[:-1], np.diff(bounds)
+    ranked, longer = _longest_first(counts, _IN_ORDER + 1)
+    first, sizes = starts[ranked], counts[ranked]
+    n = longer[_IN_ORDER]  # the reduceat ones lead the ranking
+    out = np.take(rows, first, axis=0)
+    rest = np.full((longer[1] - n, rows.shape[1]), -0.0)
+    for j in range(1, _IN_ORDER):
+        rest[: longer[j] - n] += np.take(rows, first[n : longer[j]] + j, axis=0)
+    out[n : longer[1]] += rest
+    if n:
+        c = sizes[:n]
+        at = np.cumsum(c) - c
+        idx = np.repeat(first[:n] - at, c) + np.arange(at[-1] + c[-1])
+        out[:n] = np.add.reduceat(np.take(rows, idx, axis=0), at)
+    result = np.empty_like(out)
+    result[ranked] = out
+    return result
+
+
+def _block_softmax(block: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Softmax over the rows of each segment bounds[i]:bounds[i + 1] of a
+    voxel block of scores, independently per column."""
+    starts, counts = bounds[:-1], np.diff(bounds)
+    e = np.exp(block - np.repeat(np.maximum.reduceat(block, starts), counts, axis=0))
+    e /= np.repeat(np.add.reduceat(e, starts), counts, axis=0)
+    return e
 
 
 def scatter_softmax(scores: np.ndarray, groups: VoxelGroups) -> np.ndarray:
@@ -412,11 +510,8 @@ def scatter_softmax(scores: np.ndarray, groups: VoxelGroups) -> np.ndarray:
     if s.ndim != 2 or s.shape[0] != groups.num_points:
         raise ContractError(f"scores must be (m, l) with m={groups.num_points}")
     out = np.empty_like(s)
-    for _, idx, bounds, block in _voxel_blocks(s, groups):
-        starts, counts = bounds[:-1], np.diff(bounds)
-        e = np.exp(block - np.repeat(np.maximum.reduceat(block, starts), counts, axis=0))
-        e /= np.repeat(np.add.reduceat(e, starts), counts, axis=0)
-        out[idx] = e
+    for _, idx, bounds, (block,) in _voxel_blocks(groups, s):
+        out[idx] = _block_softmax(block, bounds)
     return out
 
 
@@ -425,8 +520,8 @@ def scatter_sum(per_point: np.ndarray, groups: VoxelGroups) -> np.ndarray:
     x = np.asarray(per_point, dtype=np.float64)
     rows = x.reshape(groups.num_points, prod(x.shape[1:]))
     out = np.empty((groups.num_voxels, rows.shape[1]))
-    for voxels, _, bounds, block in _voxel_blocks(rows, groups):
-        out[voxels] = np.add.reduceat(block, bounds[:-1])
+    for voxels, _, bounds, (block,) in _voxel_blocks(groups, rows):
+        out[voxels] = _segment_sums(block, bounds)
     return out.reshape((groups.num_voxels,) + x.shape[1:])
 
 
@@ -448,40 +543,43 @@ def vsa_encode(
     latents: np.ndarray,
     weights: WeightSet,
     groups: VoxelGroups,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Outer voxel encoder: per-point attention tensor and its voxel sums.
+) -> np.ndarray:
+    """Outer voxel encoder: the (c, l, d) voxel tensor Hv.
 
-    Returns (H, Hv) with H of shape (m, l, d) and Hv of shape (c, l, d);
-    Hv is exactly the per-voxel sum of its member points' H.
+    Each point's attention row (its key scored against the latents, with a
+    softmax over the points of its voxel) weights its value row; Hv sums
+    these (l, d) products over each voxel's points. One walk over voxel
+    blocks does the softmax, the products and the sums, so the (m, l, d)
+    per-point tensor is never built.
     """
     g = _checked("feats (m, d_in)", feats, (groups.num_points, weights.enc_key.weight.shape[0]))
-    lat = _checked("latents (l, d)", latents, _voxel_shape(weights, groups)[1:])
-    k = weights.enc_key(g)
-    v = weights.enc_value(g)
-    att = scatter_softmax(k @ lat.T, groups)
-    h = att[:, :, None] * v[:, None, :]
-    hv = scatter_sum(h, groups)
-    return h, hv
+    c, l, d = _voxel_shape(weights, groups)
+    lat = _checked("latents (l, d)", latents, (l, d))
+    scores = weights.enc_key(g) @ lat.T
+    values = weights.enc_value(g)
+    hv = np.empty((c, l * d))
+    for voxels, _, bounds, (s, v) in _voxel_blocks(groups, scores, values):
+        h = _block_softmax(s, bounds)[:, :, None] * v[:, None, :]
+        hv[voxels] = _segment_sums(h.reshape(len(h), l * d), bounds)
+    return hv.reshape(c, l, d)
 
 
-def _sparse_depthwise_conv(
-    x: np.ndarray,
-    kernel_map: tuple[tuple[np.ndarray, np.ndarray], ...],
-    kernel: np.ndarray,
-) -> np.ndarray:
-    """Depthwise 3x3x3 convolution over occupied voxels; absent neighbors
-    contribute zero. kernel_map is VoxelGroups.kernel_map of x's grid, whose
-    centre offset (13) pairs every voxel with itself."""
+def _sparse_depthwise_conv(x: np.ndarray, groups: VoxelGroups, kernel: np.ndarray) -> np.ndarray:
+    """Depthwise 3x3x3 convolution over the occupied voxels of groups, x's
+    grid; absent neighbors contribute zero. Slot by slot of
+    VoxelGroups.conv_slots, the source rows times their offsets' taps are
+    added to a prefix of the rows in rank order, so each voxel sums its
+    present offsets in offset order from +0.0; one gather restores voxel
+    order."""
+    rank, slots = groups.conv_slots
     rows = x.reshape(len(x), prod(x.shape[1:]))
+    taps = np.ascontiguousarray(kernel.reshape(-1, 27).T)  # (27, l*d') in offset order
     out = np.zeros_like(rows)
-    for t, (tap, (dst, src)) in enumerate(zip(kernel.reshape(-1, 27).T, kernel_map)):
-        if t == 13:
-            out += rows * tap
-            continue
+    for src, off in slots:
         g = np.take(rows, src, axis=0)
-        g *= tap
-        out[dst] += g
-    return out.reshape(x.shape)
+        g *= np.take(taps, off, axis=0)
+        out[: len(src)] += g
+    return np.take(out, rank, axis=0).reshape(x.shape)
 
 
 def inner_bottleneck(
@@ -499,8 +597,8 @@ def inner_bottleneck(
         x = norm(lin(x))
     hbar = x
     act = _ACTIVATIONS[weights.activation]
-    y = _sparse_depthwise_conv(hbar, groups.kernel_map, weights.ffn_conv1)
-    y = _sparse_depthwise_conv(act(y), groups.kernel_map, weights.ffn_conv2)
+    y = _sparse_depthwise_conv(hbar, groups, weights.ffn_conv1)
+    y = _sparse_depthwise_conv(act(y), groups, weights.ffn_conv2)
     for lin in weights.inner_decoder:
         y = lin(y)
     return hbar, y
@@ -628,7 +726,7 @@ def autoencoder_forward(
 ) -> EmbeddingForward:
     """Full nested forward pass: outer encode, inner bottleneck, point decode."""
     g = np.asarray(feats, dtype=np.float64)
-    _, hv = vsa_encode(g, latents, weights, groups)
+    hv = vsa_encode(g, latents, weights, groups)
     hbar, hv_hat = inner_bottleneck(hv, weights, groups)
     g_hat = vsa_decode(hv_hat, g, weights, groups)
     return EmbeddingForward(

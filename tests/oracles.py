@@ -16,7 +16,9 @@ each compared byte for byte with what production returns:
 voxelize_unique     np.unique(axis=0) grouping  vs  voxelize
 scatter_softmax_rows / scatter_sum_rows
                     axis-0 reduceat over point rows  vs  scatter_softmax / scatter_sum
-conv_oracle         one ravel_multi_index lookup per offset  vs  the kernel-map
+point_attention     the per-point (m, l, d) tensor H, whose scatter_sum_rows
+                    is vsa_encode's voxel tensor
+conv_oracle         one ravel_multi_index lookup per offset  vs  the slot-ordered
                     depthwise convolution
 kernel_map_pairs    one ravel_multi_index lookup per offset  vs  VoxelGroups.kernel_map
 decode_per_point    projections of the (m, l, d) broadcast  vs  vsa_decode
@@ -156,6 +158,16 @@ def scatter_sum_rows(per_point: np.ndarray, groups: VoxelGroups) -> np.ndarray:
     flat = x[groups.order].reshape(groups.num_points, -1)
     summed = np.add.reduceat(flat, groups.starts, axis=0)
     return summed.reshape((groups.num_voxels,) + x.shape[1:])
+
+
+def point_attention(
+    feats: np.ndarray, latents: np.ndarray, weights: WeightSet, groups: VoxelGroups
+) -> np.ndarray:
+    """The encoder's per-point (m, l, d) tensor H: each point's per-voxel
+    attention row over the latents times its value row."""
+    g = np.asarray(feats, dtype=np.float64)
+    att = scatter_softmax_rows(weights.enc_key(g) @ np.asarray(latents).T, groups)
+    return att[:, :, None] * weights.enc_value(g)[:, None, :]
 
 
 def conv_oracle(x: np.ndarray, coords: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from rapidfeat.cli import EXIT_OK, main
 from rapidfeat.scene_io import load_feature_file
 
 from conftest import default_scene, kitti_style_scan, random_cloud, small_geometry
+from oracles import point_attention
 from test_embed import oracle_contrastive
 
 
@@ -227,7 +228,9 @@ class TestCriterion06ScatterIdentities:
             dims = rf.EmbeddingDims(latents=l, width=max(d, 1), reduced=max(d, 1))
             weights = rf.WeightSet.seeded(dims, rng, in_width=4)
             latents = rf.seeded_latents(dims, rng)
-            h, hv = rf.vsa_encode(rng.normal(size=(m, 4)), latents, weights, groups)
+            feats = rng.normal(size=(m, 4))
+            h = point_attention(feats, latents, weights, groups)
+            hv = rf.vsa_encode(feats, latents, weights, groups)
             err = float(np.abs(hv.sum(axis=0) - h.sum(axis=0)).max())
             worst_cons = max(worst_cons, err)
             assert err <= 1e-9

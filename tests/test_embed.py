@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from rapidfeat import (
     ContractError,
     EmbeddingDims,
     FormatError,
+    VoxelGroups,
     WeightSet,
     autoencoder_forward,
     contrastive_loss,
@@ -41,6 +43,7 @@ from oracles import (
     conv_oracle,
     decode_per_point,
     kernel_map_pairs,
+    point_attention,
     scatter_softmax_rows,
     scatter_sum_rows,
     voxelize_unique,
@@ -149,13 +152,24 @@ class TestVoxelize:
         with pytest.raises(ContractError):
             voxelize(pts, 1e-6)
 
+    def test_kernel_map_beyond_int64_codes(self):
+        # The padded box of this hand-built grid has more than 2^63 cells:
+        # wrapped codes would drop its two z-neighbour pairs without a word.
+        coords = np.array([[0, 0, 0], [0, 0, 1], [2 ** 21] * 3, [2 ** 21, 2 ** 21, 2 ** 21 + 1]])
+        index = np.arange(4)
+        groups = VoxelGroups(point_voxel=index, voxel_coords=coords, order=index, starts=index)
+        with pytest.raises(ContractError, match="int64"):
+            groups.kernel_map
+        with pytest.raises(ContractError, match="int64"):
+            voxelize(coords + 0.5, 1.0)
+
     def test_widest_codable_box_convolves(self, rng):
         # 2e6 + 4 cells per axis pad to about 8e18 < 2^63 cells: codes fit.
         coords = np.array([[-1e6, -1e6, -1e6], [1e6, 1e6, 1e6], [1e6, 1e6, 1e6 - 1], [0, 0, 0]])
         groups = grid_groups(coords)
         x = rng.normal(size=(groups.num_voxels, 2, 3))
         kernel = rng.normal(size=(2, 3, 3, 3, 3))
-        got = _sparse_depthwise_conv(x, groups.kernel_map, kernel)
+        got = _sparse_depthwise_conv(x, groups, kernel)
         assert got.tobytes() == conv_oracle(x, groups.voxel_coords, kernel).tobytes()
 
 
@@ -204,13 +218,27 @@ class TestScatterOracles:
         assert got.flags.c_contiguous and got.shape == (g.num_voxels,) + shape
         assert got.tobytes() == scatter_sum_rows(x, g).tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(cloud=grid_clouds())
+    def test_sum_keeps_signed_zeros(self, cloud):
+        # Columns of signed zeros only, and of zeros among other values: each
+        # voxel's sum carries the zero sign reduceat gives it, for voxels of
+        # up to 8 points (summed in order) and longer ones alike.
+        pts, seed = cloud
+        g = voxelize(pts, 1.0)
+        rng = np.random.default_rng(seed)
+        x = rng.choice([-0.0, 0.0], size=(len(pts), 4))
+        x[:, 2:] = rng.choice([-0.0, 0.0, -1.5, 2.0 ** -1074, 1e300], size=(len(pts), 2))
+        assert scatter_sum(x, g).tobytes() == scatter_sum_rows(x, g).tobytes()
+
 
 class TestVsaEncode:
     def test_one_point_per_voxel_hv_equals_h(self):
         rng, pts, _, feats, weights, latents, _ = make_instance(0, m=12)
         spread = np.arange(12, dtype=np.float64)[:, None] * np.array([5.0, 0, 0])
         groups = voxelize(spread, 0.5)
-        h, hv = vsa_encode(feats, latents, weights, groups)
+        h = point_attention(feats, latents, weights, groups)
+        hv = vsa_encode(feats, latents, weights, groups)
         assert np.array_equal(hv, h[np.argsort(groups.point_voxel, kind="stable")])
 
     def test_zero_values_give_zero_outputs(self):
@@ -230,13 +258,15 @@ class TestVsaEncode:
             activation=weights.activation,
             inner_decoder=weights.inner_decoder,
         )
-        h, hv = vsa_encode(feats, latents, zeroed, groups)
+        h = point_attention(feats, latents, zeroed, groups)
+        hv = vsa_encode(feats, latents, zeroed, groups)
         assert np.all(h == 0.0) and np.all(hv == 0.0)
 
     def test_conservation_identity(self):
         for seed in range(10):
             _, _, groups, feats, weights, latents, _ = make_instance(seed, m=150)
-            h, hv = vsa_encode(feats, latents, weights, groups)
+            h = point_attention(feats, latents, weights, groups)
+            hv = vsa_encode(feats, latents, weights, groups)
             assert np.abs(hv.sum(axis=0) - h.sum(axis=0)).max() <= 1e-9
 
     def test_shape_contract(self):
@@ -334,14 +364,14 @@ class TestKernelMapConv:
         groups = grid_groups(rng.integers(-span, span + 1, size=(n, 3)))
         x = rng.normal(size=(groups.num_voxels, 2, 3))
         kernel = rng.normal(size=(2, 3, 3, 3, 3))
-        got = _sparse_depthwise_conv(x, groups.kernel_map, kernel)
+        got = _sparse_depthwise_conv(x, groups, kernel)
         assert got.tobytes() == conv_oracle(x, groups.voxel_coords, kernel).tobytes()
 
     def test_single_voxel_uses_center_tap(self, rng):
         groups = grid_groups([[4, -2, 7]])
         x = rng.normal(size=(1, 2, 3))
         kernel = rng.normal(size=(2, 3, 3, 3, 3))
-        got = _sparse_depthwise_conv(x, groups.kernel_map, kernel)
+        got = _sparse_depthwise_conv(x, groups, kernel)
         assert np.array_equal(got, x * kernel[:, :, 1, 1, 1])
 
     def test_isolated_voxels(self, rng):
@@ -350,13 +380,46 @@ class TestKernelMapConv:
         assert all(len(dst) == 0 for i, (dst, _) in enumerate(groups.kernel_map) if i != 13)
         x = rng.normal(size=(groups.num_voxels, 2, 3))
         kernel = rng.normal(size=(2, 3, 3, 3, 3))
-        got = _sparse_depthwise_conv(x, groups.kernel_map, kernel)
+        got = _sparse_depthwise_conv(x, groups, kernel)
         assert got.tobytes() == conv_oracle(x, groups.voxel_coords, kernel).tobytes()
         assert np.array_equal(got, x * kernel[:, :, 1, 1, 1])
 
     def test_map_built_once_per_grid(self, rng):
         groups = grid_groups(rng.integers(0, 4, size=(20, 3)))
         assert groups.kernel_map is groups.kernel_map
+        assert groups.conv_slots is groups.conv_slots
+
+    def test_zero_terms_sum_to_positive_zero(self, rng):
+        # relu'd rows times negative taps: the 3x3 patch's rows are all zero,
+        # so each of its voxels sums only -0.0 terms, and must give +0.0.
+        patch = [[0, y, z] for y in range(3) for z in range(3)]
+        coords = np.array(patch + [[5, 5, 5], [5, 5, 6], [9, 0, 0]])
+        groups = grid_groups(coords)
+        x = np.maximum(rng.normal(size=(groups.num_voxels, 2, 3)), 0.0)
+        x[:9] = 0.0  # the patch comes first in voxel order
+        kernel = -np.abs(rng.normal(size=(2, 3, 3, 3, 3)))
+        got = _sparse_depthwise_conv(x, groups, kernel)
+        assert got.tobytes() == conv_oracle(x, groups.voxel_coords, kernel).tobytes()
+        assert np.all(got[:9] == 0.0) and not np.signbit(got[:9]).any()
+
+    def test_full_block_uses_every_slot(self, rng):
+        coords = np.array(list(product(range(3), repeat=3)) + [[7, 7, 7], [7, 8, 7]])
+        groups = grid_groups(coords[rng.permutation(len(coords))])
+        rank, slots = groups.conv_slots
+        sizes = [len(src) for src, _ in slots]
+        assert len(slots) == 27 and sizes[0] == groups.num_voxels and sizes[-1] == 1
+        assert sizes == sorted(sizes, reverse=True)
+        x = rng.normal(size=(groups.num_voxels, 2, 3))
+        kernel = rng.normal(size=(2, 3, 3, 3, 3))
+        got = _sparse_depthwise_conv(x, groups, kernel)
+        assert got.tobytes() == conv_oracle(x, groups.voxel_coords, kernel).tobytes()
+
+    def test_empty_grid(self, rng):
+        groups = voxelize(np.zeros((0, 3)), 1.0)
+        rank, slots = groups.conv_slots
+        assert rank.shape == (0,) and slots == ()
+        got = _sparse_depthwise_conv(np.zeros((0, 2, 3)), groups, rng.normal(size=(2, 3, 3, 3, 3)))
+        assert got.shape == (0, 2, 3)
 
     @staticmethod
     def assert_map_matches_oracle(groups):
@@ -399,14 +462,14 @@ class TestVsaDecode:
 
     def test_output_shape(self):
         _, _, groups, feats, weights, latents, dims = make_instance(8)
-        _, hv = vsa_encode(feats, latents, weights, groups)
+        hv = vsa_encode(feats, latents, weights, groups)
         out = vsa_decode(hv, feats, weights, groups)
         assert out.shape == (len(feats), dims.width)
 
     def test_input_shape_contract(self):
         # Both used to reach numpy's matmul and raise ValueError.
         _, _, groups, feats, weights, latents, _ = make_instance(8)
-        _, hv = vsa_encode(feats, latents, weights, groups)
+        hv = vsa_encode(feats, latents, weights, groups)
         with pytest.raises(ContractError, match="feats"):
             vsa_decode(hv, feats[:, :5], weights, groups)
         for wrong in (hv[:, :2], hv[:, :, :5], hv[:-1]):
@@ -466,6 +529,19 @@ class TestMultiBlock:
         got = vsa_decode(hv, feats, weights, groups)
         assert got.tobytes() == decode_per_point(hv, feats, weights, groups).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_encode_matches_point_attention_sums(self, seed):
+        pts, rng = multi_block_cloud(seed)
+        groups = voxelize(pts, 1.0)
+        dims = EmbeddingDims(latents=4, width=6, reduced=3, stages=1)
+        weights = WeightSet.seeded(dims, rng, in_width=5)
+        latents = seeded_latents(dims, rng)
+        feats = rng.normal(size=(len(pts), 5)) * 4
+        got = vsa_encode(feats, latents, weights, groups)
+        want = scatter_sum_rows(point_attention(feats, latents, weights, groups), groups)
+        assert got.flags.c_contiguous and got.shape == (groups.num_voxels, 4, 6)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestInputsUnchanged:
     def test_forward_functions_leave_inputs_unchanged(self):
@@ -481,7 +557,7 @@ class TestInputsUnchanged:
         before = [a.copy() for a in inputs]
         lin(hv)
         norm(normed)
-        _sparse_depthwise_conv(xr, groups.kernel_map, weights.ffn_conv1)
+        _sparse_depthwise_conv(xr, groups, weights.ffn_conv1)
         scatter_sum(per_point, groups)
         scatter_softmax(scores, groups)
         vsa_encode(feats, latents, weights, groups)
@@ -503,12 +579,14 @@ class TestPointOrderEquivariance:
     def test_permutation(self):
         _, pts, _, feats, weights, latents, dims = make_instance(9, m=60)
         groups = voxelize(pts, 0.6)
-        h, hv = vsa_encode(feats, latents, weights, groups)
+        h = point_attention(feats, latents, weights, groups)
+        hv = vsa_encode(feats, latents, weights, groups)
         g_hat = vsa_decode(hv, feats, weights, groups)
         rng = np.random.default_rng(10)
         perm = rng.permutation(60)
         groups_p = voxelize(pts[perm], 0.6)
-        h_p, hv_p = vsa_encode(feats[perm], latents, weights, groups_p)
+        h_p = point_attention(feats[perm], latents, weights, groups_p)
+        hv_p = vsa_encode(feats[perm], latents, weights, groups_p)
         g_hat_p = vsa_decode(hv_p, feats[perm], weights, groups_p)
         assert np.abs(h_p - h[perm]).max() <= 1e-12
         assert np.abs(hv_p - hv).max() <= 1e-12
@@ -732,7 +810,7 @@ class TestAutoencoderForward:
 
         _, _, groups, feats, weights, latents, _ = make_instance(12, m=40)
         fw = autoencoder_forward(feats, latents, weights, groups)
-        _, hv = vsa_encode(feats, latents, weights, groups)
+        hv = vsa_encode(feats, latents, weights, groups)
         hbar, hv_hat = inner_bottleneck(hv, weights, groups)
         g_hat = vsa_decode(hv_hat, feats, weights, groups)
         assert np.array_equal(fw.voxelwise, hv)
@@ -741,17 +819,26 @@ class TestAutoencoderForward:
         assert np.array_equal(fw.reconstructed, g_hat)
 
     def test_one_attention_pass(self, monkeypatch):
-        # The encoder's scatter softmax is the forward's only one.
+        # The encoder's block softmax is the forward's only one, and it sees
+        # every point once, also when the points span several blocks.
         from rapidfeat import autoencoder_forward, embed
 
-        calls = []
-        inner = embed.scatter_softmax
+        rows = []
+        inner = embed._block_softmax
         monkeypatch.setattr(
-            embed, "scatter_softmax", lambda *a: calls.append(1) or inner(*a)
+            embed, "_block_softmax", lambda block, b: rows.append(len(block)) or inner(block, b)
         )
         _, _, groups, feats, weights, latents, _ = make_instance(13, m=40)
         autoencoder_forward(feats, latents, weights, groups)
-        assert len(calls) == 1
+        assert sum(rows) == groups.num_points == 40
+        pts, rng = multi_block_cloud(3)
+        groups = voxelize(pts, 1.0)
+        dims = EmbeddingDims(latents=2, width=3, reduced=2, stages=1)
+        weights = WeightSet.seeded(dims, rng, in_width=3)
+        rows.clear()
+        feats, latents = rng.normal(size=(len(pts), 3)), seeded_latents(dims, rng)
+        autoencoder_forward(feats, latents, weights, groups)
+        assert len(rows) > 2 and sum(rows) == groups.num_points
 
 
 def _drop_tensor(header, name):
