@@ -13,6 +13,7 @@ import hashlib
 import math
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Optional
 
@@ -333,7 +334,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (RapidError, OSError, MemoryError) as exc:  # MemoryError: a scene too large
+    # MemoryError: a scene too large; BrokenProcessPool: a pool worker died
+    except (RapidError, OSError, MemoryError, BrokenProcessPool) as exc:
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
 

@@ -6,10 +6,13 @@ split into range bands, and per-region RAPiD matrices are scattered back to
 their anchor points as a fixed-width pointwise feature set. Sparse regions
 fall back along the configured k chain and finally to all-padding rows.
 
-With more than one worker, each worker receives the scan once and a task
-carries only a region's point indices; regions are dispatched one per task,
-largest first (ties in plan order), and written back in plan order, so the
-output bytes and the order of roi ids do not depend on the worker count.
+With w > 1 workers, the calling process is one of them: it forks w - 1
+helper processes, each of which receives the scan once, and a helper task
+carries only a region's point indices. Regions are dispatched one per task,
+largest first (ties in plan order). The calling process computes the largest
+region itself, then takes back every queued region no helper has started.
+Results are written back in plan order, so the output bytes and the order of
+roi ids do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -133,15 +136,27 @@ def _run_jobs(
     if workers <= 1:
         return [rapid(s, cloud, k, delta, roi_id=r) for s, k, r in jobs]
     # One region per task, largest first: a task holding several big
-    # regions would keep one worker busy while the others idle.
+    # regions would keep one process busy while the others idle. The calling
+    # process counts as a worker: it runs the largest region while w - 1
+    # helpers start on the rest, then cancels and runs each queued region
+    # no helper has started, largest first.
     order = sorted(range(len(jobs)), key=lambda i: -len(jobs[i][0]))
-    tasks = [(*jobs[i], delta) for i in order]
     matrices: list[Optional[RapidMatrix]] = [None] * len(jobs)
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_set_scan, initargs=(cloud,)
+        max_workers=workers - 1, initializer=_set_scan, initargs=(cloud,)
     ) as pool:
-        for i, mat in zip(order, pool.map(_region_job, tasks)):
-            matrices[i] = mat
+        try:
+            futures = [(i, pool.submit(_region_job, (*jobs[i], delta))) for i in order[1:]]
+            for i, f in [(order[0], None), *futures]:
+                if f is None or f.cancel():  # False once a helper has the region
+                    sub, k, roi_id = jobs[i]
+                    matrices[i] = rapid(sub, cloud, k, delta, roi_id=roi_id)
+            for i, f in futures:
+                if not f.cancelled():
+                    matrices[i] = f.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # queued helper work would delay the error
+            raise
     return matrices
 
 

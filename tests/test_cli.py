@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -14,10 +15,13 @@ from rapidfeat import (
     SensorGeometry,
     accumulate,
     miou,
+    partition,
     save_kitti_labels,
 )
 from rapidfeat.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from rapidfeat.scene_io import load_feature_file, save_feature_file
+
+from test_output_digests import README_CONFIG
 
 
 SCENE = {
@@ -66,6 +70,11 @@ def _with_descriptor(header, **fields):
 def _with_field(header, **fields):
     """Header whose first record has fields replaced."""
     return {**header, "records": [{**header["records"][0], **fields}]}
+
+
+def _die_in_helper(task):
+    """A region job whose pool helper dies, as when the OOM killer ends it."""
+    os._exit(1)
 
 
 @pytest.fixture
@@ -325,6 +334,21 @@ class TestExtract:
         first = [(tmp_path / name).read_bytes() for name in ("r.rapd", "c.rapd")]
         main(["extract", "--config", str(path), "--workers", "2"])
         assert [(tmp_path / name).read_bytes() for name in ("r.rapd", "c.rapd")] == first
+
+    def test_dead_helper_is_data_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(partition, "_region_job", _die_in_helper)
+        doc = {
+            **README_CONFIG,
+            "output": {
+                "features": str(tmp_path / "r.rapd"),
+                "class_features": str(tmp_path / "c.rapd"),
+            },
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["extract", "--config", str(path), "--workers", "2"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_prints_region_statistics(self, config_file, capsys):
         main(["extract", "--config", str(config_file())])

@@ -1,7 +1,8 @@
 """Ring/class partitioning, range banding, fallback, and scatter-back."""
 
 import functools
-from concurrent.futures import ProcessPoolExecutor
+import os
+from concurrent.futures import Future, ProcessPoolExecutor
 from multiprocessing import get_context
 
 import numpy as np
@@ -375,16 +376,19 @@ class TestWorkerDispatch:
                 assert a.values.tobytes() == b.values.tobytes()
 
     def test_pool_no_larger_than_job_count(self, monkeypatch):
-        # A fork pool starts all max_workers processes at the first submit.
-        # This stand-in starts none: it runs the tasks in this process.
+        # A fork pool starts all max_workers processes at the first submit,
+        # and the calling process is one of the workers. This stand-in starts
+        # none: it runs every second task at submit, and leaves the others
+        # queued for the calling process to cancel and run itself.
         cloud = _three_region_cloud()
         config = RangeAwareConfig(k_close=5, k_mid=4, k_far=3)
         serial = c_rapid(cloud, config)
         jobs = len(serial.matrices)
+        submitted = []
 
         class InProcessPool:
             def __init__(self, max_workers, initializer, initargs):
-                assert max_workers <= jobs, f"{max_workers} workers for {jobs} jobs"
+                assert max_workers == min(workers, jobs) - 1
                 initializer(*initargs)
 
             def __enter__(self):
@@ -393,11 +397,74 @@ class TestWorkerDispatch:
             def __exit__(self, *exc):
                 partition._set_scan(None)
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def submit(self, fn, task):
+                future = Future()
+                if len(submitted) % 2 == 0:
+                    future.set_result(fn(task))
+                submitted.append(future)
+                return future
 
         monkeypatch.setattr(partition, "ProcessPoolExecutor", InProcessPool)
-        assert c_rapid(cloud, config, workers=64).values.tobytes() == serial.values.tobytes()
+        for workers in (2, 3, 64):
+            submitted.clear()
+            got = c_rapid(cloud, config, workers=workers)
+            assert got.values.tobytes() == serial.values.tobytes()
+            assert len(submitted) == jobs - 1
+            assert sum(f.cancelled() for f in submitted) == (jobs - 1) // 2
+
+    def test_calling_process_computes_largest_region(self, monkeypatch, tmp_path):
+        # Every process appends (roi id, pid) per region it computes; pool
+        # helpers are forked, so they inherit the spy.
+        log = tmp_path / "computed.txt"
+        real = partition.rapid
+
+        def spy(sub, cloud, k, delta, roi_id):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{roi_id} {os.getpid()}\n")
+            return real(sub, cloud, k, delta, roi_id=roi_id)
+
+        cloud = _three_region_cloud()
+        config = RangeAwareConfig(k_close=5, k_mid=4, k_far=3)
+        serial = r_rapid(cloud, SensorGeometry(3, 0.1), config)
+        largest = max(serial.matrices, key=lambda m: len(m.anchors)).roi_id
+        monkeypatch.setattr(partition, "rapid", spy)
+        two = r_rapid(cloud, SensorGeometry(3, 0.1), config, workers=2)
+        assert two.values.tobytes() == serial.values.tobytes()
+        computed = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        assert sorted(r for r, _ in computed) == sorted(m.roi_id for m in serial.matrices)
+        assert [str(os.getpid())] == [pid for r, pid in computed if r == largest]
+        assert any(pid != str(os.getpid()) for _, pid in computed)
+
+    def test_calling_process_error_cancels_queued_regions(self, monkeypatch):
+        # The calling process raises on the largest region before it computes
+        # anything: the same error as at workers=1, and the helper tasks still
+        # queued are cancelled rather than run.
+        cloud = _three_region_cloud()
+        config = RangeAwareConfig(k_close=5, k_mid=4, k_far=3)
+        serial = r_rapid(cloud, SensorGeometry(3, 0.1), config)
+        largest = max(serial.matrices, key=lambda m: len(m.anchors)).roi_id
+        real = partition.rapid
+
+        def failing(sub, cloud, k, delta, roi_id):
+            if roi_id == largest:
+                raise ContractError(f"no features for {roi_id}")
+            return real(sub, cloud, k, delta, roi_id=roi_id)
+
+        futures = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                futures.append(super().submit(*args, **kwargs))
+                return futures[-1]
+
+        monkeypatch.setattr(partition, "rapid", failing)
+        monkeypatch.setattr(partition, "ProcessPoolExecutor", RecordingPool)
+        for workers in (1, 2):
+            with pytest.raises(ContractError, match=largest):
+                r_rapid(cloud, SensorGeometry(3, 0.1), config, workers=workers)
+        assert len(futures) == len(serial.matrices) - 1
+        assert all(f.done() for f in futures)
+        assert any(f.cancelled() for f in futures)
 
     def test_one_region_more_workers_same_output(self):
         rng = np.random.default_rng(4)
