@@ -74,74 +74,3 @@ from .metrics import ConfusionMatrix, accumulate, iou, miou
 from .config import RunConfig
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "PointCloud",
-    "SensorGeometry",
-    "RapidError",
-    "MalformedScanError",
-    "LabelMismatchError",
-    "LabelsRequiredError",
-    "EmptySceneError",
-    "InsufficientPointsError",
-    "UndefinedAngleError",
-    "FormatError",
-    "ContractError",
-    "UndefinedMetricError",
-    "RigidTransform",
-    "NeighborList",
-    "apply_transform",
-    "range_of",
-    "euclidean_metric",
-    "knn_brute",
-    "knn_indexed",
-    "RangeAwareConfig",
-    "ReflectivityScale",
-    "RapidMatrix",
-    "reflectivity_map",
-    "reflectivity_metric",
-    "rapid",
-    "rapid_unnormalized",
-    "PointwiseFeatureSet",
-    "partition_rings",
-    "partition_classes",
-    "r_rapid",
-    "c_rapid",
-    "PlanePrimitive",
-    "BoxPrimitive",
-    "CylinderPrimitive",
-    "SyntheticSceneSpec",
-    "synthesize_scene",
-    "load_csv_cloud",
-    "load_kitti_scan",
-    "load_kitti_labels",
-    "save_kitti_scan",
-    "save_kitti_labels",
-    "save_feature_file",
-    "load_feature_file",
-    "EmbeddingDims",
-    "EmbeddingForward",
-    "VoxelGroups",
-    "WeightSet",
-    "autoencoder_forward",
-    "voxelize",
-    "scatter_softmax",
-    "scatter_sum",
-    "vsa_encode",
-    "inner_bottleneck",
-    "vsa_decode",
-    "contrastive_loss",
-    "reconstruction_loss",
-    "total_loss",
-    "seeded_latents",
-    "concat_embeddings",
-    "squeeze",
-    "excite",
-    "fuse",
-    "gate_weights",
-    "ConfusionMatrix",
-    "accumulate",
-    "iou",
-    "miou",
-    "RunConfig",
-]

@@ -89,7 +89,10 @@ def _config_overrides(args: argparse.Namespace) -> dict:
     return {key: value for key, value in values.items() if value is not None}
 
 
-def _print_roi_stats(features: PointwiseFeatureSet) -> None:
+def _save(path: str, features: PointwiseFeatureSet, config: RunConfig) -> None:
+    """Write one extract output and print its per-region statistics."""
+    scene_io.save_feature_file(path, features.matrices, features, meta=config_echo(config))
+    print(f"wrote {path}: {len(features.values)} pointwise rows")
     print(f"{'roi':<18}{'points':>8}{'k':>4}{'pad_rate':>10}  histogram[0,1]")
     for mat in features.matrices:
         pad = float(np.mean(mat.values == 1.0))
@@ -102,28 +105,19 @@ def _print_roi_stats(features: PointwiseFeatureSet) -> None:
     )
 
 
+def _write_csv(path: Optional[str], rows: list[list]) -> None:
+    if path:
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        print(f"wrote {path}")
+
+
 def cmd_extract(args: argparse.Namespace) -> int:
     config = RunConfig.load(args.config, _config_overrides(args))
-    cloud = _load_cloud(config)
-    features = r_rapid(cloud, config.sensor, config.rapid, workers=config.workers)
-    scene_io.save_feature_file(
-        config.features_out, features.matrices, features, meta=config_echo(config)
-    )
-    print(f"wrote {config.features_out}: {len(features.values)} pointwise rows")
-    _print_roi_stats(features)
+    cloud, workers = _load_cloud(config), config.workers
+    _save(config.features_out, r_rapid(cloud, config.sensor, config.rapid, workers=workers), config)
     if config.class_features_out is not None:
-        class_features = c_rapid(cloud, config.rapid, workers=config.workers)
-        scene_io.save_feature_file(
-            config.class_features_out,
-            class_features.matrices,
-            class_features,
-            meta=config_echo(config),
-        )
-        print(
-            f"wrote {config.class_features_out}: "
-            f"{len(class_features.values)} pointwise rows"
-        )
-        _print_roi_stats(class_features)
+        _save(config.class_features_out, c_rapid(cloud, config.rapid, workers=workers), config)
     return EXIT_OK
 
 
@@ -135,6 +129,8 @@ def cmd_check_invariance(args: argparse.Namespace) -> int:
     # Regions are frozen on the input cloud, so transformed reruns recompute
     # the same regions (range bands depend on |p|).
     baseline = r_rapid(cloud, config.sensor, config.rapid, workers=config.workers)
+    if not baseline.matrices:
+        raise RapidError("no region to compare: every point of the scan is padding")
     delta = config.rapid.delta
     rng = np.random.default_rng(config.seed)
     worst = 0.0
@@ -149,6 +145,7 @@ def cmd_check_invariance(args: argparse.Namespace) -> int:
         for mat in baseline.matrices:
             values = rapid(mat.anchors, moved, mat.k, delta).values
             worst = max(worst, float(np.abs(values - mat.values).max()))
+    print(f"compared {len(baseline.matrices)} regions, {sum(m.u for m in baseline.matrices)} rows")
     print(f"max feature deviation over {args.trials} trials: {worst:.3e}")
     if worst > args.tolerance:
         print(f"deviation exceeds tolerance {args.tolerance:.1e}", file=sys.stderr)
@@ -171,24 +168,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if len(truth) != len(pred):
             raise RapidError(f"{tf.name}: truth/pred length mismatch")
         accumulate(cm, truth, pred)
-    rows = []
-    for c in range(config.eval_num_classes):
-        if c in cm.ignore:
-            continue
-        v = iou(cm, c)
-        rows.append((c, v))
-        shown = "undefined" if math.isnan(v) else f"{v:.4f}"
-        print(f"class {c:>3}  IoU {shown}")
+    rows = [(c, iou(cm, c)) for c in range(config.eval_num_classes) if c not in cm.ignore]
+    for c, v in rows:
+        print(f"class {c:>3}  IoU {'undefined' if math.isnan(v) else f'{v:.4f}'}")
     mean = miou(cm)
     print(f"mIoU {mean:.4f}")
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["class", "iou"])
-            for c, v in rows:
-                writer.writerow([c, "" if math.isnan(v) else f"{v:.6f}"])
-            writer.writerow(["miou", f"{mean:.6f}"])
-        print(f"wrote {args.csv}")
+    cells = [[c, "" if math.isnan(v) else f"{v:.6f}"] for c, v in rows]
+    _write_csv(args.csv, [["class", "iou"], *cells, ["miou", f"{mean:.6f}"]])
     return EXIT_OK
 
 
@@ -225,13 +211,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         if not same:
             print("worker outputs diverge from the single-worker run", file=sys.stderr)
             return EXIT_INVARIANT
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["workers", "seconds", "speedup", "identical"])
-            for w, wall, speedup, same in table:
-                writer.writerow([w, f"{wall:.4f}", f"{speedup:.3f}", same])
-        print(f"wrote {args.csv}")
+    cells = [[w, f"{wall:.4f}", f"{speedup:.3f}", same] for w, wall, speedup, same in table]
+    _write_csv(args.csv, [["workers", "seconds", "speedup", "identical"], *cells])
     return EXIT_OK
 
 

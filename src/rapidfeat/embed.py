@@ -8,7 +8,8 @@ linear+batchnorm stages, exchanges information between neighboring voxels
 with two depthwise 3x3x3 convolutions over the sparse voxel grid, and
 reconstructs the width with linear stages. The convolutions share one kernel
 map per voxel grid: the (destination, source) voxel pairs of each of the 27
-offsets, found once with a sorted-code lookup (the MinkowskiEngine idiom).
+offsets, found once with a sorted-code lookup on geometry's cell grid (the
+MinkowskiEngine idiom).
 The point decoder broadcasts voxel features back to points and attends them
 against point-side queries.
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from math import prod
 from typing import Callable, Optional, Union
 
@@ -44,7 +44,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .errors import ContractError, FormatError
-from .geometry import nearest_candidate_rows
+from .geometry import cell_codes, cell_neighbours, nearest_candidate_rows
 from . import scene_io
 
 _ACTIVATIONS = {
@@ -115,20 +115,9 @@ class VoxelGroups:
     def kernel_map(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per 3x3x3 offset, in product((-1, 0, 1), repeat=3) order, the
         (destination, source) voxel indices with source = destination +
-        offset. Built once per grid; destinations ascend within each offset;
-        voxel + offset has code code + dot(offset, strides), since the ravel
-        is linear. Offset 26 - t is offset t negated, so its pairs are those
-        of t swapped."""
-        codes, strides = _voxel_codes(self.voxel_coords)
-        centre = np.arange(len(codes))
-        pairs = [(centre, centre)] * 27
-        for t, offset in zip(range(13), product((-1, 0, 1), repeat=3)):
-            nb_codes = codes + int(np.dot(offset, strides))
-            pos = np.minimum(np.searchsorted(codes, nb_codes), len(codes) - 1)
-            dst = np.flatnonzero(codes[pos] == nb_codes)
-            pairs[t] = dst, pos[dst]
-            pairs[26 - t] = pairs[t][::-1]
-        return tuple(pairs)
+        offset, destinations ascending: geometry's cell_neighbours of the
+        voxel grid. Built once per grid."""
+        return cell_neighbours(*cell_codes(self.voxel_coords))
 
     @cached_property
     def conv_slots(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
@@ -164,21 +153,6 @@ def _longest_first(counts: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarr
     return ranked, np.searchsorted(-counts[ranked], -np.arange(depth), "left")
 
 
-def _voxel_codes(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, strides): the row-major code of each integer coordinate row in
-    the rows' bounding box padded for 3x3x3 offsets, and the box's strides.
-    Codes ascend in lexicographic coordinate order. ContractError if the
-    padded box has more cells than int64 codes index."""
-    if len(coords) == 0:
-        return np.zeros(0, dtype=np.int64), np.ones(3, dtype=np.int64)
-    lo = coords.min(axis=0)
-    extent = [int(h) - int(a) + 4 for a, h in zip(lo, coords.max(axis=0))]
-    if prod(extent) > np.iinfo(np.int64).max:
-        raise ContractError("voxel bounding box has more cells than int64 codes index")
-    strides = np.array([extent[1] * extent[2], extent[2], 1], dtype=np.int64)
-    return (coords - lo) @ strides, strides
-
-
 def voxelize(
     source: Union[PointCloud, np.ndarray], voxel_size: float
 ) -> VoxelGroups:
@@ -194,7 +168,7 @@ def voxelize(
     if not np.all((scaled >= -(2.0 ** 63)) & (scaled < 2.0 ** 63)):
         raise ContractError("voxel coordinates must be finite and fit int64")
     coords = scaled.astype(np.int64)
-    codes, _ = _voxel_codes(coords)
+    codes, _ = cell_codes(coords)
     order = np.argsort(codes, kind="stable")  # ties keep point order
     ordered = codes[order]
     first = np.ones(len(order), dtype=bool)  # where the sorted codes change

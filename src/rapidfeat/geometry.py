@@ -293,14 +293,14 @@ def _range_candidates(x: np.ndarray, n: int, tree: cKDTree) -> np.ndarray:
     side L / (2 sqrt(D)), shrunk by 1e-6 again, any two rows of a 3x3x3
     block of cells lie closer than L, so a row whose block holds n + 1 rows
     has an n-th distance below the far threshold and is ruled out. Blocks
-    are counted over the sorted cell codes with the 13 mirrored offsets of
-    the half neighbourhood. The margins dwarf the relative rounding of the
-    tree's distances (far from underflow, as the 1e-9 selection assumes
-    too) and of the cell floor, which stays near 1e-9 of a cell as long as
-    the span is at most 2**20 cells; a wider span, or L = 0, falls back to
-    every row. A row at the smallest first distance has another row
-    within the sample's smallest, grown by 1e-6 (query_pairs), unless that
-    is 0, which the sample then already holds.
+    are counted over the cell_neighbours pairs of the occupied cells. The
+    margins dwarf the relative rounding of the tree's distances (far from
+    underflow, as the 1e-9 selection assumes too) and of the cell floor,
+    which stays near 1e-9 of a cell as long as the span is at most 2**20
+    cells; a wider span, or L = 0, falls back to every row. A row at the
+    smallest first distance has another row within the sample's smallest,
+    grown by 1e-6 (query_pairs), unless that is 0, which the sample then
+    already holds.
     """
     u, dim = x.shape
     keep = np.zeros(u, dtype=bool)
@@ -311,20 +311,50 @@ def _range_candidates(x: np.ndarray, n: int, tree: cKDTree) -> np.ndarray:
     extent = np.floor((tree.maxes - tree.mins) / side) + 3 if side > 0 else np.inf
     if not np.all(extent <= 2 ** min(20, 60 // dim)):
         return np.ones(u, dtype=bool)
-    strides = np.array([prod(int(e) for e in extent[i + 1 :]) for i in range(dim)])
-    codes = (np.floor((x - tree.mins) / side).astype(np.int64) + 1) @ strides
+    codes, strides = cell_codes(np.floor((x - tree.mins) / side).astype(np.int64))
     cells, cell_of, count = np.unique(codes, return_inverse=True, return_counts=True)
-    block = count.copy()
-    for offset in list(product((-1, 0, 1), repeat=dim))[: 3**dim // 2]:
-        nb = cells + int(np.dot(offset, strides))
-        pos = np.minimum(np.searchsorted(cells, nb), len(cells) - 1)
-        hit = np.flatnonzero(cells[pos] == nb)
-        block[hit] += count[pos[hit]]
-        block[pos[hit]] += count[hit]  # the mirrored offset
+    block = np.zeros_like(count)
+    for i, j in cell_neighbours(cells, strides):
+        block[i] += count[j]
     keep |= block[cell_of] <= n
     if nearest > 0:
         keep[tree.query_pairs(nearest * (1.0 + 1e-6), output_type="ndarray").ravel()] = True
     return keep
+
+
+def cell_codes(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, strides): row-major codes of the rows of an (n, D) integer cell
+    array in their bounding box widened by two cells per axis, so that for
+    an offset in {-1, 0, 1}^D only cell + offset can have code + offset @
+    strides. Codes ascend in lexicographic row order. ContractError if the
+    box has more cells than int64 codes index."""
+    if len(cells) == 0:
+        return np.zeros(0, dtype=np.int64), np.ones(cells.shape[1], dtype=np.int64)
+    lo = cells.min(axis=0)
+    extent = [int(h) - int(a) + 3 for a, h in zip(lo, cells.max(axis=0))]
+    if prod(extent) > np.iinfo(np.int64).max:
+        raise ContractError("cell bounding box has more cells than int64 codes index")
+    strides = np.array([prod(extent[i + 1 :]) for i in range(len(extent))], dtype=np.int64)
+    return (cells - lo) @ strides, strides
+
+
+def cell_neighbours(
+    codes: np.ndarray, strides: np.ndarray
+) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per offset in product((-1, 0, 1), repeat=D) order, the (i, j) pairs of
+    unique ascending cell_codes codes with cell j = cell i + offset, i ascending.
+    Half the offsets are searched: the centre pairs each cell with itself,
+    and offset 3**D - 1 - t is offset t negated, so its pairs are t's swapped."""
+    dim = len(strides)
+    centre = np.arange(len(codes))
+    pairs = [(centre, centre)] * 3**dim
+    for t, offset in zip(range(3**dim // 2), product((-1, 0, 1), repeat=dim)):
+        nb_codes = codes + int(np.dot(offset, strides))
+        pos = np.minimum(np.searchsorted(codes, nb_codes), len(codes) - 1)
+        i = np.flatnonzero(codes[pos] == nb_codes)
+        pairs[t] = i, pos[i]
+        pairs[-1 - t] = pairs[t][::-1]
+    return tuple(pairs)
 
 
 def sorted_subset(

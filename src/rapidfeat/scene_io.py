@@ -18,7 +18,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
@@ -159,17 +159,25 @@ def load_csv_cloud(path: PathLike) -> PointCloud:
     """CSV converter route for clouds not in the KITTI binary layout.
 
     Expects a header line naming at least x, y, z, remission; optional ring
-    and label columns are picked up by name.
+    and label columns are picked up by name. Values are never coerced: a cell
+    that is not a number, or a ring or label that is not int32, is malformed.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = [c.strip().lower() for c in fh.readline().split(",")]
     required = ("x", "y", "z", "remission")
     if any(c not in header for c in required):
         raise MalformedScanError(f"{path}: header must name x, y, z, remission")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise MalformedScanError(f"{path}: {exc}") from exc
     if data.shape[1] != len(header):
         raise MalformedScanError(f"{path}: row width does not match the header")
     col = {name: data[:, i] for i, name in enumerate(header)}
+    for name in ("ring", "label"):
+        v = col.get(name, np.zeros(0))
+        for i in np.flatnonzero(~((v == np.round(v)) & (v >= -(2**31)) & (v < 2**31)))[:1]:
+            raise MalformedScanError(f"{path}: {name} {v[i]:g} in data row {i + 1} is not int32")
     return PointCloud(
         points=np.column_stack([col["x"], col["y"], col["z"]]),
         remission=col["remission"],
@@ -419,12 +427,7 @@ def _matrix_record(builder: _PayloadBuilder, mat: RapidMatrix) -> dict:
         "type": "matrix",
         "roi_id": mat.roi_id,
         "k": mat.k,
-        "scale": {
-            "r_min": mat.scale.r_min,
-            "r_max": mat.scale.r_max,
-            "d_min": mat.scale.d_min,
-            "d_max": mat.scale.d_max,
-        },
+        "scale": asdict(mat.scale),
         "arrays": {
             "values": builder.add(mat.values, "<f4"),
             "anchors": builder.add(mat.anchors, "<i8"),

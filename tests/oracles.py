@@ -21,13 +21,20 @@ point_attention     the per-point (m, l, d) tensor H, whose scatter_sum_rows
 conv_oracle         one ravel_multi_index lookup per offset  vs  the slot-ordered
                     depthwise convolution
 kernel_map_pairs    one ravel_multi_index lookup per offset  vs  VoxelGroups.kernel_map
+
+The certificate oracles are the pass-1 cell-count certificate as first
+written, with its own cell codes and its own 13-offset mirrored loop:
+
+cell_blocks         rows per 3^D block of cells  vs  the cell_neighbours count
+range_candidates    the whole certificate mask  vs  geometry._range_candidates
 decode_per_point    projections of the (m, l, d) broadcast  vs  vsa_decode
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence
+from math import prod
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -43,6 +50,7 @@ from rapidfeat import (
     WeightSet,
     reflectivity_map,
 )
+from rapidfeat.geometry import _SAMPLE_STRIDE
 
 
 def rho(
@@ -220,3 +228,42 @@ def decode_per_point(
     e = np.exp(scores)
     att = e / e.sum(axis=1, keepdims=True)
     return np.einsum("ml,mld->md", att, v_star)
+
+
+def cell_blocks(cells: np.ndarray) -> np.ndarray:
+    """Per row of an (n, D) integer cell array, the number of rows in the
+    3^D block of cells around its cell: counts over sorted cell codes, each
+    of the 13 (for D = 3) half-neighbourhood offsets also added mirrored."""
+    dim, lo = cells.shape[1], cells.min(axis=0)
+    extent = cells.max(axis=0) - lo + 3
+    strides = np.array([prod(int(e) for e in extent[i + 1 :]) for i in range(dim)])
+    codes = (cells - lo + 1) @ strides
+    occupied, cell_of, count = np.unique(codes, return_inverse=True, return_counts=True)
+    block = count.copy()
+    for offset in list(product((-1, 0, 1), repeat=dim))[: 3**dim // 2]:
+        nb = occupied + int(np.dot(offset, strides))
+        pos = np.minimum(np.searchsorted(occupied, nb), len(occupied) - 1)
+        hit = np.flatnonzero(occupied[pos] == nb)
+        block[hit] += count[pos[hit]]
+        block[pos[hit]] += count[hit]  # the mirrored offset
+    return block[cell_of]
+
+
+def range_candidates(x: np.ndarray, n: int, tree) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """(keep, cells): the mask geometry._range_candidates defines, from
+    cell_blocks, and the integer cell of each row (None when the mask falls
+    back to every row)."""
+    u, dim = x.shape
+    keep = np.zeros(u, dtype=bool)
+    keep[::_SAMPLE_STRIDE] = True
+    d_sample, _ = tree.query(x[keep], k=n + 1)
+    nearest = d_sample[:, 1].min()
+    side = d_sample[:, n].max() * (1.0 - 1e-6) / (2.0 * np.sqrt(dim)) * (1.0 - 1e-6)
+    extent = np.floor((tree.maxes - tree.mins) / side) + 3 if side > 0 else np.inf
+    if not np.all(extent <= 2 ** min(20, 60 // dim)):
+        return np.ones(u, dtype=bool), None
+    cells = np.floor((x - tree.mins) / side).astype(np.int64)
+    keep |= cell_blocks(cells) <= n
+    if nearest > 0:
+        keep[tree.query_pairs(nearest * (1.0 + 1e-6), output_type="ndarray").ravel()] = True
+    return keep, cells

@@ -392,6 +392,24 @@ class TestCheckInvariance:
         )
         assert code == EXIT_OK
 
+    def test_reports_what_it_compared(self, config_file, capsys):
+        path = str(config_file())
+        assert main(["check-invariance", "--config", path, "--trials", "1"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert main(["extract", "--config", path]) == EXIT_OK
+        matrices = load_feature_file(RunConfig.load(path).features_out).matrices
+        rows = sum(m.u for m in matrices)
+        assert matrices and f"compared {len(matrices)} regions, {rows} rows\n" in out
+
+    def test_no_region_is_data_error(self, config_file, capsys):
+        # 3 points cannot supply any k: nothing would be compared.
+        scene = {**SCENE, "primitives": [{**SCENE["primitives"][1], "count": 3}]}
+        argv = ["check-invariance", "--config", str(config_file(input={"synthetic": scene}))]
+        assert main(argv + ["--trials", "2"]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert "max feature deviation" not in captured.out
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_non_rigid_negative_control(self, config_file):
         code = main(
             ["check-invariance", "--config", str(config_file()), "--trials", "2",

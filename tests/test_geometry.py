@@ -1,5 +1,7 @@
 """Transforms, range computation, and the two KNN routes."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -23,11 +25,17 @@ from rapidfeat import (
     save_kitti_scan,
 )
 from rapidfeat import geometry
-from rapidfeat.geometry import knn_distance_range, nearest_candidate_rows
+from rapidfeat.geometry import (
+    cell_codes,
+    cell_neighbours,
+    knn_distance_range,
+    nearest_candidate_rows,
+)
 from rapidfeat.partition import elevation_rings
 from rapidfeat.rapid import RangeAwareConfig, band_indices
 
 from conftest import kitti_style_scan, random_cloud
+from oracles import cell_blocks, range_candidates
 
 
 def rotation_z(angle: float) -> np.ndarray:
@@ -588,3 +596,82 @@ class TestRangeCertificate:
         monkeypatch.setattr(geometry, "CERTIFY_CUTOFF", len(x) + 1)
         assert got == knn_distance_range(x, n)
         assert rows[-1] == len(x)
+
+
+def grid_blocks(cells):
+    """Per row, the rows in its 3^D block of cells, counted over the
+    cell_neighbours pairs as _range_candidates counts them."""
+    codes, strides = cell_codes(cells)
+    occupied, cell_of, count = np.unique(codes, return_inverse=True, return_counts=True)
+    block = np.zeros_like(count)
+    for i, j in cell_neighbours(occupied, strides):
+        block[i] += count[j]
+    return block[cell_of]
+
+
+class TestCellGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        u=st.integers(1, 120),
+        span=st.integers(0, 6),
+        base=st.sampled_from([0, -7, 2 ** 40]),
+        dim=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2 ** 31),
+    )
+    def test_neighbours_match_a_dictionary(self, u, span, base, dim, seed):
+        cells = np.random.default_rng(seed).integers(0, span + 1, size=(u, dim)) + base
+        cells = np.unique(cells, axis=0)  # lexicographic order, as a voxel grid
+        where = {tuple(c): i for i, c in enumerate(cells.tolist())}
+        got = cell_neighbours(*cell_codes(cells))
+        assert len(got) == 3 ** dim
+        for (i, j), offset in zip(got, product((-1, 0, 1), repeat=dim)):
+            want = [
+                (a, where[b])
+                for a, c in enumerate(cells.tolist())
+                if (b := tuple(np.add(c, offset).tolist())) in where
+            ]
+            assert list(zip(i.tolist(), j.tolist())) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        u=st.integers(1, 300),
+        span=st.integers(0, 8),
+        dim=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2 ** 31),
+    )
+    def test_block_counts_match_the_oracle(self, u, span, dim, seed):
+        cells = np.random.default_rng(seed).integers(-span, span + 1, size=(u, dim))
+        assert np.array_equal(grid_blocks(cells), cell_blocks(cells))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        u=st.integers(3, 600),
+        depth=st.integers(1, 10),
+        span=st.integers(0, 12),
+        dim=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2 ** 31),
+    )
+    def test_certificate_matches_the_oracle_on_lattices(self, u, depth, span, dim, seed):
+        x = np.random.default_rng(seed).integers(0, span + 1, size=(u, dim)).astype(np.float64)
+        n = min(depth, u - 2)
+        tree = cKDTree(x, leafsize=32)
+        want, cells = range_candidates(x, n, tree)
+        assert np.array_equal(geometry._range_candidates(x, n, tree), want)
+        if cells is not None:
+            assert np.array_equal(grid_blocks(cells), cell_blocks(cells))
+
+    def test_certificate_matches_the_oracle_on_a_ring_region(self, tmp_path):
+        # The ring-0 close region of the 120k-point scan, read back from a
+        # .bin as extraction reads it.
+        path = tmp_path / "scan.bin"
+        save_kitti_scan(kitti_style_scan(seed=77, beams=64, per_beam=1875), path)
+        cloud = load_kitti_scan(path)
+        region = (elevation_rings(cloud.points, SensorGeometry.from_fov(64, (-24.8, 2.0))) == 0) & (
+            band_indices(range_of(cloud.points), RangeAwareConfig()) == 0
+        )
+        x, n = cloud.points[region], RangeAwareConfig().k_close
+        tree = cKDTree(x, leafsize=32)
+        want, cells = range_candidates(x, n, tree)
+        assert cells is not None and 0 < want.sum() < len(x) / 4
+        assert np.array_equal(geometry._range_candidates(x, n, tree), want)
+        assert np.array_equal(grid_blocks(cells), cell_blocks(cells))

@@ -607,6 +607,22 @@ class TestCsvConverter:
         with pytest.raises(MalformedScanError):
             load_csv_cloud(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1.0,2.0,oops,0.5,0,9", "oops"),  # numpy's own ValueError at the parent
+            ("1.0,2.0,3.0,0.5,0,1.7", "label 1.7 in data row 2"),  # loaded as 1
+            ("1.0,2.0,3.0,0.5,0,70000000000", r"label 7e\+10 in data row 2"),  # as -2**31
+        ],
+    )
+    def test_values_are_never_coerced(self, tmp_path, row, message):
+        from rapidfeat import load_csv_cloud
+
+        path = tmp_path / "cloud.csv"
+        path.write_text(f"x,y,z,remission,ring,label\n4.0,5.0,6.0,0.25,1,4\n{row}\n")
+        with pytest.raises(MalformedScanError, match=message):
+            load_csv_cloud(path)
+
 
 class TestPgm:
     def test_header_and_payload(self, tmp_path):
