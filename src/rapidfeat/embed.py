@@ -475,6 +475,16 @@ def _block_softmax(block: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return e
 
 
+def _column_fold(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
+    """ufunc folded over the columns of rows in order: the row maximum
+    exactly, and below _IN_ORDER columns numpy's own row sum bit for bit,
+    without its per-row inner loops over a few elements."""
+    out = rows[:, 0].copy()
+    for j in range(1, rows.shape[1]):
+        ufunc(out, rows[:, j], out=out)
+    return out
+
+
 def scatter_softmax(scores: np.ndarray, groups: VoxelGroups) -> np.ndarray:
     """Softmax over the points of each voxel, independently per column.
 
@@ -595,9 +605,9 @@ def vsa_decode(
         block = slice(lo, lo + _DECODE_BLOCK)
         voxels = groups.point_voxel[block]
         scores = np.einsum("mld,md->ml", np.take(keys, voxels, axis=0), q[block])
-        scores -= scores.max(axis=1, keepdims=True)
+        scores -= _column_fold(np.maximum, scores)[:, None]
         e = np.exp(scores, out=scores)
-        e /= e.sum(axis=1, keepdims=True)
+        e /= (_column_fold(np.add, e) if e.shape[1] < _IN_ORDER else e.sum(axis=1))[:, None]
         out[block] = np.einsum("ml,mld->md", e, np.take(values, voxels, axis=0))
     return out
 

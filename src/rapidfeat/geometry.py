@@ -11,7 +11,9 @@ and sorts the candidates by the (distance, index) pair, so ties leave it in
 ascending index order whatever order the candidates came in. Both routes
 check their subset with :func:`sorted_subset`. The tree retrieves every
 anchor at depth n + 2 first and widens, by doubling, only the anchors whose
-n-th exact distance does not sit strictly inside the tree's horizon.
+n-th exact distance does not sit strictly inside the tree's horizon. It
+walks the anchors in row blocks of a fixed number of candidate entries, so
+beyond the tree and the result its memory does not grow with the subset.
 
 :func:`knn_distance_range` serves a caller that reads only the smallest
 first and the largest n-th distance over all anchors: the tree's distances
@@ -51,6 +53,10 @@ BRUTE_FORCE_CUTOFF = 64
 # certificate cannot rule out; below it, querying every row is cheaper.
 CERTIFY_CUTOFF = 4096
 _SAMPLE_STRIDE = 32
+
+# Candidate entries (anchors x depth) per block of the tree route's
+# retrieval and re-rank; its temporaries stay a few MB at any subset size.
+_RETRIEVE_BLOCK = 1 << 16
 
 _ORTHONORMAL_TOL = 1e-12
 
@@ -201,26 +207,30 @@ def _tree_candidate_rows(
     guarantees its first n entries are exactly the n smallest and that every
     candidate tied with the n-th distance was retrieved; only the anchors
     that fail are retrieved again, at double depth. Every row keeps its
-    (d2, index)-first n + 2 candidates (all u when u is smaller). tree, if
-    given, is cKDTree(x, leafsize=32) built by the caller.
+    (d2, index)-first n + 2 candidates (all u when u is smaller). Anchors
+    go through in blocks of about _RETRIEVE_BLOCK candidates; a row depends
+    only on its own query, so the blocks change no bit of the result. tree,
+    if given, is cKDTree(x, leafsize=32) built by the caller.
     """
     q = x if queries is None else queries
     u = len(x)
     tree = cKDTree(x, leafsize=32) if tree is None else tree
-    width = m = min(u, n + 2)
+    width = min(u, n + 2)
     idx_out = np.empty((len(q), width), dtype=np.int64)
     d2_out = np.empty((len(q), width), dtype=np.float64)
-    rows = np.arange(len(q))
-    while len(rows):
-        q_rows = q[rows]
-        d_tree, idx = tree.query(q_rows, k=m)
-        idx = idx.astype(np.int64, copy=False)
-        idx_s, d2_s = _ranked(x, q_rows, idx, rows if queries is None else None)
-        done = (d2_s[:, n - 1] < d_tree[:, -1] ** 2 * (1.0 - 1e-12)) | (m >= u)
-        idx_out[rows[done]] = idx_s[done, :width]
-        d2_out[rows[done]] = d2_s[done, :width]
-        rows = rows[~done]
-        m = min(u, 2 * m)
+    step = max(1, _RETRIEVE_BLOCK // width)
+    for lo in range(0, len(q), step):
+        rows, m = np.arange(lo, min(lo + step, len(q))), width
+        while len(rows):
+            q_rows = q[rows]
+            d_tree, idx = tree.query(q_rows, k=m)
+            idx = idx.astype(np.int64, copy=False)
+            idx_s, d2_s = _ranked(x, q_rows, idx, rows if queries is None else None)
+            done = (d2_s[:, n - 1] < d_tree[:, -1] ** 2 * (1.0 - 1e-12)) | (m >= u)
+            idx_out[rows[done]] = idx_s[done, :width]
+            d2_out[rows[done]] = d2_s[done, :width]
+            rows = rows[~done]
+            m = min(u, 2 * m)
     return idx_out, d2_out
 
 

@@ -232,18 +232,20 @@ def rapid(
     t0 = time.perf_counter()
     rows, anchors, scale = _rapid_rows(subset, cloud, k)
     t1 = time.perf_counter()
+    # Normalized in place: min and max are exact in any order, and distances
+    # hold no -0.0 or NaN, so no copy of the survivors is needed.
     outlier = rows > delta
-    survivors = rows[~outlier]
-    if survivors.size == 0:
-        values = np.ones_like(rows)
-    else:
-        lo = float(survivors.min())
-        hi = float(survivors.max())
+    if not outlier.all():
+        kept = ~outlier
+        lo = float(rows.min(where=kept, initial=np.inf))
+        hi = float(rows.max(where=kept, initial=-np.inf))
         if hi > lo:
-            values = np.where(outlier, 1.0, (rows - lo) / (hi - lo))
+            rows -= lo
+            rows /= hi - lo
         else:
-            values = np.where(outlier, 1.0, 0.0)
+            rows[:] = 0.0
+    rows[outlier] = 1.0
     t2 = time.perf_counter()
-    values, anchors = _lexsorted(values, anchors)
+    values, anchors = _lexsorted(rows, anchors)
     seconds = (t1 - t0, t2 - t1, time.perf_counter() - t2)
     return RapidMatrix(values, roi_id, k, scale, anchors, seconds)

@@ -338,32 +338,39 @@ def synthesize_scene(spec: SyntheticSceneSpec) -> PointCloud:
 
 
 class _PayloadBuilder:
+    """The arrays of a payload and their descriptors, laid out in order.
+    Each array is converted to its dtype only as it is written."""
+
     def __init__(self) -> None:
-        self.chunks: list[bytes] = []
+        self.arrays: list[tuple[np.ndarray, np.dtype]] = []
         self.offset = 0
 
     def add(self, array: np.ndarray, dtype: str) -> dict:
-        data = np.ascontiguousarray(array, dtype=np.dtype(dtype)).tobytes()
-        desc = {
-            "dtype": dtype,
-            "shape": list(np.asarray(array).shape),
-            "offset": self.offset,
-        }
-        self.chunks.append(data)
-        self.offset += len(data)
+        array, kind = np.asarray(array), np.dtype(dtype)
+        desc = {"dtype": dtype, "shape": list(array.shape), "offset": self.offset}
+        self.arrays.append((array, kind))
+        self.offset += kind.itemsize * array.size
         return desc
 
+    def buffers(self):
+        for array, kind in self.arrays:
+            yield np.ascontiguousarray(array, dtype=kind).data
 
-def _write_container(path: PathLike, header: dict, payload: bytes) -> None:
+
+def _write_container(path: PathLike, header: dict, payload) -> None:
+    """Write a container; payload is bytes-like or a _PayloadBuilder, whose
+    arrays go to the file one converted array at a time."""
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", CONTAINER_VERSION, len(head)))
         fh.write(head)
-        fh.write(payload)
+        for chunk in payload.buffers() if isinstance(payload, _PayloadBuilder) else [payload]:
+            fh.write(chunk)
 
 
-def _read_container(path: PathLike) -> tuple[dict, bytes]:
+def _read_container(path: PathLike) -> tuple[dict, memoryview]:
+    """(header, payload); the payload is a view of the file's bytes, not a copy."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != MAGIC:
         raise FormatError(f"{path}: not a RAPD container")
@@ -376,7 +383,7 @@ def _read_container(path: PathLike) -> tuple[dict, bytes]:
         header = _typed(json.loads(raw[12 : 12 + head_len].decode("utf-8")), dict, "header")
     except (ValueError, ContractError) as exc:
         raise FormatError(f"{path}: corrupt header ({exc})") from exc
-    return header, raw[12 + head_len :]
+    return header, memoryview(raw)[12 + head_len :]
 
 
 def _contents(header: dict, kind: str, types: tuple[str, ...]) -> tuple[list, dict]:
@@ -406,18 +413,18 @@ class _ArrayDescriptor:
             raise ContractError(f"negative shape or offset in {self}")
 
 
-def _read_array(payload: bytes, rec: dict, name: str, dtype: str, at: str) -> np.ndarray:
-    """The array rec's descriptor arrays.name locates; ContractError unless
-    it has the writer's dtype and lies in the payload."""
+def _read_array(payload: memoryview, rec: dict, name: str, dtype: str, at: str) -> np.ndarray:
+    """A read-only view of the array rec's descriptor arrays.name locates;
+    ContractError unless it has the writer's dtype and lies in the payload."""
     key = f"{at}arrays.{name}"
     desc = _fields(_ArrayDescriptor, _get(rec, f"arrays.{name}", dict, at=at), key)
     if desc.dtype != dtype:
         raise ContractError(f"{key}: dtype {desc.dtype!r} is not {dtype}")
-    start, nbytes = desc.offset, np.dtype(dtype).itemsize * math.prod(desc.shape)
-    if start + nbytes > len(payload):
+    start, count = desc.offset, math.prod(desc.shape)
+    if start + np.dtype(dtype).itemsize * count > len(payload):
         raise ContractError(f"{key}: truncated payload")
     try:
-        return np.frombuffer(payload[start : start + nbytes], dtype=dtype).reshape(desc.shape)
+        return np.frombuffer(payload, dtype, count, start).reshape(desc.shape)
     except ValueError as exc:  # a zero-size shape numpy cannot represent
         raise ContractError(f"{key}: {exc}") from exc
 
@@ -435,7 +442,7 @@ def _matrix_record(builder: _PayloadBuilder, mat: RapidMatrix) -> dict:
     }
 
 
-def _matrix_from_record(rec: dict, payload: bytes, at: str) -> RapidMatrix:
+def _matrix_from_record(rec: dict, payload: memoryview, at: str) -> RapidMatrix:
     return RapidMatrix(
         roi_id=_get(rec, "roi_id", str, at=at),
         k=_get(rec, "k", int, at=at),
@@ -477,7 +484,7 @@ def save_feature_file(
             }
         )
     header = {"kind": "rapid-features", "meta": meta or {}, "records": records}
-    _write_container(path, header, b"".join(builder.chunks))
+    _write_container(path, header, builder)
 
 
 def load_feature_file(path: PathLike) -> FeatureFile:
@@ -512,7 +519,7 @@ def save_tensors(path: PathLike, tensors: dict[str, np.ndarray], meta: dict) -> 
         for name, t in sorted(tensors.items())
     ]
     header = {"kind": "weights", "meta": meta, "records": records}
-    _write_container(path, header, b"".join(builder.chunks))
+    _write_container(path, header, builder)
 
 
 def load_tensors(path: PathLike) -> tuple[dict[str, np.ndarray], dict]:

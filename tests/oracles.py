@@ -28,6 +28,13 @@ written, with its own cell codes and its own 13-offset mirrored loop:
 cell_blocks         rows per 3^D block of cells  vs  the cell_neighbours count
 range_candidates    the whole certificate mask  vs  geometry._range_candidates
 decode_per_point    projections of the (m, l, d) broadcast  vs  vsa_decode
+
+The bounded-memory oracles are the forms that build everything at once:
+
+tree_candidate_rows_whole  every anchor retrieved and re-ranked in one set
+                    vs  the row-block walk of geometry._tree_candidate_rows
+JoinedPayload       each array's tobytes, joined into one payload  vs  the
+                    container writer that streams converted arrays to the file
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from rapidfeat import (
     InsufficientPointsError,
@@ -50,7 +58,7 @@ from rapidfeat import (
     WeightSet,
     reflectivity_map,
 )
-from rapidfeat.geometry import _SAMPLE_STRIDE
+from rapidfeat.geometry import _SAMPLE_STRIDE, _ranked
 
 
 def rho(
@@ -267,3 +275,47 @@ def range_candidates(x: np.ndarray, n: int, tree) -> tuple[np.ndarray, Optional[
     if nearest > 0:
         keep[tree.query_pairs(nearest * (1.0 + 1e-6), output_type="ndarray").ravel()] = True
     return keep, cells
+
+
+def tree_candidate_rows_whole(
+    x: np.ndarray, n: int, queries: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The tree route's (idx, d2) with every anchor retrieved at depth n + 2
+    at once and the failing anchors widened together, by doubling."""
+    q = x if queries is None else queries
+    u = len(x)
+    tree = cKDTree(x, leafsize=32)
+    width = m = min(u, n + 2)
+    idx_out = np.empty((len(q), width), dtype=np.int64)
+    d2_out = np.empty((len(q), width), dtype=np.float64)
+    rows = np.arange(len(q))
+    while len(rows):
+        q_rows = q[rows]
+        d_tree, idx = tree.query(q_rows, k=m)
+        idx_s, d2_s = _ranked(x, q_rows, idx.astype(np.int64), rows if queries is None else None)
+        done = (d2_s[:, n - 1] < d_tree[:, -1] ** 2 * (1.0 - 1e-12)) | (m >= u)
+        idx_out[rows[done]] = idx_s[done, :width]
+        d2_out[rows[done]] = d2_s[done, :width]
+        rows = rows[~done]
+        m = min(u, 2 * m)
+    return idx_out, d2_out
+
+
+class JoinedPayload:
+    """A container payload built as one bytes object: each array converted
+    with tobytes as it is added, the chunks joined when it is written. Put
+    in place of scene_io._PayloadBuilder, it gives the same file bytes."""
+
+    def __init__(self) -> None:
+        self.chunks: list[bytes] = []
+        self.offset = 0
+
+    def add(self, array: np.ndarray, dtype: str) -> dict:
+        data = np.ascontiguousarray(array, dtype=np.dtype(dtype)).tobytes()
+        desc = {"dtype": dtype, "shape": list(np.asarray(array).shape), "offset": self.offset}
+        self.chunks.append(data)
+        self.offset += len(data)
+        return desc
+
+    def buffers(self) -> list[bytes]:
+        return [b"".join(self.chunks)]

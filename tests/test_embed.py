@@ -529,6 +529,19 @@ class TestMultiBlock:
         got = vsa_decode(hv, feats, weights, groups)
         assert got.tobytes() == decode_per_point(hv, feats, weights, groups).tobytes()
 
+    @pytest.mark.parametrize("latents", [1, 4, 7, 8, 12])
+    def test_decode_softmax_at_every_row_sum_order(self, latents):
+        # Below _IN_ORDER latents the softmax adds its columns in order, as
+        # numpy's row sum does for rows that short; from it on numpy sums.
+        pts, rng = multi_block_cloud(latents)
+        groups = voxelize(pts, 1.0)
+        dims = EmbeddingDims(latents=latents, width=6, reduced=3, stages=1)
+        weights = WeightSet.seeded(dims, rng, in_width=5)
+        hv = rng.normal(size=(groups.num_voxels, latents, dims.width)) * 3
+        feats = rng.normal(size=(len(pts), 5)) * 3
+        got = vsa_decode(hv, feats, weights, groups)
+        assert got.tobytes() == decode_per_point(hv, feats, weights, groups).tobytes()
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_encode_matches_point_attention_sums(self, seed):
         pts, rng = multi_block_cloud(seed)

@@ -35,7 +35,7 @@ from rapidfeat.partition import elevation_rings
 from rapidfeat.rapid import RangeAwareConfig, band_indices
 
 from conftest import kitti_style_scan, random_cloud
-from oracles import cell_blocks, range_candidates
+from oracles import cell_blocks, range_candidates, tree_candidate_rows_whole
 
 
 def rotation_z(angle: float) -> np.ndarray:
@@ -406,6 +406,62 @@ class TestPerRowWidening:
         (first, k1), (second, k2) = queried
         assert len(first) == len(want_idx) and k1 == n + 2
         assert np.array_equal(second, centre[None]) and k2 == 2 * (n + 2)
+
+
+def edge_tied_cloud(n, self_query, seed):
+    """(x, queries, tied): continuous anchors over three row blocks of the
+    tree route and half a fourth, where the anchors on both sides of every
+    block edge (rows tied) sit on a site shared by n + 2 rows of x. Their
+    n-th distance ties the tree's horizon at 0, so they are widened. A
+    self-query site is its edge row plus n + 1 rows appended to x."""
+    rng = np.random.default_rng(seed)
+    step = geometry._RETRIEVE_BLOCK // (n + 2)
+    count = 3 * step + step // 2
+    tied = [e + d for e in range(step, count, step) for d in (-1, 0)]
+    sites = 1e3 + 10.0 * np.arange(len(tied))[:, None] * np.ones(3)
+    anchors = rng.normal(size=(count, 3))
+    anchors[tied] = sites
+    if self_query:
+        return np.vstack([anchors, np.repeat(sites, n + 1, axis=0)]), None, tied
+    return np.vstack([rng.normal(size=(count, 3)), np.repeat(sites, n + 2, axis=0)]), anchors, tied
+
+
+class TestBlockedRetrieval:
+    """The tree route walks its anchors in row blocks; the rows must equal
+    those of one whole-set retrieval byte for byte, across block edges."""
+
+    @pytest.mark.parametrize("n", [3, 8])
+    @pytest.mark.parametrize("self_query", [False, True])
+    def test_widened_rows_on_both_sides_of_block_edges(self, monkeypatch, n, self_query):
+        calls = []
+        ranked = geometry._ranked
+
+        def spy(x, q, idx, own):
+            calls.append((len(q), idx.shape[1]))
+            return ranked(x, q, idx, own)
+
+        monkeypatch.setattr(geometry, "_ranked", spy)
+        x, q, tied = edge_tied_cloud(n, self_query, seed=n)
+        idx, d2 = nearest_candidate_rows(x, n, queries=q)
+        want_idx, want_d2 = tree_candidate_rows_whole(x, n, queries=q)
+        assert idx.tobytes() == want_idx.tobytes() and d2.tobytes() == want_d2.tobytes()
+        step = geometry._RETRIEVE_BLOCK // (n + 2)
+        anchors = len(x) if q is None else len(q)
+        assert anchors > 3 * step and anchors % step
+        assert [a for a, m in calls if m == n + 2] == [step] * (anchors // step) + [anchors % step]
+        widened = sum(a for a, m in calls if m == 2 * (n + 2))
+        assert widened == len(tied) * (n + 2 if self_query else 1)
+
+    @pytest.mark.parametrize("self_query", [False, True])
+    def test_integer_lattice(self, self_query):
+        # Integer distances tie everywhere, so many rows of every block widen.
+        rng = np.random.default_rng(4)
+        rows = 3 * (geometry._RETRIEVE_BLOCK // 6) + 1000
+        x = rng.integers(0, 30, size=(rows, 3)).astype(np.float64)
+        q = None if self_query else rng.integers(0, 30, size=(rows, 3)).astype(np.float64)
+        idx, d2 = nearest_candidate_rows(x, 4, queries=q)
+        want_idx, want_d2 = tree_candidate_rows_whole(x, 4, queries=q)
+        assert idx.tobytes() == want_idx.tobytes() and d2.tobytes() == want_d2.tobytes()
 
 
 def range_oracle(x, n):

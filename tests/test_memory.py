@@ -1,0 +1,87 @@
+"""Peak memory of the extract path, traced with tracemalloc.
+
+tracemalloc counts every numpy buffer and Python object allocated after it
+starts, so each peak below is a fixed number of bytes for fixed inputs and
+the bounds hold on any host. Each bound names the arrays a step cannot do
+without: its outputs, the file it reads and the arrays it decodes, or one
+array converted for writing.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from rapidfeat import RapidMatrix, ReflectivityScale
+from rapidfeat.geometry import nearest_candidate_rows
+from rapidfeat.partition import PointwiseFeatureSet
+from rapidfeat.scene_io import load_feature_file, save_feature_file
+
+from oracles import tree_candidate_rows_whole
+
+SLACK = 1 << 16  # headers, descriptors and other small objects
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def above_outputs(fn, x, n):
+    """Peak bytes of fn(x, n) beyond its two (idx, d2) outputs."""
+    (idx, d2), peak = traced_peak(fn, x, n)
+    return peak - idx.nbytes - d2.nbytes
+
+
+class TestRetrievalMemory:
+    def test_peak_does_not_grow_with_the_region(self):
+        # The tree keeps one int64 index per row; every other temporary of
+        # the retrieval lives in one row block of fixed size.
+        rng = np.random.default_rng(0)
+        small, large = (rng.normal(size=(u, 4)) * 10 for u in (40_000, 160_000))
+        grown = above_outputs(nearest_candidate_rows, large, 10) - above_outputs(
+            nearest_candidate_rows, small, 10
+        )
+        assert grown <= 8 * (len(large) - len(small)) + SLACK
+
+    def test_peak_is_a_fraction_of_the_whole_set_retrieval(self):
+        x = np.random.default_rng(1).normal(size=(40_000, 4)) * 10
+        whole = above_outputs(tree_candidate_rows_whole, x, 10)
+        assert above_outputs(nearest_candidate_rows, x, 10) < whole / 3
+
+
+def feature_set(rng):
+    """Two 50k-row matrices and a 100k-point pointwise record, k = 10."""
+    scale = ReflectivityScale(0.0, 1.0, 0.1, 2.0)
+    matrices = tuple(
+        RapidMatrix(rng.uniform(0, 1, (50_000, 10)), f"ring00{i}-close", 10, scale, np.arange(50_000))
+        for i in range(2)
+    )
+    pointwise = PointwiseFeatureSet(
+        rng.uniform(0, 1, (100_000, 10)),
+        np.repeat(np.arange(2, dtype=np.int32), 50_000),
+        np.full(100_000, 10, dtype=np.int32),
+        matrices,
+    )
+    return matrices, pointwise
+
+
+class TestContainerMemory:
+    def test_save_holds_one_converted_array(self, tmp_path):
+        matrices, pointwise = feature_set(np.random.default_rng(2))
+        _, peak = traced_peak(save_feature_file, tmp_path / "f.rapd", matrices, pointwise)
+        assert peak <= pointwise.values.size * 4 + SLACK  # the largest array at float32
+
+    def test_load_holds_the_file_and_the_decoded_arrays(self, tmp_path):
+        matrices, pointwise = feature_set(np.random.default_rng(3))
+        path = tmp_path / "f.rapd"
+        save_feature_file(path, matrices, pointwise)
+        loaded, peak = traced_peak(load_feature_file, path)
+        p = loaded.pointwise
+        decoded = sum(m.values.nbytes + m.anchors.nbytes for m in loaded.matrices)
+        decoded += p.values.nbytes + p.roi.nbytes + p.valid_width.nbytes
+        assert peak <= path.stat().st_size + decoded + SLACK

@@ -33,6 +33,7 @@ from rapidfeat import (
     save_kitti_scan,
     synthesize_scene,
 )
+from rapidfeat import scene_io
 from rapidfeat.cli import EXIT_DATA, main
 from rapidfeat.scene_io import (
     CONTAINER_VERSION,
@@ -47,6 +48,7 @@ from rapidfeat.scene_io import (
 )
 
 from conftest import default_scene, small_geometry
+from oracles import JoinedPayload
 
 
 class TestKittiScan:
@@ -574,6 +576,37 @@ class TestTensorContainer:
         save_tensors(path, {"t": rng.normal(size=3)}, {})
         with pytest.raises(FormatError):
             load_feature_file(path)
+
+
+class TestContainerBytes:
+    """The writer streams each converted array to the file; the bytes equal
+    those of a payload joined in memory first, and decoding then encoding a
+    file gives it back byte for byte."""
+
+    def test_streamed_equals_joined(self, tmp_path, monkeypatch):
+        streamed = _container_bytes(tmp_path)
+        monkeypatch.setattr(scene_io, "_PayloadBuilder", JoinedPayload)
+        assert _container_bytes(tmp_path) == streamed
+
+    def test_decode_encode_round_trip(self, tmp_path):
+        raw = _container_bytes(tmp_path)
+        f = load_feature_file(tmp_path / "f.rapd")
+        save_feature_file(tmp_path / "f2.rapd", f.matrices, f.pointwise, f.meta)
+        WeightSet.load(tmp_path / "w.rapd").save(tmp_path / "w2.rapd")
+        assert (tmp_path / "f2.rapd").read_bytes() == raw["features"]
+        assert (tmp_path / "w2.rapd").read_bytes() == raw["weights"]
+
+    def test_bytes_like_payload(self, tmp_path, rng):
+        # The payload of _read_container is a view of the file's bytes, and
+        # _write_container takes it, or any bytes-like payload, as it is.
+        path = tmp_path / "f.rapd"
+        save_feature_file(path, [random_matrix(rng, 6, 3)])
+        raw = path.read_bytes()
+        header, payload = _read_container(path)
+        assert isinstance(payload, memoryview)
+        for copy in (payload, bytes(payload), bytearray(payload)):
+            _write_container(path, header, copy)
+            assert path.read_bytes() == raw
 
 
 class TestCsvConverter:
