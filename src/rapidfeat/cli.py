@@ -13,7 +13,6 @@ import hashlib
 import math
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Optional
 
@@ -315,8 +314,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # MemoryError: a scene too large; BrokenProcessPool: a pool worker died
-    except (RapidError, OSError, MemoryError, BrokenProcessPool) as exc:
+    except (RapidError, OSError, MemoryError) as exc:  # MemoryError: a scene too large
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_DATA
 

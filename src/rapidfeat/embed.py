@@ -19,9 +19,9 @@ runs of whole voxels, where it forms each point's attention products and
 sums them per voxel, so no per-point (m, l, d) tensor exists; linear stages
 are one 2-D GEMM on the (rows, d) view; convolutions add slot by slot to
 prefixes of the (c, l*d') rows, with voxels ranked by their count of present
-offsets; and the decoder projects voxel rows before gathering them per block
-of points. Every sum keeps a fixed order, so results do not depend on
-scheduling or on block sizes.
+offsets; and the decoder projects voxel rows once, then gathers them for
+the points of each of the encoder's voxel blocks. Every sum keeps a fixed
+order, so results do not depend on scheduling or on block sizes.
 
 The contrastive loss pairs every point with its coordinate-nearest point of
 the same class and of any other class. The pairs come from exact per-class
@@ -417,8 +417,7 @@ def seeded_latents(dims: EmbeddingDims, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_SCATTER_BLOCK = 4096  # points per voxel-aligned block of the scatters
-_DECODE_BLOCK = 8192  # points per block of the decoder
+_SCATTER_BLOCK = 4096  # points per voxel-aligned block of every point walk
 _IN_ORDER = 8  # numpy's pairwise sum adds fewer terms than this in order
 
 
@@ -471,7 +470,7 @@ def _block_softmax(block: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     voxel block of scores, independently per column."""
     starts, counts = bounds[:-1], np.diff(bounds)
     e = np.exp(block - np.repeat(np.maximum.reduceat(block, starts), counts, axis=0))
-    e /= np.repeat(np.add.reduceat(e, starts), counts, axis=0)
+    e /= np.repeat(_segment_sums(e, bounds), counts, axis=0)
     return e
 
 
@@ -601,14 +600,12 @@ def vsa_decode(
     q = weights.dec_query(g)
     keys, values = weights.dec_key(hv), weights.dec_value(hv)  # project c voxel rows once
     out = np.empty_like(q)
-    for lo in range(0, groups.num_points, _DECODE_BLOCK):
-        block = slice(lo, lo + _DECODE_BLOCK)
-        voxels = groups.point_voxel[block]
-        scores = np.einsum("mld,md->ml", np.take(keys, voxels, axis=0), q[block])
+    for _, idx, _, (qb, voxels) in _voxel_blocks(groups, q, groups.point_voxel):
+        scores = np.einsum("mld,md->ml", np.take(keys, voxels, axis=0), qb)
         scores -= _column_fold(np.maximum, scores)[:, None]
         e = np.exp(scores, out=scores)
         e /= (_column_fold(np.add, e) if e.shape[1] < _IN_ORDER else e.sum(axis=1))[:, None]
-        out[block] = np.einsum("ml,mld->md", e, np.take(values, voxels, axis=0))
+        out[idx] = np.einsum("ml,mld->md", e, np.take(values, voxels, axis=0))
     return out
 
 

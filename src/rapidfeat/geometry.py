@@ -1,7 +1,7 @@
 """Rigid transforms, range computation, and exact k-nearest-neighbor search.
 
 Two KNN routes are provided with identical contracts: :func:`knn_brute` is a
-straightforward chunked pairwise implementation that serves as the oracle, and
+straightforward pairwise implementation that serves as the oracle, and
 :func:`knn_indexed` is the accelerated path. Both rank neighbors by ascending
 metric distance with ties broken by ascending point index, and the accelerated
 path must agree with the oracle bit for bit. The routes differ only in which
@@ -11,9 +11,9 @@ and sorts the candidates by the (distance, index) pair, so ties leave it in
 ascending index order whatever order the candidates came in. Both routes
 check their subset with :func:`sorted_subset`. The tree retrieves every
 anchor at depth n + 2 first and widens, by doubling, only the anchors whose
-n-th exact distance does not sit strictly inside the tree's horizon. It
-walks the anchors in row blocks of a fixed number of candidate entries, so
-beyond the tree and the result its memory does not grow with the subset.
+n-th exact distance does not sit strictly inside the tree's horizon. Both
+routes walk anchors in blocks of a fixed number of candidate entries, so
+beyond the tree and the result their memory does not grow with the subset.
 
 :func:`knn_distance_range` serves a caller that reads only the smallest
 first and the largest n-th distance over all anchors: the tree's distances
@@ -54,8 +54,8 @@ BRUTE_FORCE_CUTOFF = 64
 CERTIFY_CUTOFF = 4096
 _SAMPLE_STRIDE = 32
 
-# Candidate entries (anchors x depth) per block of the tree route's
-# retrieval and re-rank; its temporaries stay a few MB at any subset size.
+# Candidate entries (anchors x candidates per anchor) per block of either
+# route's retrieval and re-rank; temporaries stay a few MB at any subset size.
 _RETRIEVE_BLOCK = 1 << 16
 
 _ORTHONORMAL_TOL = 1e-12
@@ -175,7 +175,7 @@ def _ranked(
 
 
 def _brute_candidate_rows(
-    x: np.ndarray, queries: Optional[np.ndarray] = None, chunk: int = 512
+    x: np.ndarray, queries: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full sorted candidate rows by exhaustive pairwise evaluation.
 
@@ -188,11 +188,12 @@ def _brute_candidate_rows(
     idx_out = np.empty((len(q), u), dtype=np.int64)
     d2_out = np.empty((len(q), u), dtype=np.float64)
     base = np.arange(u, dtype=np.int64)
-    for lo in range(0, len(q), chunk):
-        hi = min(lo + chunk, len(q))
-        own = base[lo:hi] if queries is None else None
-        idx_out[lo:hi], d2_out[lo:hi] = _ranked(
-            x, q[lo:hi], np.broadcast_to(base, (hi - lo, u)), own
+    step = max(1, _RETRIEVE_BLOCK // u)
+    for lo in range(0, len(q), step):
+        rows = slice(lo, min(lo + step, len(q)))
+        own = base[rows] if queries is None else None
+        idx_out[rows], d2_out[rows] = _ranked(
+            x, q[rows], np.broadcast_to(base, (rows.stop - lo, u)), own
         )
     return idx_out, d2_out
 

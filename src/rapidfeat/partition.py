@@ -12,19 +12,19 @@ carries only a region's point indices. Regions are dispatched one per task,
 largest first (ties in plan order). The calling process computes the largest
 region itself, then takes back every queued region no helper has started.
 Results are written back in plan order, so the output bytes and the order of
-roi ids do not depend on the worker count.
+roi ids do not depend on the worker count. A dead helper is a RapidError.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .cloud import PointCloud, SensorGeometry
-from .errors import ContractError, LabelsRequiredError, UndefinedAngleError
+from .errors import ContractError, LabelsRequiredError, RapidError, UndefinedAngleError
 from .geometry import range_of
 from .rapid import RangeAwareConfig, RapidMatrix, band_indices, rapid
 
@@ -154,8 +154,10 @@ def _run_jobs(
             for i, f in futures:
                 if not f.cancelled():
                     matrices[i] = f.result()
-        except BaseException:
+        except BaseException as exc:
             pool.shutdown(cancel_futures=True)  # queued helper work would delay the error
+            if isinstance(exc, BrokenProcessPool):
+                raise RapidError(f"a region helper process died: {exc}") from exc
             raise
     return matrices
 

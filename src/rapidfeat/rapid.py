@@ -182,7 +182,7 @@ def _rapid_rows(
 
     # The row: the k smallest distances in the 4D embedding (x, y, z, g(r)).
     embedded = reflectivity_metric(scale)(cloud, anchors)
-    _, rho2 = nearest_candidate_rows(embedded, k)
+    rho2 = nearest_candidate_rows(embedded, k)[1]  # values only: the indices die here
     rows = np.sqrt(rho2[:, :k])
     return rows, anchors, scale
 

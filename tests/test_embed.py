@@ -27,8 +27,8 @@ from rapidfeat import (
     vsa_decode,
     vsa_encode,
 )
+from rapidfeat import embed
 from rapidfeat.embed import (
-    _DECODE_BLOCK,
     _SCATTER_BLOCK,
     LinearStage,
     NormStage,
@@ -499,7 +499,7 @@ def multi_block_cloud(seed):
     counts. The run opens with a voxel larger than a 4,096-point scatter
     block, has voxels at numpy's pairwise-sum thresholds (8 and 128 points)
     and ends its next 4,096 points exactly on a block edge; the cloud spans
-    more than two 8,192-point decode blocks."""
+    more than four scatter blocks."""
     rng = np.random.default_rng(seed)
     counts = VOXEL_RUN + list(rng.integers(1, 400, size=60))
     cells = np.arange(len(counts)) * 7  # ascending raveled cells are in voxel order
@@ -516,7 +516,7 @@ class TestMultiBlock:
         assert groups.counts()[: len(VOXEL_RUN)].tolist() == VOXEL_RUN
         # the layout meets the block sizes it is built for
         assert sum(VOXEL_RUN) == VOXEL_RUN[0] + _SCATTER_BLOCK and VOXEL_RUN[0] > _SCATTER_BLOCK
-        assert groups.num_points > 2 * _DECODE_BLOCK
+        assert groups.num_points > 4 * _SCATTER_BLOCK
         scores = rng.normal(size=(len(pts), 4)) * 8
         got = scatter_softmax(scores, groups)
         assert got.tobytes() == scatter_softmax_rows(scores, groups).tobytes()
@@ -553,6 +553,52 @@ class TestMultiBlock:
         got = vsa_encode(feats, latents, weights, groups)
         want = scatter_sum_rows(point_attention(feats, latents, weights, groups), groups)
         assert got.flags.c_contiguous and got.shape == (groups.num_voxels, 4, 6)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestSmallVoxelBlocks:
+    """Every point walk (scatters, encode, decode) on voxel blocks of a few
+    points: multi_block_cloud's voxels, most of them blocks of their own,
+    beside 3,000 points in about 1,500 voxels of 1 to 9 points, which share
+    blocks, so that the walks cross over a hundred block edges."""
+
+    @pytest.fixture(params=[5, 64])
+    def cloud(self, request, monkeypatch):
+        monkeypatch.setattr(embed, "_SCATTER_BLOCK", request.param)
+        pts, rng = multi_block_cloud(request.param)
+        beside = rng.uniform(0, 12, size=(3000, 3)) + [20.0, 0.0, 0.0]
+        groups = voxelize(np.vstack([pts, beside]), 1.0)
+        spans = [v.stop - v.start for v, *_ in embed._voxel_blocks(groups)]
+        assert len(spans) > 100 and sum(s > 1 for s in spans) > 40
+        assert max(groups.counts()) > 50 * request.param
+        return groups, rng
+
+    def test_scatters_match_row_oracles(self, cloud):
+        groups, rng = cloud
+        scores = rng.normal(size=(groups.num_points, 4)) * 8
+        got = scatter_softmax(scores, groups)
+        assert got.tobytes() == scatter_softmax_rows(scores, groups).tobytes()
+        x = rng.normal(size=(groups.num_points, 4, 6))
+        assert scatter_sum(x, groups).tobytes() == scatter_sum_rows(x, groups).tobytes()
+
+    @pytest.mark.parametrize("latents", [1, 4, 8, 12])
+    def test_decode_matches_per_point_oracle(self, cloud, latents):
+        groups, rng = cloud
+        dims = EmbeddingDims(latents=latents, width=6, reduced=3, stages=1)
+        weights = WeightSet.seeded(dims, rng, in_width=5)
+        hv = rng.normal(size=(groups.num_voxels, latents, dims.width)) * 3
+        feats = rng.normal(size=(groups.num_points, 5)) * 3
+        got = vsa_decode(hv, feats, weights, groups)
+        assert got.tobytes() == decode_per_point(hv, feats, weights, groups).tobytes()
+
+    def test_encode_matches_point_attention_sums(self, cloud):
+        groups, rng = cloud
+        dims = EmbeddingDims(latents=4, width=6, reduced=3, stages=1)
+        weights = WeightSet.seeded(dims, rng, in_width=5)
+        latents = seeded_latents(dims, rng)
+        feats = rng.normal(size=(groups.num_points, 5)) * 4
+        got = vsa_encode(feats, latents, weights, groups)
+        want = scatter_sum_rows(point_attention(feats, latents, weights, groups), groups)
         assert got.tobytes() == want.tobytes()
 
 

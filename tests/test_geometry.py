@@ -464,6 +464,38 @@ class TestBlockedRetrieval:
         assert idx.tobytes() == want_idx.tobytes() and d2.tobytes() == want_d2.tobytes()
 
 
+class TestBruteBlocks:
+    """The brute route walks its queries in blocks of about _RETRIEVE_BLOCK
+    candidate entries; its rows must equal one unblocked ranking of all
+    rows byte for byte, across block edges."""
+
+    @pytest.mark.parametrize("lattice", [False, True])
+    @pytest.mark.parametrize("self_query", [False, True])
+    def test_blocks_equal_one_ranking(self, monkeypatch, self_query, lattice):
+        # u = 300 does not divide the 1,000-entry block: 3 queries per block.
+        monkeypatch.setattr(geometry, "_RETRIEVE_BLOCK", 1000)
+        ranked, calls = geometry._ranked, []
+
+        def spy(x, q, idx, own):
+            calls.append(len(q))
+            return ranked(x, q, idx, own)
+
+        monkeypatch.setattr(geometry, "_ranked", spy)
+        rng = np.random.default_rng(5)
+        # Integer coordinates tie everywhere, so the index tie-break crosses blocks.
+        x, q = (
+            rng.integers(0, 4, size=(n, 4)).astype(float) if lattice else rng.normal(size=(n, 4))
+            for n in (300, 250)
+        )
+        q = None if self_query else q
+        idx, d2 = geometry._brute_candidate_rows(x, q)
+        anchors, base = (x if q is None else q), np.arange(300)
+        own = base if q is None else None
+        want_idx, want_d2 = ranked(x, anchors, np.broadcast_to(base, (len(anchors), 300)), own)
+        assert idx.tobytes() == want_idx.tobytes() and d2.tobytes() == want_d2.tobytes()
+        assert calls == ([3] * 100 if q is None else [3] * 83 + [1])
+
+
 def range_oracle(x, n):
     """Smallest first and largest n-th squared distance of a full ranking."""
     _, d2 = cross_set_oracle(x, None, n)
