@@ -97,8 +97,8 @@ class SensorGeometry:
     delta_phi: float
 
     def __post_init__(self) -> None:
-        if self.beam_count <= 0:
-            raise ContractError("beam_count must be positive")
+        if not 1 <= self.beam_count < 2**31:  # ring ids are int32
+            raise ContractError(f"beam_count must be in [1, 2**31), got {self.beam_count}")
         if not 0.0 < self.delta_phi < math.inf:  # false for nan too
             raise ContractError(f"delta_phi must be positive and finite, got {self.delta_phi}")
 
@@ -113,8 +113,7 @@ class SensorGeometry:
         radians(high - low) / beam_count, so the beams sit on bin edges.
         """
         lo, hi = vertical_fov_deg
-        if not 1 <= beam_count < 2**31:  # ring ids are int32
-            raise ContractError(f"beam_count must be in [1, 2**31), got {beam_count}")
         if not hi > lo:  # false for nan too
             raise ContractError("vertical_fov_deg must be (low, high) with high > low")
+        cls(beam_count, 1.0)  # rejects a beam_count outside [1, 2**31) before dividing by it
         return cls(beam_count=beam_count, delta_phi=math.radians(hi - lo) / beam_count)

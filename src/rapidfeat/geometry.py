@@ -1,19 +1,18 @@
 """Rigid transforms, range computation, and exact k-nearest-neighbor search.
 
-Two KNN routes are provided with identical contracts: :func:`knn_brute` is a
-straightforward pairwise implementation that serves as the oracle, and
-:func:`knn_indexed` is the accelerated path. Both rank neighbors by ascending
-metric distance with ties broken by ascending point index, and the accelerated
-path must agree with the oracle bit for bit. The routes differ only in which
-candidates they choose: brute force takes every point, the KD-tree retrieves a
-superset of the nearest. One re-rank then computes every candidate distance
-and sorts the candidates by the (distance, index) pair, so ties leave it in
-ascending index order whatever order the candidates came in. Both routes
-check their subset with :func:`sorted_subset`. The tree retrieves every
-anchor at depth n + 2 first and widens, by doubling, only the anchors whose
-n-th exact distance does not sit strictly inside the tree's horizon. Both
-routes walk anchors in blocks of a fixed number of candidate entries, so
-beyond the tree and the result their memory does not grow with the subset.
+Every exact KNN runs one candidate walk. :func:`knn_brute`, the oracle,
+walks it without a tree, so every point is a candidate; :func:`knn_indexed`
+and :func:`nearest_candidate_rows` give it a KD-tree unless the subset is
+tiny or the depth covers it, and the tree retrieves a superset of the
+nearest. Both rank neighbors by ascending metric distance with ties broken
+by ascending point index, and agree bit for bit: one re-rank computes every
+candidate distance and sorts the candidates by the (distance, index) pair,
+so ties leave it in ascending index order whatever order the candidates
+came in. Subsets are checked by :func:`sorted_subset`. The tree retrieves
+every anchor at depth n + 2 first and widens, by doubling, only the anchors
+whose n-th exact distance does not sit strictly inside the tree's horizon.
+The walk takes anchors in blocks of a fixed number of candidate entries, so
+beyond the tree and the result its memory does not grow with the subset.
 
 :func:`knn_distance_range` serves a caller that reads only the smallest
 first and the largest n-th distance over all anchors: the tree's distances
@@ -45,8 +44,8 @@ from .errors import ContractError, InsufficientPointsError
 
 MetricEmbedding = Callable[[PointCloud, np.ndarray], np.ndarray]
 
-# Below this subset size the accelerated path falls back to brute force; tree
-# construction overhead dominates for tiny regions.
+# Up to this subset size nearest_candidate_rows builds no tree and ranks every
+# row; tree construction overhead dominates for tiny regions.
 BRUTE_FORCE_CUTOFF = 64
 
 # From this subset size knn_distance_range queries only the rows a cell-count
@@ -54,8 +53,8 @@ BRUTE_FORCE_CUTOFF = 64
 CERTIFY_CUTOFF = 4096
 _SAMPLE_STRIDE = 32
 
-# Candidate entries (anchors x candidates per anchor) per block of either
-# route's retrieval and re-rank; temporaries stay a few MB at any subset size.
+# Candidate entries (anchors x candidates per anchor) per block of the
+# candidate walk; temporaries stay a few MB at any subset size.
 _RETRIEVE_BLOCK = 1 << 16
 
 _ORTHONORMAL_TOL = 1e-12
@@ -143,12 +142,13 @@ class NeighborList:
 # ---------------------------------------------------------------------------
 # internal candidate machinery
 #
-# Both KNN routes reduce to "sorted candidate rows": per anchor, other points
-# ordered by (squared distance, candidate row index). The routes only choose
-# candidates; `_ranked` alone computes their squared distances, by direct
-# coordinate subtraction, and sorts them by (d2, row index), so the two
-# routes produce identical bits and ties follow the ascending row order.
-# The tree is only trusted to *retrieve* a candidate superset.
+# Every exact KNN reduces to "sorted candidate rows": per anchor, other
+# points ordered by (squared distance, candidate row index). A tree, when
+# the walk has one, only chooses candidates; `_ranked` alone computes their
+# squared distances, by direct coordinate subtraction, and sorts them by
+# (d2, row index), so the walk gives identical bits with or without a tree
+# and ties follow the ascending row order. The tree is only trusted to
+# *retrieve* a candidate superset.
 # ---------------------------------------------------------------------------
 
 
@@ -174,60 +174,41 @@ def _ranked(
     return np.take_along_axis(idx, order, axis=1), np.take_along_axis(d2, order, axis=1)
 
 
-def _brute_candidate_rows(
-    x: np.ndarray, queries: Optional[np.ndarray] = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full sorted candidate rows by exhaustive pairwise evaluation.
-
-    Returns (idx, d2) with one row per query over all u rows of x. Without
-    queries the anchors are x itself and the trailing column of each row is
-    the anchor pushed to the end with d2 = inf.
-    """
-    q = x if queries is None else queries
-    u = len(x)
-    idx_out = np.empty((len(q), u), dtype=np.int64)
-    d2_out = np.empty((len(q), u), dtype=np.float64)
-    base = np.arange(u, dtype=np.int64)
-    step = max(1, _RETRIEVE_BLOCK // u)
-    for lo in range(0, len(q), step):
-        rows = slice(lo, min(lo + step, len(q)))
-        own = base[rows] if queries is None else None
-        idx_out[rows], d2_out[rows] = _ranked(
-            x, q[rows], np.broadcast_to(base, (rows.stop - lo, u)), own
-        )
-    return idx_out, d2_out
-
-
-def _tree_candidate_rows(
+def _candidate_rows(
     x: np.ndarray, n: int, queries: Optional[np.ndarray] = None, tree: Optional[cKDTree] = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted candidate rows via KD-tree retrieval plus exact re-ranking.
+    """Sorted candidate rows, exact to depth n: each row keeps its
+    (d2, index)-first min(u, n + 2) candidates.
 
-    Every anchor is retrieved at depth n + 2 first. An anchor is done once
-    its n-th exact distance sits strictly inside the tree's horizon, which
-    guarantees its first n entries are exactly the n smallest and that every
-    candidate tied with the n-th distance was retrieved; only the anchors
-    that fail are retrieved again, at double depth. Every row keeps its
-    (d2, index)-first n + 2 candidates (all u when u is smaller). Anchors
-    go through in blocks of about _RETRIEVE_BLOCK candidates; a row depends
-    only on its own query, so the blocks change no bit of the result. tree,
-    if given, is cKDTree(x, leafsize=32) built by the caller.
+    With tree (cKDTree(x, leafsize=32)) every anchor is retrieved at depth
+    n + 2 first. An anchor is done once its n-th exact distance sits
+    strictly inside the tree's horizon, which guarantees its first n entries
+    are exactly the n smallest and that every candidate tied with the n-th
+    distance was retrieved; only the anchors that fail are retrieved again,
+    at double depth. Without a tree every row of x is a candidate, so each
+    anchor is done in one round. Anchors go through in blocks of about
+    _RETRIEVE_BLOCK candidate entries; a row depends only on its own query,
+    so the blocks change no bit of the result.
     """
     q = x if queries is None else queries
     u = len(x)
-    tree = cKDTree(x, leafsize=32) if tree is None else tree
     width = min(u, n + 2)
+    start = u if tree is None else width
     idx_out = np.empty((len(q), width), dtype=np.int64)
     d2_out = np.empty((len(q), width), dtype=np.float64)
-    step = max(1, _RETRIEVE_BLOCK // width)
+    step = max(1, _RETRIEVE_BLOCK // start)
     for lo in range(0, len(q), step):
-        rows, m = np.arange(lo, min(lo + step, len(q))), width
+        rows, m = np.arange(lo, min(lo + step, len(q))), start
         while len(rows):
             q_rows = q[rows]
-            d_tree, idx = tree.query(q_rows, k=m)
-            idx = idx.astype(np.int64, copy=False)
+            if m < u:
+                d_tree, idx = tree.query(q_rows, k=m)
+                idx = idx.astype(np.int64, copy=False)
+                horizon = d_tree[:, -1] ** 2 * (1.0 - 1e-12)
+            else:  # every row is a candidate, so the ranking is complete
+                idx, horizon = np.broadcast_to(np.arange(u), (len(rows), u)), np.inf
             idx_s, d2_s = _ranked(x, q_rows, idx, rows if queries is None else None)
-            done = (d2_s[:, n - 1] < d_tree[:, -1] ** 2 * (1.0 - 1e-12)) | (m >= u)
+            done = (d2_s[:, n - 1] < horizon) | (m >= u)
             idx_out[rows[done]] = idx_s[done, :width]
             d2_out[rows[done]] = d2_s[done, :width]
             rows = rows[~done]
@@ -244,17 +225,17 @@ def nearest_candidate_rows(
     its own row is excluded, and n must satisfy 1 <= n <= u - 1. With an
     (a, D) queries array the anchors are the query rows, ranked against
     every row of x with no exclusion, and 1 <= n <= u. Equal distances are
-    ordered by ascending row index of x. Rows may be wider than n; entries
-    beyond the guaranteed depth only serve tie inclusion at the n-th
-    distance, which the retrieval bound covers.
+    ordered by ascending row index of x. Rows are min(u, n + 2) wide;
+    entries beyond the guaranteed depth only serve tie inclusion at the
+    n-th distance, which the retrieval bound covers. The walk gets a tree
+    unless u <= BRUTE_FORCE_CUTOFF or n is at its upper bound.
     """
     u = len(x)
     depth = u - 1 if queries is None else u
     if not 1 <= n <= depth:
         raise ContractError(f"need 1 <= n <= {depth}, got n={n}, u={u}")
-    if u <= BRUTE_FORCE_CUTOFF or n >= depth:
-        return _brute_candidate_rows(x, queries)
-    return _tree_candidate_rows(x, n, queries)
+    tree = None if u <= BRUTE_FORCE_CUTOFF or n >= depth else cKDTree(x, leafsize=32)
+    return _candidate_rows(x, n, queries, tree)
 
 
 def knn_distance_range(x: np.ndarray, n: int) -> tuple[np.float64, np.float64]:
@@ -262,7 +243,7 @@ def knn_distance_range(x: np.ndarray, n: int) -> tuple[np.float64, np.float64]:
     distance of nearest_candidate_rows(x, n), bit for bit, from exact ranks
     of the few rows that can hold them.
 
-    The tree route queries rows at depth n + 1 with the row itself
+    A tree over x is queried at depth n + 1 with the row itself
     included, so column j of the tree distances is the j-th distance to
     another row, up to rounding. Only rows whose tree value lies within a
     relative 1e-9 of the extreme are ranked exactly, as queries that find
@@ -277,7 +258,7 @@ def knn_distance_range(x: np.ndarray, n: int) -> tuple[np.float64, np.float64]:
     so the result, are the same.
     """
     u = len(x)
-    if u <= BRUTE_FORCE_CUTOFF or not 1 <= n < u - 1:  # nearest_candidate_rows checks n
+    if not 1 <= n < u - 1:  # nearest_candidate_rows checks n
         _, d2 = nearest_candidate_rows(x, n)
         return d2[:, 0].min(), d2[:, n - 1].max()
     tree = cKDTree(x, leafsize=32)
@@ -287,8 +268,7 @@ def knn_distance_range(x: np.ndarray, n: int) -> tuple[np.float64, np.float64]:
     lo, hi = first.min(), nth.max()
     near = (first <= lo * (1.0 + 1e-9)) & (lo > 0)
     far = (nth >= hi * (1.0 - 1e-9)) & (hi > 0)
-    # the tree route of nearest_candidate_rows(x, n + 1, queries=...), on this tree
-    _, d2 = _tree_candidate_rows(x, n + 1, q[near | far], tree)
+    _, d2 = _candidate_rows(x, n + 1, q[near | far], tree)
     return (
         d2[:, 1].min() if lo > 0 else np.float64(0.0),
         d2[:, n].max() if hi > 0 else np.float64(0.0),
@@ -434,7 +414,7 @@ def knn_brute(
     ascending point index. Raises InsufficientPointsError when the subset has
     fewer than k+1 points.
     """
-    return _knn_lists(subset, cloud, k, metric, lambda x, _: _brute_candidate_rows(x))
+    return _knn_lists(subset, cloud, k, metric, _candidate_rows)
 
 
 def knn_indexed(
@@ -445,8 +425,9 @@ def knn_indexed(
 ) -> list[NeighborList]:
     """Accelerated exact KNN; output equals knn_brute for any input.
 
-    Uses a KD-tree over the metric embedding for candidate retrieval and
-    re-ranks retrieved candidates with the same exact arithmetic as the brute
-    route. Subsets below BRUTE_FORCE_CUTOFF go straight to brute force.
+    nearest_candidate_rows gives the candidate walk a KD-tree over the
+    metric embedding, which retrieves the candidates that the walk re-ranks
+    with the same exact arithmetic as knn_brute; tiny subsets, and depths
+    that cover the subset, rank every point without a tree.
     """
     return _knn_lists(subset, cloud, k, metric, nearest_candidate_rows)

@@ -43,9 +43,15 @@ class ConfusionMatrix:
 def accumulate(
     cm: ConfusionMatrix, truth: np.ndarray, predicted: np.ndarray
 ) -> ConfusionMatrix:
-    """Add one scan's (truth, prediction) pairs to the matrix in place."""
-    t = np.asarray(truth).astype(np.int64).ravel()
-    p = np.asarray(predicted).astype(np.int64).ravel()
+    """Add one scan's (truth, prediction) pairs to the matrix in place.
+
+    ContractError for labels that are not integers: floats and bools are
+    not truncated into class ids.
+    """
+    t, p = (np.asarray(a).ravel() for a in (truth, predicted))
+    if any(a.size and a.dtype.kind not in "iu" for a in (t, p)):
+        raise ContractError(f"labels must be integers, got dtypes {t.dtype} and {p.dtype}")
+    t, p = t.astype(np.int64), p.astype(np.int64)
     if t.shape != p.shape:
         raise ContractError(f"label length mismatch: {t.shape} vs {p.shape}")
     n = cm.num_classes

@@ -32,7 +32,7 @@ decode_per_point    projections of the (m, l, d) broadcast  vs  vsa_decode
 The bounded-memory oracles are the forms that build everything at once:
 
 tree_candidate_rows_whole  every anchor retrieved and re-ranked in one set
-                    vs  the row-block walk of geometry._tree_candidate_rows
+                    vs  the row-block walk of geometry._candidate_rows
 JoinedPayload       each array's tobytes, joined into one payload  vs  the
                     container writer that streams converted arrays to the file
 """

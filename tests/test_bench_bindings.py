@@ -14,17 +14,38 @@ import numpy as np
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_every_traced_name_is_bound(monkeypatch):
+def load_workloads(monkeypatch):
+    """perfbench's workloads module; importing it also imports checks, which
+    imports the library names it recomputes outputs with."""
     monkeypatch.syspath_prepend(str(BENCH))  # workloads imports its siblings by name
     spec = importlib.util.spec_from_file_location("workloads", BENCH / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def test_every_traced_name_is_bound(monkeypatch):
+    workloads = load_workloads(monkeypatch)
     unbound = [
         f"{module}.{attr}"
         for module, attr, _, _ in workloads.BINDINGS
         if getattr(importlib.import_module(module), attr, None) is None
     ]
     assert workloads.BINDINGS and unbound == []
+
+
+def test_knn_counts_read_a_real_call(monkeypatch):
+    # The counts of a traced KNN call read library names outside BINDINGS
+    # (geometry.BRUTE_FORCE_CUTOFF); a traced run would fail on a missing one.
+    from rapidfeat.geometry import nearest_candidate_rows
+
+    workloads = load_workloads(monkeypatch)
+    rng = np.random.default_rng(0)
+    for u, brute in ((40, True), (300, False)):
+        x = rng.normal(size=(u, 4))
+        counts = workloads._knn_counts((x, 5), {}, nearest_candidate_rows(x, 5))
+        assert counts["rows"] == u and counts["depth"] == 5 and counts["width"] == 7
+        assert counts["brute"] is brute
 
 
 def test_forward_reaches_each_traced_stage_once(monkeypatch):

@@ -65,6 +65,14 @@ class TestSensorGeometry:
             with pytest.raises(ContractError):
                 SensorGeometry(4, bad)
 
+    def test_beam_count_fits_int32_ring_ids(self):
+        # A direct build used to accept 2**32 + 5 beams, whose ring ids
+        # elevation_rings then wrapped in its int32 cast.
+        for beams in (2**31, 2**32 + 5):
+            with pytest.raises(ContractError):
+                SensorGeometry(beams, 1e-12)
+        assert SensorGeometry(2**31 - 1, 1e-12).beam_count == 2**31 - 1
+
     def test_from_fov_derivation(self):
         # Degrees in, radians out, bit for bit.
         g = SensorGeometry.from_fov(64, (-24.8, 2.0))

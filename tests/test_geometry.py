@@ -341,7 +341,7 @@ class TestCrossSetRows:
         self_query=st.booleans(),
     )
     def test_integer_grid_matches_full_ranking(self, u, a, depth, span, seed, self_query):
-        # Lattices with u > BRUTE_FORCE_CUTOFF take the tree route, whose
+        # Lattices with u > BRUTE_FORCE_CUTOFF walk with a tree, whose
         # many ties must come out by ascending index in both modes.
         rng = np.random.default_rng(seed)
         x = rng.integers(0, span + 1, size=(u, 3)).astype(np.float64)
@@ -465,9 +465,10 @@ class TestBlockedRetrieval:
 
 
 class TestBruteBlocks:
-    """The brute route walks its queries in blocks of about _RETRIEVE_BLOCK
-    candidate entries; its rows must equal one unblocked ranking of all
-    rows byte for byte, across block edges."""
+    """Without a tree the candidate walk ranks every row, in blocks of about
+    _RETRIEVE_BLOCK candidate entries; its rows must equal one unblocked
+    ranking of all rows, sliced to the walk's width, byte for byte, across
+    block edges."""
 
     @pytest.mark.parametrize("lattice", [False, True])
     @pytest.mark.parametrize("self_query", [False, True])
@@ -484,16 +485,20 @@ class TestBruteBlocks:
         rng = np.random.default_rng(5)
         # Integer coordinates tie everywhere, so the index tie-break crosses blocks.
         x, q = (
-            rng.integers(0, 4, size=(n, 4)).astype(float) if lattice else rng.normal(size=(n, 4))
-            for n in (300, 250)
+            rng.integers(0, 4, size=(m, 4)).astype(float) if lattice else rng.normal(size=(m, 4))
+            for m in (300, 250)
         )
         q = None if self_query else q
-        idx, d2 = geometry._brute_candidate_rows(x, q)
         anchors, base = (x if q is None else q), np.arange(300)
         own = base if q is None else None
         want_idx, want_d2 = ranked(x, anchors, np.broadcast_to(base, (len(anchors), 300)), own)
-        assert idx.tobytes() == want_idx.tobytes() and d2.tobytes() == want_d2.tobytes()
-        assert calls == ([3] * 100 if q is None else [3] * 83 + [1])
+        for n, width in ((5, 7), (299, 300)):  # rows n + 2 wide, then all u wide
+            calls.clear()
+            idx, d2 = geometry._candidate_rows(x, n, q)
+            assert idx.shape == d2.shape == (len(anchors), width)
+            assert idx.tobytes() == want_idx[:, :width].tobytes()
+            assert d2.tobytes() == want_d2[:, :width].tobytes()
+            assert calls == ([3] * 100 if q is None else [3] * 83 + [1])
 
 
 def range_oracle(x, n):
@@ -548,7 +553,8 @@ class TestKnnDistanceRange:
     )
     def test_integer_lattice_matches_full_ranking(self, u, depth, span, seed, certify):
         # Small spans put many rows on one lattice site: ties and duplicates
-        # at both extremes, on the brute route (u <= 64) and both tree routes.
+        # at both extremes, on both tree routes; depths that cover the rows
+        # walk without a tree.
         x = np.random.default_rng(seed).integers(0, span + 1, size=(u, 3)).astype(np.float64)
         n = min(depth, u - 1)
         with pytest.MonkeyPatch.context() as patch:

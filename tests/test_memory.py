@@ -11,8 +11,8 @@ import tracemalloc
 
 import numpy as np
 
-from rapidfeat import RapidMatrix, ReflectivityScale
-from rapidfeat.geometry import nearest_candidate_rows
+from rapidfeat import PointCloud, RapidMatrix, ReflectivityScale
+from rapidfeat.geometry import knn_brute, nearest_candidate_rows
 from rapidfeat.partition import PointwiseFeatureSet
 from rapidfeat.scene_io import load_feature_file, save_feature_file
 
@@ -52,6 +52,16 @@ class TestRetrievalMemory:
         x = np.random.default_rng(1).normal(size=(40_000, 4)) * 10
         whole = above_outputs(tree_candidate_rows_whole, x, 10)
         assert above_outputs(nearest_candidate_rows, x, 10) < whole / 3
+
+
+    def test_exhaustive_route_holds_one_block(self):
+        # knn_brute ranks every point, but one block of 65,536 candidate
+        # entries at a time, and keeps k + 2 columns per row: a few MiB, where
+        # the whole (u, u) ranking of 3,000 points would hold 16 u^2 = 144 MB.
+        rng = np.random.default_rng(6)
+        cloud = PointCloud(rng.normal(size=(3000, 3)) * 10, rng.uniform(0, 1, 3000))
+        lists, peak = traced_peak(knn_brute, np.arange(3000), cloud, 10)
+        assert len(lists) == 3000 and peak < 8 << 20
 
 
 def feature_set(rng):

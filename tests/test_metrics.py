@@ -51,6 +51,22 @@ class TestAccumulate:
         with pytest.raises(ContractError):
             accumulate(cm, [5], [1])
 
+    def test_non_integer_labels_rejected(self):
+        # Truth [1.7, 2.2] used to count as classes 1 and 2, and bools as 0 and 1.
+        for truth, pred in (
+            ([1.7, 2.2], [1, 2]),
+            ([1, 2], [1.0, 2.9]),
+            (np.array([True, False]), [1, 0]),
+        ):
+            cm = ConfusionMatrix.empty(3)
+            with pytest.raises(ContractError):
+                accumulate(cm, truth, pred)
+            assert cm.counts.sum() == 0
+        cm = ConfusionMatrix.empty(3)
+        accumulate(cm, np.array([1, 2], dtype=np.uint8), np.array([1, 2], dtype=np.int32))
+        accumulate(cm, [], [])  # an empty scan adds nothing, whatever its dtype
+        assert cm.counts.tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 1]]
+
     def test_order_independence(self, rng):
         scans = [
             (rng.integers(0, 4, 50), rng.integers(0, 4, 50)) for _ in range(6)
