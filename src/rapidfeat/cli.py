@@ -24,8 +24,7 @@ from .config import RunConfig, config_echo
 from .errors import RapidError
 from .geometry import RigidTransform, apply_transform
 from .metrics import ConfusionMatrix, accumulate, iou, miou
-from .partition import PointwiseFeatureSet, c_rapid, r_rapid
-from .rapid import rapid
+from .partition import PointwiseFeatureSet, _run_jobs, c_rapid, r_rapid
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -92,23 +91,15 @@ def _save(path: str, features: PointwiseFeatureSet, config: RunConfig) -> None:
     """Write one extract output and print its per-region statistics."""
     scene_io.save_feature_file(path, features.matrices, features, meta=config_echo(config))
     print(f"wrote {path}: {len(features.values)} pointwise rows")
-    print(f"{'roi':<18}{'points':>8}{'k':>4}{'pad_rate':>10}  histogram[0,1]")
+    print(f"{'roi':<18}{'points':>8}{'k':>4}{'outliers':>10}  histogram[0,1]")
     for mat in features.matrices:
-        pad = float(np.mean(mat.values == 1.0))
         hist, _ = np.histogram(mat.values, bins=10, range=(0.0, 1.0))
-        print(f"{mat.roi_id:<18}{mat.u:>8}{mat.k:>4}{pad:>10.3f}  {hist.tolist()}")
+        print(f"{mat.roi_id:<18}{mat.u:>8}{mat.k:>4}{mat.outliers:>10}  {hist.tolist()}")
     n_pad = int(np.sum(features.valid_width == 0))
     print(
         f"total points {len(features.values)}, regions {len(features.matrices)}, "
         f"pad-only points {n_pad}"
     )
-
-
-def _write_csv(path: Optional[str], rows: list[list]) -> None:
-    if path:
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        print(f"wrote {path}")
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -130,7 +121,7 @@ def cmd_check_invariance(args: argparse.Namespace) -> int:
     baseline = r_rapid(cloud, config.sensor, config.rapid, workers=config.workers)
     if not baseline.matrices:
         raise RapidError("no region to compare: every point of the scan is padding")
-    delta = config.rapid.delta
+    jobs = [(mat.anchors, mat.k, mat.roi_id) for mat in baseline.matrices]
     rng = np.random.default_rng(config.seed)
     worst = 0.0
     for trial in range(args.trials):
@@ -141,9 +132,9 @@ def cmd_check_invariance(args: argparse.Namespace) -> int:
             moved = cloud.with_points(cloud.points * factor)
         else:
             moved = apply_transform(cloud, RigidTransform.random(rng))
-        for mat in baseline.matrices:
-            values = rapid(mat.anchors, moved, mat.k, delta).values
-            worst = max(worst, float(np.abs(values - mat.values).max()))
+        rerun = _run_jobs(moved, jobs, config.rapid.delta, config.workers)
+        for mat, again in zip(baseline.matrices, rerun):
+            worst = max(worst, float(np.abs(again.values - mat.values).max()))
     print(f"compared {len(baseline.matrices)} regions, {sum(m.u for m in baseline.matrices)} rows")
     print(f"max feature deviation over {args.trials} trials: {worst:.3e}")
     if worst > args.tolerance:
@@ -172,8 +163,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"class {c:>3}  IoU {'undefined' if math.isnan(v) else f'{v:.4f}'}")
     mean = miou(cm)
     print(f"mIoU {mean:.4f}")
-    cells = [[c, "" if math.isnan(v) else f"{v:.6f}"] for c, v in rows]
-    _write_csv(args.csv, [["class", "iou"], *cells, ["miou", f"{mean:.6f}"]])
+    if args.csv:
+        cells = [[c, "" if math.isnan(v) else f"{v:.6f}"] for c, v in rows]
+        with open(args.csv, "w", newline="") as fh:
+            csv.writer(fh).writerows([["class", "iou"], *cells, ["miou", f"{mean:.6f}"]])
+        print(f"wrote {args.csv}")
     return EXIT_OK
 
 
@@ -196,7 +190,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     for stage in ("load", "partition", "knn", "sort", "normalize"):
         print(f"  {stage:<10} {stages[stage]:8.4f} s")
     print(f"{'workers':>8}{'seconds':>10}{'speedup':>9}  identical")
-    table = [(1, base_wall, 1.0, True)]
     print(f"{1:>8}{base_wall:>10.3f}{1.0:>9.2f}  yes")
     for w in args.workers_list:
         if w == 1:
@@ -205,13 +198,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         fs = r_rapid(cloud, config.sensor, config.rapid, workers=w)
         wall = time.perf_counter() - t0
         same = fs.values.tobytes() == base_bytes
-        table.append((w, wall, base_wall / wall, same))
         print(f"{w:>8}{wall:>10.3f}{base_wall / wall:>9.2f}  {'yes' if same else 'NO'}")
         if not same:
             print("worker outputs diverge from the single-worker run", file=sys.stderr)
             return EXIT_INVARIANT
-    cells = [[w, f"{wall:.4f}", f"{speedup:.3f}", same] for w, wall, speedup, same in table]
-    _write_csv(args.csv, [["workers", "seconds", "speedup", "identical"], *cells])
     return EXIT_OK
 
 
@@ -286,7 +276,6 @@ def build_parser() -> _Parser:
         default="1,2,4,8",
         help="comma-separated worker counts",
     )
-    p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("heatmap", help="export one region's matrix as a PGM image")

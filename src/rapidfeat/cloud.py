@@ -33,6 +33,9 @@ class PointCloud:
               (nominally in [0, 1] on disk, not enforced)
     ring      optional (m,) int32 beam index
     label     optional (m,) int32 semantic class id
+
+    A non-empty ring or label array must have an integer dtype and values
+    that fit int32; anything else is a ContractError, never a cast.
     """
 
     points: np.ndarray
@@ -60,16 +63,20 @@ class PointCloud:
             chan = getattr(self, name)
             if chan is None:
                 continue
-            arr = np.asarray(chan, dtype=np.int32)
+            arr = np.asarray(chan)
             if arr.shape != (len(pts),):
                 raise ContractError(f"{name} length does not match point count")
-            object.__setattr__(self, name, _readonly(arr))
+            if arr.size and arr.dtype.kind not in "iu":  # floats and bools are not truncated
+                raise ContractError(f"{name} must be integers, got dtype {arr.dtype}")
+            if arr.size and not -(2**31) <= arr.min() <= arr.max() < 2**31:
+                raise ContractError(f"{name} values must fit int32")
+            object.__setattr__(self, name, _readonly(arr.astype(np.int32, copy=False)))
 
     def __len__(self) -> int:
         return len(self.points)
 
     def with_labels(self, labels: np.ndarray) -> "PointCloud":
-        return replace(self, label=np.asarray(labels, dtype=np.int32))
+        return replace(self, label=labels)
 
     def with_points(self, points: np.ndarray) -> "PointCloud":
         return replace(self, points=np.asarray(points, dtype=np.float64))

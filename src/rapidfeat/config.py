@@ -24,9 +24,11 @@ errors, and an integer in a float field must fit a finite float, so a
 scene_io's, which reads the .rapd header and the weight meta the same way.
 
 The ring rule's vertical resolution is SensorGeometry.from_fov of the beam
-count and the field of view; no key overrides it. Keys outside this list are
-ignored, among them the horizontal resolution keys and the vertical
-resolution override of older config files. The k triple (10, 7, 5) suits
+count and the field of view; no key overrides it. A synthetic scene, like a
+scan file, carries no ring channel, so its rings come from the same rule.
+Keys outside this list are ignored, among them the horizontal resolution
+keys, the vertical resolution override and the synthetic scene's
+input.synthetic.pose of older config files. The k triple (10, 7, 5) suits
 64-beam scans and (8, 6, 3) suits 32-beam scans.
 """
 
@@ -39,7 +41,6 @@ from typing import Any, Optional
 
 from .cloud import SensorGeometry
 from .errors import ContractError
-from .geometry import RigidTransform
 from .rapid import RangeAwareConfig
 from .scene_io import BoxPrimitive, CylinderPrimitive, PlanePrimitive, SyntheticSceneSpec
 from .scene_io import _fields, _get, _typed
@@ -47,8 +48,8 @@ from .scene_io import _fields, _get, _typed
 _PRIMITIVES = {"plane": PlanePrimitive, "box": BoxPrimitive, "cylinder": CylinderPrimitive}
 
 
-def _scene(doc: dict, geometry: SensorGeometry, at: str) -> SyntheticSceneSpec:
-    """The synthetic scene of a config, in the sensor's ring layout."""
+def _scene(doc: dict, at: str) -> SyntheticSceneSpec:
+    """The synthetic scene of a config."""
     prims = []
     for i, p in enumerate(_get(doc, "primitives", tuple[dict, ...], (), at)):
         key = f"{at}primitives[{i}]"
@@ -56,15 +57,8 @@ def _scene(doc: dict, geometry: SensorGeometry, at: str) -> SyntheticSceneSpec:
         if kind not in _PRIMITIVES:
             raise ContractError(f"{key}: unknown primitive type {kind!r}")
         prims.append(_fields(_PRIMITIVES[kind], p, key))
-    pose = _get(doc, "pose", Optional[dict], None, at) or {}
-    vector, identity = tuple[float, float, float], RigidTransform.identity()
     return SyntheticSceneSpec(
         primitives=tuple(prims),
-        geometry=geometry,
-        sensor_pose=RigidTransform(
-            _get(pose, "rotation", tuple[vector, ...], identity.rotation, at + "pose."),
-            _get(pose, "translation", vector, identity.translation, at + "pose."),
-        ),
         noise_sigma=_get(doc, "noise_sigma", float, 0.0, at),
         seed=_get(doc, "seed", int, 0, at),
     )
@@ -120,7 +114,7 @@ class RunConfig:
         return cls(
             scan=get("input.scan", Optional[str], None),
             labels=get("input.labels", Optional[str], None),
-            synthetic=None if synthetic is None else _scene(synthetic, sensor, "input.synthetic."),
+            synthetic=None if synthetic is None else _scene(synthetic, "input.synthetic."),
             features_out=get("output.features", str, "r_rapid.rapd"),
             class_features_out=get("output.class_features", Optional[str], None),
             sensor=sensor,

@@ -59,6 +59,9 @@ _RETRIEVE_BLOCK = 1 << 16
 
 _ORTHONORMAL_TOL = 1e-12
 
+# Bound on each translation component of RigidTransform.random, in meters.
+_MAX_TRANSLATION = 50.0
+
 
 @dataclass(frozen=True)
 class RigidTransform:
@@ -84,15 +87,14 @@ class RigidTransform:
         return cls(np.eye(3), np.zeros(3))
 
     @classmethod
-    def random(
-        cls, rng: np.random.Generator, max_translation: float = 50.0
-    ) -> "RigidTransform":
-        """Uniform random rotation (QR of a Gaussian matrix) plus a bounded translation."""
+    def random(cls, rng: np.random.Generator) -> "RigidTransform":
+        """Uniform random rotation (QR of a Gaussian matrix) plus a translation
+        uniform in [-_MAX_TRANSLATION, _MAX_TRANSLATION) per axis."""
         q, r = np.linalg.qr(rng.normal(size=(3, 3)))
         q = q * np.sign(np.diag(r))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
-        t = rng.uniform(-max_translation, max_translation, size=3)
+        t = rng.uniform(-_MAX_TRANSLATION, _MAX_TRANSLATION, size=3)
         return cls(q, t)
 
     def apply(self, points: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -105,6 +105,9 @@ class RapidMatrix:
     anchors  original point index of each row, in post-sort row order
     seconds  (knn, normalize, sort) seconds of the rapid() call that built
              it; () for a decoded matrix, as containers do not store them
+    outliers count of entries above delta, written back as 1.0, in the
+             rapid() call that built it; None for a decoded matrix, as
+             containers do not store it
     """
 
     values: np.ndarray
@@ -113,6 +116,7 @@ class RapidMatrix:
     scale: ReflectivityScale
     anchors: np.ndarray
     seconds: tuple[float, ...] = ()
+    outliers: Optional[int] = None
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
@@ -227,7 +231,8 @@ def rapid(
     Entries above delta are dropped from normalization and written back as
     exactly 1.0; survivors are min-max normalized over the whole matrix (a
     constant matrix normalizes to 0.0). Rows are sorted lexicographically by
-    their final values. The matrix carries the seconds of its three steps.
+    their final values. The matrix carries the seconds of its three steps
+    and its outlier count.
     """
     t0 = time.perf_counter()
     rows, anchors, scale = _rapid_rows(subset, cloud, k)
@@ -248,4 +253,4 @@ def rapid(
     t2 = time.perf_counter()
     values, anchors = _lexsorted(rows, anchors)
     seconds = (t1 - t0, t2 - t1, time.perf_counter() - t2)
-    return RapidMatrix(values, roi_id, k, scale, anchors, seconds)
+    return RapidMatrix(values, roi_id, k, scale, anchors, seconds, int(outlier.sum()))

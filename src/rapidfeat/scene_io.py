@@ -18,14 +18,14 @@ import json
 import math
 import struct
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .cloud import PointCloud, SensorGeometry
+from .cloud import PointCloud
 from .errors import (
     ContractError,
     EmptySceneError,
@@ -33,8 +33,7 @@ from .errors import (
     LabelMismatchError,
     MalformedScanError,
 )
-from .geometry import RigidTransform
-from .partition import PointwiseFeatureSet, elevation_rings
+from .partition import PointwiseFeatureSet
 from .rapid import RapidMatrix, ReflectivityScale
 
 MAGIC = b"RAPD"
@@ -296,8 +295,6 @@ class SyntheticSceneSpec:
     """Deterministic scene: the seed fully determines the output cloud."""
 
     primitives: tuple[Primitive, ...]
-    geometry: SensorGeometry
-    sensor_pose: RigidTransform = field(default_factory=RigidTransform.identity)
     noise_sigma: float = 0.0
     seed: int = 0
 
@@ -307,9 +304,9 @@ class SyntheticSceneSpec:
 
 
 def synthesize_scene(spec: SyntheticSceneSpec) -> PointCloud:
-    """Sample every primitive in order, express coordinates in the sensor
-    frame, add measurement noise, and assign ring ids by the elevation ring
-    rule."""
+    """Sample every primitive in order and add measurement noise. The cloud
+    holds what a scan and its label file hold: points, remission and labels,
+    no ring channel."""
     if not spec.primitives:
         raise EmptySceneError("scene needs at least one primitive")
     rng = np.random.default_rng(spec.seed)
@@ -319,17 +316,10 @@ def synthesize_scene(spec: SyntheticSceneSpec) -> PointCloud:
         chunks.append(pts)
         labels.append(np.full(len(pts), prim.class_id, dtype=np.int32))
         refl.append(np.full(len(pts), prim.reflectivity, dtype=np.float64))
-    world = np.concatenate(chunks, axis=0)
-    pose = spec.sensor_pose
-    local = (world - pose.translation) @ pose.rotation
+    points = np.concatenate(chunks, axis=0)
     if spec.noise_sigma > 0:
-        local = local + rng.normal(0.0, spec.noise_sigma, local.shape)
-    return PointCloud(
-        points=local,
-        remission=np.concatenate(refl),
-        ring=elevation_rings(local, spec.geometry),
-        label=np.concatenate(labels),
-    )
+        points = points + rng.normal(0.0, spec.noise_sigma, points.shape)
+    return PointCloud(points=points, remission=np.concatenate(refl), label=np.concatenate(labels))
 
 
 # ---------------------------------------------------------------------------

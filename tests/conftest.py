@@ -50,7 +50,6 @@ def default_scene(seed: int = 3, noise: float = 0.02) -> SyntheticSceneSpec:
                 reflectivity=0.9,
             ),
         ),
-        geometry=small_geometry(),
         noise_sigma=noise,
         seed=seed,
     )

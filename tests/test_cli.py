@@ -10,6 +10,7 @@ import pytest
 from rapidfeat import (
     BoxPrimitive,
     ConfusionMatrix,
+    PointCloud,
     RangeAwareConfig,
     RunConfig,
     SensorGeometry,
@@ -17,7 +18,9 @@ from rapidfeat import (
     miou,
     partition,
     save_kitti_labels,
+    save_kitti_scan,
 )
+from rapidfeat import cli
 from rapidfeat.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from rapidfeat.scene_io import load_feature_file, save_feature_file
 
@@ -125,14 +128,9 @@ class TestRunConfig:
         assert repr((c.rapid.band_edges, c.rapid.delta)) == "((15.0, 40.0), 1.0)"
 
     def test_scene_is_read_at_load(self, config_file):
-        rotation = [[0, -1, 0], [1, 0, 0], [0, 0, 1]]
-        scene = {**SCENE, "pose": {"rotation": rotation, "translation": [1, 2, 3]}}
-        spec = RunConfig.load(str(config_file(input={"synthetic": scene}))).synthetic
+        spec = RunConfig.load(str(config_file())).synthetic
         assert spec.primitives[1] == BoxPrimitive((8.0, 3.0, 0.0), (4.0, 2.0, 1.6), 600, 2, 0.6)
-        assert np.array_equal(spec.sensor_pose.rotation, rotation)
-        assert np.array_equal(spec.sensor_pose.translation, [1, 2, 3])
         assert (spec.noise_sigma, spec.seed) == (0.02, 11)
-        assert spec.geometry == SensorGeometry.from_fov(16, (-10, 10))
 
     def test_file_overrides_defaults(self, tmp_path):
         path = tmp_path / "c.json"
@@ -167,7 +165,10 @@ class TestRunConfig:
         plain_sensor = RunConfig.load(str(plain_path)).sensor
         main(["extract", "--config", str(plain_path)])
         plain = (tmp_path / "r.rapd").read_bytes()
+        # A synthetic scene holds no sensor pose; older configs set one.
+        pose = {"rotation": [[0, -1, 0], [1, 0, 0], [0, 0, 1]], "translation": [1, 2, 3]}
         path = config_file(
+            input={"synthetic": {**SCENE, "pose": pose}},
             voxel_size=0.4,
             embedding={"latents": 2, "width": 8, "reduced": 4, "stages": 1},
             fusion={"ratio": 2},
@@ -176,6 +177,7 @@ class TestRunConfig:
         )
         config = RunConfig.load(str(path))
         assert config.rapid.ks == (10, 7, 5) and config.sensor == plain_sensor
+        assert config.synthetic == RunConfig.load(str(plain_path)).synthetic
         assert main(["extract", "--config", str(path)]) == EXIT_OK
         assert (tmp_path / "r.rapd").read_bytes() == plain
 
@@ -231,10 +233,6 @@ class TestRunConfig:
             ),
             pytest.param({"input": {"synthetic": {**SCENE, "seed": 2.9}}}, id="scene-seed-fraction"),
             pytest.param({"input": {"synthetic": {**SCENE, "noise_sigma": "0.1"}}}, id="noise-string"),
-            pytest.param(
-                {"input": {"synthetic": {**SCENE, "pose": {"translation": ["1", "0", "0"]}}}},
-                id="translation-string",
-            ),
             pytest.param({"input": {"synthetic": _scene_with(0, type=["plane"])}}, id="type-list"),
             pytest.param({"input": {"synthetic": {**SCENE, "noise_sigma": math.nan}}}, id="noise-nan"),
             pytest.param({"rapid": {"delta": 1e400}}, id="delta-1e400"),
@@ -353,7 +351,33 @@ class TestExtract:
     def test_prints_region_statistics(self, config_file, capsys):
         main(["extract", "--config", str(config_file())])
         out = capsys.readouterr().out
-        assert "pad_rate" in out and "histogram" in out
+        assert "outliers" in out and "histogram" in out
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_summary_counts_outliers(self, tmp_path, capsys, workers):
+        # Class 1: 40 points in a 0.5 m cube, whose 4D distances all stay
+        # below delta = 2; the summary used to count the normalized maximum
+        # (1.0) as padding and print a pad_rate of 0.005. Class 2: two
+        # 3-point clusters 5 m apart at one reflectivity, so at k = 5 each
+        # row holds 3 distances above delta: 18 outliers.
+        rng = np.random.default_rng(5)
+        cube = np.array([10.0, 10.0, 0.0]) + rng.uniform(0.0, 0.5, (40, 3))
+        cluster = np.array([[10, 0, 0], [10, 0.1, 0], [10, 0, 0.1]], dtype=np.float64)
+        cloud = PointCloud(
+            points=np.concatenate([cube, cluster, cluster + [0, 0, 5]]),
+            remission=np.concatenate([rng.uniform(0, 1, 40), np.full(6, 0.5)]),
+        )
+        save_kitti_scan(cloud, tmp_path / "s.bin")
+        save_kitti_labels(np.repeat([1, 2], [40, 6]), tmp_path / "s.label")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"rapid": {"k_close": 5, "k_mid": 4, "k_far": 3}}))
+        argv = ["extract", "--config", str(path), "--scan", str(tmp_path / "s.bin"),
+                "--labels", str(tmp_path / "s.label"), "--out", str(tmp_path / "r.rapd"),
+                "--class-out", str(tmp_path / "c.rapd"), "--workers", str(workers)]
+        assert main(argv) == EXIT_OK
+        rows = {line.split()[0]: line.split()[1:4] for line in capsys.readouterr().out.splitlines()}
+        assert rows["class001-close"] == ["40", "5", "0"]
+        assert rows["class002-close"] == ["6", "5", "18"]
 
     def test_class_output_without_labels_is_data_error(self, tmp_path, config_file):
         import struct
@@ -409,6 +433,22 @@ class TestCheckInvariance:
         captured = capsys.readouterr()
         assert "max feature deviation" not in captured.out
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_workers_reach_the_trials(self, config_file, capsys, monkeypatch):
+        # Every trial used to recompute its regions in a serial loop; they
+        # now run through partition's job runner at the run's worker count.
+        runs = []
+        run_jobs = partition._run_jobs
+        monkeypatch.setattr(
+            cli, "_run_jobs", lambda *a: runs.append(a[3]) or run_jobs(*a)
+        )
+        lines = []
+        for workers in ("1", "2"):
+            argv = ["check-invariance", "--config", str(config_file()), "--trials", "2"]
+            assert main(argv + ["--workers", workers]) == EXIT_OK
+            lines.append(capsys.readouterr().out.splitlines()[-1])
+        assert lines[0] == lines[1] and lines[0].startswith("max feature deviation over 2")
+        assert runs == [1, 1, 2, 2]
 
     def test_non_rigid_negative_control(self, config_file):
         code = main(
@@ -666,9 +706,13 @@ class TestUsage:
             ["eval", "--truth", "t", "--pred", "p", "--seed", "1"],
             ["bench", "--workers", "2"],
             ["bench", "--seed", "1"],
+            ["bench", "--csv", "x"],
             ["check-invariance", "--labels", "x"],
         ],
-        ids=["eval-workers", "eval-seed", "bench-workers", "bench-seed", "check-labels"],
+        ids=[
+            "eval-workers", "eval-seed", "bench-workers", "bench-seed", "bench-csv",
+            "check-labels",
+        ],
     )
     def test_unread_flag_is_usage_error(self, config_file, capsys, argv):
         # Each command used to accept these flags and never read them.

@@ -54,6 +54,33 @@ class TestPointCloud:
         assert cloud.label is None
         assert labeled.label.tolist() == [1, 2]
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda c: PointCloud(c.points, c.remission, label=np.array([1.7, 2.2, -0.5])),
+            lambda c: PointCloud(c.points, c.remission, label=np.array([True, False, True])),
+            lambda c: PointCloud(c.points, c.remission, ring=np.array([0, 1, 2**31])),
+            lambda c: c.with_labels([3.9, 0.1, 1.0]),
+        ],
+        ids=["float-label", "bool-label", "ring-2**31", "with-labels-float"],
+    )
+    def test_integer_channels_are_not_cast(self, make):
+        # Each used to be cast into int32: [1, 2, 0], [1, 0, 1], a ring of
+        # -2**31 and [3, 0, 1].
+        with pytest.raises(ContractError):
+            make(PointCloud(points=np.ones((3, 3)), remission=np.zeros(3)))
+
+    def test_integer_channels_stored_as_int32(self):
+        cloud = PointCloud(
+            points=np.ones((3, 3)),
+            remission=np.zeros(3),
+            ring=np.array([0, 1, 2**31 - 1], dtype=np.int64),
+            label=np.array([-(2**31), 0, 7], dtype=np.int64),
+        )
+        assert cloud.ring.dtype == cloud.label.dtype == np.int32
+        assert cloud.ring.tolist() == [0, 1, 2**31 - 1]
+        assert cloud.label.tolist() == [-(2**31), 0, 7]
+
 
 class TestSensorGeometry:
     def test_validation(self):

@@ -1,5 +1,6 @@
 """Transforms, range computation, and the two KNN routes."""
 
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -93,10 +94,11 @@ class TestApplyTransform:
         )
 
     def test_channels_untouched(self, scene_cloud):
-        rng = np.random.default_rng(0)
-        moved = apply_transform(scene_cloud, RigidTransform.random(rng))
-        assert np.array_equal(moved.ring, scene_cloud.ring)
-        assert np.array_equal(moved.label, scene_cloud.label)
+        # A synthetic scene has no ring channel; give it one to carry.
+        cloud = replace(scene_cloud, ring=np.arange(len(scene_cloud)) % 16)
+        moved = apply_transform(cloud, RigidTransform.random(np.random.default_rng(0)))
+        assert moved.ring is not None and np.array_equal(moved.ring, cloud.ring)
+        assert np.array_equal(moved.label, cloud.label)
 
     def test_pairwise_distances_preserved(self, rng):
         pts = rng.normal(size=(80, 3)) * 5.0

@@ -25,8 +25,11 @@ from rapidfeat import (
     partition_classes,
     partition_rings,
     r_rapid,
+    rapid_unnormalized,
     synthesize_scene,
 )
+
+from rapidfeat.partition import elevation_rings
 
 from conftest import small_geometry
 from oracles import cylindrical_bin
@@ -470,7 +473,8 @@ class TestWorkerDispatch:
         rng = np.random.default_rng(4)
         ang, dist = rng.uniform(0, 2 * np.pi, 80), rng.uniform(5.0, 15.0, 80)
         pts = np.stack([dist * np.cos(ang), dist * np.sin(ang), rng.normal(0, 0.3, 80)], axis=1)
-        cloud = PointCloud(points=pts, remission=rng.uniform(0, 1, 80), label=np.ones(80))
+        label = np.ones(80, dtype=np.int32)
+        cloud = PointCloud(points=pts, remission=rng.uniform(0, 1, 80), label=label)
         config = RangeAwareConfig(k_close=5, k_mid=4, k_far=3)
         one, four = c_rapid(cloud, config, workers=1), c_rapid(cloud, config, workers=4)
         assert len(one.matrices) == 1
@@ -492,40 +496,53 @@ class TestWorkerDispatch:
                 assert all(np.isfinite(s) and s >= 0 for s in mat.seconds)
 
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matrices_carry_outlier_counts(self, workers):
+        cloud = _three_region_cloud()
+        config = RangeAwareConfig(k_close=5, k_mid=4, k_far=3, delta=1.5)
+        fs = c_rapid(cloud, config, workers=workers)
+        assert sum(m.outliers for m in fs.matrices) > 0
+        for mat in fs.matrices:
+            rows, _, _ = rapid_unnormalized(mat.anchors, cloud, mat.k)
+            assert mat.outliers == int((rows > config.delta).sum())
+
+
 class TestSyntheticRingAssignment:
+    # A synthetic scene used to carry a ring channel computed by the ring rule
+    # at synthesis; it now holds what a scan file holds, and r_rapid applies
+    # the rule to its points.
     def test_rings_come_from_quantization(self):
         geometry = small_geometry()
         spec = SyntheticSceneSpec(
             primitives=(
                 PlanePrimitive((0, 0, 1.0), (1, 0, 0), (0, 1, 0), 10, 10, 500, 1, 0.5),
             ),
-            geometry=geometry,
             noise_sigma=0.0,
             seed=1,
         )
         cloud = synthesize_scene(spec)
-        recomputed = partition_rings(
-            PointCloud(points=cloud.points, remission=cloud.remission), geometry
-        )
-        assert np.array_equal(cloud.ring, recomputed)
+        assert cloud.ring is None
+        fs = r_rapid(cloud, geometry, RangeAwareConfig(k_close=5, k_mid=4, k_far=3))
+        rings = elevation_rings(cloud.points, geometry)
+        assert len(np.unique(rings)) > 1
+        assert np.array_equal(fs.roi, rings)
 
     def test_zero_point_scene_is_empty(self):
         spec = SyntheticSceneSpec(
             primitives=(
                 PlanePrimitive((0, 0, 1.0), (1, 0, 0), (0, 1, 0), 10, 10, 0, 1, 0.5),
             ),
-            geometry=small_geometry(),
         )
         cloud = synthesize_scene(spec)
-        assert len(cloud) == 0
-        assert cloud.ring.dtype == np.int32 and cloud.ring.shape == (0,)
+        assert len(cloud) == 0 and cloud.ring is None
 
     def test_origin_point_rejected(self):
         spec = SyntheticSceneSpec(
             primitives=(
                 PlanePrimitive((0, 0, 0.0), (1, 0, 0), (0, 1, 0), 0, 0, 3, 1, 0.5),
             ),
-            geometry=small_geometry(),
         )
+        cloud = synthesize_scene(spec)
+        assert len(cloud) == 3
         with pytest.raises(UndefinedAngleError):
-            synthesize_scene(spec)
+            r_rapid(cloud, small_geometry(), RangeAwareConfig(k_close=2, k_mid=2, k_far=2))

@@ -220,6 +220,19 @@ class TestRapidStructure:
         assert n_outliers > 0
         assert int((m.values == 1.0).sum()) >= n_outliers
 
+    def test_outlier_count_is_the_mask(self, rng):
+        cloud = random_cloud(rng, 60, spread=8.0)
+        m = rapid(np.arange(60), cloud, k=5, delta=0.8)
+        rows, _, _ = rapid_unnormalized(np.arange(60), cloud, 5)
+        assert m.outliers == int((rows > 0.8).sum()) > 0
+
+    def test_normalized_maximum_is_no_outlier(self, rng):
+        # The extract summary used to count every 1.0 as padding, so this
+        # region's normalized maximum read as a pad rate of 0.005.
+        cloud = random_cloud(rng, 40)
+        m = rapid(np.arange(40), cloud, k=5, delta=np.inf)
+        assert m.outliers == 0 and int((m.values == 1.0).sum()) == 1
+
     def test_no_survivors_all_ones(self):
         cloud = PointCloud(
             points=np.array([[0.0, 0, 0], [5.0, 0, 0], [10.0, 0, 0]]),

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from rapidfeat import (
     load_kitti_labels,
     load_kitti_scan,
     r_rapid,
+    rapid,
     save_kitti_labels,
     save_kitti_scan,
     synthesize_scene,
@@ -47,7 +49,7 @@ from rapidfeat.scene_io import (
     write_pgm,
 )
 
-from conftest import default_scene, small_geometry
+from conftest import default_scene, random_cloud, small_geometry
 from oracles import JoinedPayload
 
 
@@ -140,7 +142,6 @@ class TestSynthesizeScene:
             primitives=(
                 PlanePrimitive((0, 0, -1.5), (1, 0, 0), (0, 1, 0), 10, 10, 200, 1, 0.5),
             ),
-            geometry=small_geometry(),
             noise_sigma=0.0,
             seed=42,
         )
@@ -152,7 +153,6 @@ class TestSynthesizeScene:
         b = synthesize_scene(default_scene(seed=9))
         assert a.points.tobytes() == b.points.tobytes()
         assert a.remission.tobytes() == b.remission.tobytes()
-        assert a.ring.tobytes() == b.ring.tobytes()
         assert a.label.tobytes() == b.label.tobytes()
 
     def test_different_seeds_differ(self):
@@ -167,9 +167,7 @@ class TestSynthesizeScene:
         assert set(np.unique(scene_cloud.remission)) == {0.2, 0.6, 0.9}
 
     def test_empty_scene_rejected(self):
-        spec = SyntheticSceneSpec(
-            primitives=(), geometry=small_geometry(), noise_sigma=0.0, seed=0
-        )
+        spec = SyntheticSceneSpec(primitives=(), noise_sigma=0.0, seed=0)
         with pytest.raises(EmptySceneError):
             synthesize_scene(spec)
 
@@ -184,7 +182,7 @@ class TestSynthesizeScene:
             lambda: BoxPrimitive((0, 0, 0), (1, 0, 0), 10, 1, 0.5),
             lambda: CylinderPrimitive((0, 0, 0), -1, 1, 10, 1, 0.5),
             lambda: CylinderPrimitive((0, 0, 0), 1, math.nan, 10, 1, 0.5),
-            lambda: SyntheticSceneSpec((), small_geometry(), noise_sigma=math.nan),
+            lambda: SyntheticSceneSpec((), noise_sigma=math.nan),
         ],
         ids=[
             "extent", "count", "class-id", "count-2**61", "size-nan", "size-flat", "radius",
@@ -226,6 +224,16 @@ class TestFeatureContainer:
             assert np.array_equal(a.values, b.values)  # f32-representable
             assert np.array_equal(a.anchors, b.anchors)
             assert a.roi_id == b.roi_id and a.k == b.k and a.scale == b.scale
+
+    def test_run_records_not_stored(self, tmp_path, rng):
+        # seconds and the outlier count describe the rapid() call, not the matrix.
+        cloud = random_cloud(rng, 60, spread=8.0)
+        mat = rapid(np.arange(60), cloud, k=5, delta=0.8)
+        save_feature_file(tmp_path / "a.rapd", [mat])
+        save_feature_file(tmp_path / "b.rapd", [replace(mat, seconds=(), outliers=None)])
+        assert (tmp_path / "a.rapd").read_bytes() == (tmp_path / "b.rapd").read_bytes()
+        loaded = load_feature_file(tmp_path / "a.rapd").matrices[0]
+        assert mat.outliers > 0 and (loaded.seconds, loaded.outliers) == ((), None)
 
     @settings(max_examples=25, deadline=None)
     @given(n_mats=st.integers(0, 4), seed=st.integers(0, 2 ** 31))
