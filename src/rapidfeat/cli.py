@@ -90,16 +90,14 @@ def _config_overrides(args: argparse.Namespace) -> dict:
 def _save(path: str, features: PointwiseFeatureSet, config: RunConfig) -> None:
     """Write one extract output and print its per-region statistics."""
     scene_io.save_feature_file(path, features.matrices, features, meta=config_echo(config))
-    print(f"wrote {path}: {len(features.values)} pointwise rows")
+    m = len(features.roi)
+    print(f"wrote {path}: {m} pointwise rows")
     print(f"{'roi':<18}{'points':>8}{'k':>4}{'outliers':>10}  histogram[0,1]")
     for mat in features.matrices:
         hist, _ = np.histogram(mat.values, bins=10, range=(0.0, 1.0))
         print(f"{mat.roi_id:<18}{mat.u:>8}{mat.k:>4}{mat.outliers:>10}  {hist.tolist()}")
-    n_pad = int(np.sum(features.valid_width == 0))
-    print(
-        f"total points {len(features.values)}, regions {len(features.matrices)}, "
-        f"pad-only points {n_pad}"
-    )
+    n_pad = m - sum(mat.u for mat in features.matrices)  # no point anchors two rows
+    print(f"total points {m}, regions {len(features.matrices)}, pad-only points {n_pad}")
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -229,7 +227,7 @@ def build_parser() -> _Parser:
             p.add_argument(flag, type=int, default=None)
 
     p = sub.add_parser("extract", help="compute and store RAPiD features")
-    common(p, "--workers", "--seed")
+    common(p, "--workers")
     p.add_argument("--scan", default=None, help="KITTI .bin scan path")
     p.add_argument("--labels", default=None, help="KITTI .label path")
     p.add_argument("--out", default=None, help="feature container output path")

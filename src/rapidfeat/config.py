@@ -13,7 +13,7 @@ has a default; CLI flags override file values. Defaults:
     rapid.delta                                   2.0 meters
     eval.num_classes / eval.ignore                20 / [0]
     workers                                       1 (at least 1)
-    seed                                          0 (at least 0)
+    seed                                          0 (at least 0; check-invariance)
 
 Every value, the synthetic scene's too, is read by its field's type and
 never coerced: a string or a bool is not a number, an integer field takes no
@@ -74,6 +74,7 @@ class RunConfig:
     features_out: str
     class_features_out: Optional[str]
     sensor: SensorGeometry
+    vertical_fov_deg: tuple[float, float]
     rapid: RangeAwareConfig
     eval_num_classes: int
     eval_ignore: tuple[int, ...]
@@ -106,10 +107,8 @@ class RunConfig:
         for key, value, low in (("workers", workers, 1), ("seed", seed, 0)):
             if value < low:
                 raise ContractError(f"{key} must be >= {low}, got {value}")
-        sensor = SensorGeometry.from_fov(
-            get("sensor.beam_count", int, 64),
-            get("sensor.vertical_fov_deg", tuple[float, float], (-24.8, 2.0)),
-        )
+        fov = get("sensor.vertical_fov_deg", tuple[float, float], (-24.8, 2.0))
+        sensor = SensorGeometry.from_fov(get("sensor.beam_count", int, 64), fov)
         synthetic = get("input.synthetic", Optional[dict], None)
         return cls(
             scan=get("input.scan", Optional[str], None),
@@ -118,6 +117,7 @@ class RunConfig:
             features_out=get("output.features", str, "r_rapid.rapd"),
             class_features_out=get("output.class_features", Optional[str], None),
             sensor=sensor,
+            vertical_fov_deg=fov,
             rapid=_fields(RangeAwareConfig, doc.get("rapid", {}), "rapid"),
             eval_num_classes=get("eval.num_classes", int, 20),
             eval_ignore=get("eval.ignore", tuple[int, ...], (0,)),
@@ -127,11 +127,12 @@ class RunConfig:
 
 
 def config_echo(config: RunConfig) -> dict[str, Any]:
-    """Hyperparameters recorded in output containers for provenance."""
+    """The settings an extract output's bytes depend on, recorded in the
+    container: the RAPiD settings, and the beams and field of view of the ring ids."""
     return {
         "k": list(config.rapid.ks),
         "band_edges": list(config.rapid.band_edges),
         "delta": config.rapid.delta,
         "beam_count": config.sensor.beam_count,
-        "seed": config.seed,
+        "vertical_fov_deg": list(config.vertical_fov_deg),
     }

@@ -2,9 +2,9 @@
 
 A scan is split into rings (the elevation ring rule, or the sensor's native
 ring channel when present) or into semantic classes, each region is further
-split into range bands, and per-region RAPiD matrices are scattered back to
-their anchor points as a fixed-width pointwise feature set. Sparse regions
-fall back along the configured k chain and finally to all-padding rows.
+split into range bands, and the per-region RAPiD matrices, anchored to their
+points, make the fixed-width pointwise feature set. Sparse regions fall back
+along the configured k chain and finally to all-padding rows.
 
 With w > 1 workers, the calling process is one of them: it forks w - 1
 helper processes, each of which receives the scan once, and a helper task
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -67,23 +68,40 @@ def partition_classes(cloud: PointCloud) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointwiseFeatureSet:
-    """Scan-aligned feature rows: row j describes point j of the input cloud.
+    """Scan-aligned features: roi (m,) holds the ring or class id of each input
+    point, width the row width (k_max at extraction) and matrices the region
+    matrices, no two anchoring one point. Derived on first read: values
+    (m, width) float64, each matrix row at its anchor and 1.0 padding, and
+    valid_width (m,) int32, each row's computed entries (0 for padding)."""
 
-    values       (m, k_max) float64, padded with 1.0
-    roi          (m,) int32 ring or class id
-    valid_width  (m,) int32 count of computed entries per row (0 for padding)
-    matrices     the per-region matrices the rows were scattered from
-    """
-
-    values: np.ndarray
     roi: np.ndarray
-    valid_width: np.ndarray
+    width: int
     matrices: tuple[RapidMatrix, ...] = ()
 
     def __post_init__(self) -> None:
-        m = len(self.values)
-        if self.roi.shape != (m,) or self.valid_width.shape != (m,):
-            raise ContractError("per-point channels must match the row count")
+        if self.roi.ndim != 1:
+            raise ContractError("roi must hold one id per point")
+        if not 1 <= self.width < 2**31 or any(mat.k > self.width for mat in self.matrices):
+            raise ContractError(f"width {self.width} must be in [1, 2^31) and at least every k")
+        anchors = np.concatenate([np.zeros(0, np.int64), *(mat.anchors for mat in self.matrices)])
+        if anchors.size and not 0 <= anchors.min() <= anchors.max() < len(self.roi):
+            raise ContractError(f"anchors must lie in [0, {len(self.roi)})")
+        if np.bincount(anchors).max(initial=0) > 1:
+            raise ContractError("a point anchors rows of two matrices")
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        values = np.ones((len(self.roi), self.width))
+        for mat in self.matrices:
+            values[mat.anchors, : mat.k] = mat.values
+        return values
+
+    @cached_property
+    def valid_width(self) -> np.ndarray:
+        valid = np.zeros(len(self.roi), dtype=np.int32)
+        for mat in self.matrices:
+            valid[mat.anchors] = mat.k
+        return valid
 
 
 def _plan_jobs(
@@ -162,19 +180,6 @@ def _run_jobs(
     return matrices
 
 
-def _scatter(
-    ids: np.ndarray, matrices: list[RapidMatrix], k_max: int
-) -> PointwiseFeatureSet:
-    values = np.ones((len(ids), k_max), dtype=np.float64)
-    valid = np.zeros(len(ids), dtype=np.int32)
-    for mat in matrices:
-        values[mat.anchors, : mat.k] = mat.values
-        valid[mat.anchors] = mat.k
-    return PointwiseFeatureSet(
-        values=values, roi=ids, valid_width=valid, matrices=tuple(matrices)
-    )
-
-
 def _extract(
     cloud: PointCloud,
     ids: np.ndarray,
@@ -182,12 +187,11 @@ def _extract(
     config: RangeAwareConfig,
     workers: int,
 ) -> PointwiseFeatureSet:
-    """RAPiD per (region x range band) of the per-point region ids, scattered
-    back to points."""
+    """RAPiD per (region x range band) of the per-point region ids, anchored
+    to points."""
     band = band_indices(np.asarray(range_of(cloud.points)), config)
-    jobs = _plan_jobs(ids, band, config, prefix)
-    matrices = _run_jobs(cloud, jobs, config.delta, workers)
-    return _scatter(ids, matrices, config.k_max)
+    matrices = _run_jobs(cloud, _plan_jobs(ids, band, config, prefix), config.delta, workers)
+    return PointwiseFeatureSet(ids, config.k_max, tuple(matrices))
 
 
 def r_rapid(
@@ -196,7 +200,7 @@ def r_rapid(
     config: RangeAwareConfig,
     workers: int = 1,
 ) -> PointwiseFeatureSet:
-    """Intra-ring features: RAPiD per (ring x range band), scattered back to
+    """Intra-ring features: RAPiD per (ring x range band), anchored to
     points. Needs no labels."""
     rings = partition_rings(cloud, geometry)
     return _extract(cloud, rings, "ring", config, workers)

@@ -7,9 +7,10 @@ On-disk formats:
 * KITTI label (.label): packed little-endian uint32 per point; the low 16
   bits are the semantic class, the high 16 bits (instance id) are discarded.
 * Feature/weight container (.rapd): magic "RAPD", uint32 version, uint32
-  header length, UTF-8 JSON header, then a raw little-endian payload of the
-  arrays the header describes. One container format serves RAPiD matrices,
-  the scan-level pointwise record, and named weight tensors.
+  header length, UTF-8 JSON header, a raw little-endian payload of the
+  arrays the header describes, then a uint32 CRC-32 of all bytes before it.
+  One format serves RAPiD matrices, the scan-level pointwise record (int32
+  roi ids and a row width; rows derive from the matrices) and weights.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import math
 import struct
 import sys
+import zlib
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cache
 from pathlib import Path
@@ -348,32 +350,37 @@ class _PayloadBuilder:
 
 
 def _write_container(path: PathLike, header: dict, payload) -> None:
-    """Write a container; payload is bytes-like or a _PayloadBuilder, whose
-    arrays go to the file one converted array at a time."""
+    """Write a container and its CRC-32 trailer; payload is bytes-like or a
+    _PayloadBuilder, whose arrays go to the file one converted array at a time."""
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    start = MAGIC + struct.pack("<II", CONTAINER_VERSION, len(head)) + head
+    crc = zlib.crc32(start)
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", CONTAINER_VERSION, len(head)))
-        fh.write(head)
+        fh.write(start)
         for chunk in payload.buffers() if isinstance(payload, _PayloadBuilder) else [payload]:
             fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        fh.write(struct.pack("<I", crc))
 
 
 def _read_container(path: PathLike) -> tuple[dict, memoryview]:
-    """(header, payload); the payload is a view of the file's bytes, not a copy."""
+    """(header, payload); the payload views the file's bytes up to the checked trailer."""
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != MAGIC:
         raise FormatError(f"{path}: not a RAPD container")
     version, head_len = struct.unpack("<II", raw[4:12])
     if version != CONTAINER_VERSION:
         raise FormatError(f"{path}: unsupported container version {version}")
-    if len(raw) < 12 + head_len:
+    body = memoryview(raw)[:-4]
+    if len(raw) < 16 or zlib.crc32(body) != struct.unpack("<I", raw[-4:])[0]:
+        raise FormatError(f"{path}: CRC-32 trailer mismatch (corrupt, truncated or older file)")
+    if len(body) < 12 + head_len:
         raise FormatError(f"{path}: truncated header")
     try:  # ValueError: bad UTF-8, bad JSON, or an integer of too many digits
         header = _typed(json.loads(raw[12 : 12 + head_len].decode("utf-8")), dict, "header")
     except (ValueError, ContractError) as exc:
         raise FormatError(f"{path}: corrupt header ({exc})") from exc
-    return header, memoryview(raw)[12 + head_len :]
+    return header, body[12 + head_len :]
 
 
 def _contents(header: dict, kind: str, types: tuple[str, ...]) -> tuple[list, dict]:
@@ -459,43 +466,33 @@ def save_feature_file(
     meta: Optional[dict] = None,
 ) -> None:
     """Persist RAPiD matrices, plus an optional scan-level pointwise record
-    and provenance meta; the round trip is lossless at float32."""
+    (roi ids and width) and provenance meta; lossless at float32."""
     builder = _PayloadBuilder()
     records = [_matrix_record(builder, m) for m in matrices]
     if pointwise is not None:
-        records.append(
-            {
-                "type": "pointwise",
-                "arrays": {
-                    "values": builder.add(pointwise.values, "<f4"),
-                    "roi": builder.add(pointwise.roi, "<i4"),
-                    "valid_width": builder.add(pointwise.valid_width, "<i4"),
-                },
-            }
-        )
+        roi = builder.add(pointwise.roi, "<i4")
+        records.append({"type": "pointwise", "width": pointwise.width, "arrays": {"roi": roi}})
     header = {"kind": "rapid-features", "meta": meta or {}, "records": records}
     _write_container(path, header, builder)
 
 
 def load_feature_file(path: PathLike) -> FeatureFile:
-    """Decode a feature container; FormatError on any malformed header,
-    record or array descriptor, and on a decoded record that breaks a contract."""
+    """Decode a feature container; FormatError on a checksum mismatch, on any
+    malformed header, record or array descriptor, and on a decoded record
+    that breaks a contract, such as matrices the pointwise rows cannot hold."""
     header, payload = _read_container(path)
-    matrices, arrays = [], None
+    matrices, stored = [], None
     try:
         records, meta = _contents(header, "rapid-features", ("matrix", "pointwise"))
         for rtype, rec, at in records:
             if rtype == "matrix":
                 matrices.append(_matrix_from_record(rec, payload, at))
-            elif arrays is not None:
+            elif stored is not None:
                 raise ContractError(f"{at}type: more than one pointwise record")
             else:
-                arrays = (
-                    _read_array(payload, rec, "values", "<f4", at).astype(np.float64),
-                    _read_array(payload, rec, "roi", "<i4", at).astype(np.int32),
-                    _read_array(payload, rec, "valid_width", "<i4", at).astype(np.int32),
-                )
-        pointwise = None if arrays is None else PointwiseFeatureSet(*arrays, tuple(matrices))
+                roi = _read_array(payload, rec, "roi", "<i4", at).astype(np.int32)
+                stored = (roi, _get(rec, "width", int, at=at))
+        pointwise = None if stored is None else PointwiseFeatureSet(*stored, tuple(matrices))
     except ContractError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return FeatureFile(matrices=tuple(matrices), pointwise=pointwise, meta=meta)

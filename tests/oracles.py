@@ -35,6 +35,8 @@ tree_candidate_rows_whole  every anchor retrieved and re-ranked in one set
                     vs  the row-block walk of geometry._candidate_rows
 JoinedPayload       each array's tobytes, joined into one payload  vs  the
                     container writer that streams converted arrays to the file
+scatter             the pointwise rows scattered from the matrices, as extract
+                    built and stored them  vs  PointwiseFeatureSet's derived rows
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from rapidfeat import (
     NeighborList,
     PointCloud,
     RangeAwareConfig,
+    RapidMatrix,
     ReflectivityScale,
     SensorGeometry,
     UndefinedAngleError,
@@ -319,3 +322,17 @@ class JoinedPayload:
 
     def buffers(self) -> list[bytes]:
         return [b"".join(self.chunks)]
+
+
+def scatter(
+    ids: np.ndarray, matrices: Sequence[RapidMatrix], k_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(values, valid_width): (m, k_max) float64 rows padded with 1.0, each
+    matrix row written at its anchor, and the int32 count of computed
+    entries per point."""
+    values = np.ones((len(ids), k_max), dtype=np.float64)
+    valid = np.zeros(len(ids), dtype=np.int32)
+    for mat in matrices:
+        values[mat.anchors, : mat.k] = mat.values
+        valid[mat.anchors] = mat.k
+    return values, valid

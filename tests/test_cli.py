@@ -114,6 +114,7 @@ class TestRunConfig:
             "features_out": "r_rapid.rapd",
             "class_features_out": None,
             "sensor": SensorGeometry.from_fov(64, (-24.8, 2.0)),
+            "vertical_fov_deg": (-24.8, 2.0),
             "rapid": RangeAwareConfig((20.0, 50.0), k_close=10, k_mid=7, k_far=5, delta=2.0),
             "eval_num_classes": 20,
             "eval_ignore": (0,),
@@ -291,6 +292,18 @@ class TestExtract:
         out = load_feature_file(tmp_path / "r.rapd")
         assert len(out.pointwise.values) == 2800
         assert out.meta["k"] == [10, 7, 5]
+
+    def test_meta_names_the_settings_the_bytes_depend_on(self, config_file, tmp_path):
+        # The field of view sets every ring id; the top-level seed is read
+        # by check-invariance only, and a synthetic scene has its own.
+        assert main(["extract", "--config", str(config_file(seed=3))]) == EXIT_OK
+        assert load_feature_file(tmp_path / "r.rapd").meta == {
+            "k": [10, 7, 5],
+            "band_edges": [20.0, 50.0],
+            "delta": 2.0,
+            "beam_count": 16,
+            "vertical_fov_deg": [-10.0, 10.0],
+        }
 
     def test_byte_identical_reruns(self, config_file, tmp_path):
         path = config_file()
@@ -708,10 +721,11 @@ class TestUsage:
             ["bench", "--seed", "1"],
             ["bench", "--csv", "x"],
             ["check-invariance", "--labels", "x"],
+            ["extract", "--seed", "1"],
         ],
         ids=[
             "eval-workers", "eval-seed", "bench-workers", "bench-seed", "bench-csv",
-            "check-labels",
+            "check-labels", "extract-seed",
         ],
     )
     def test_unread_flag_is_usage_error(self, config_file, capsys, argv):

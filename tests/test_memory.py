@@ -65,18 +65,17 @@ class TestRetrievalMemory:
 
 
 def feature_set(rng):
-    """Two 50k-row matrices and a 100k-point pointwise record, k = 10."""
+    """Two 50k-row matrices anchored to the two halves of a 100k-point
+    pointwise record, k = 10."""
     scale = ReflectivityScale(0.0, 1.0, 0.1, 2.0)
     matrices = tuple(
-        RapidMatrix(rng.uniform(0, 1, (50_000, 10)), f"ring00{i}-close", 10, scale, np.arange(50_000))
+        RapidMatrix(
+            rng.uniform(0, 1, (50_000, 10)), f"ring00{i}-close", 10, scale,
+            np.arange(50_000) + 50_000 * i,
+        )
         for i in range(2)
     )
-    pointwise = PointwiseFeatureSet(
-        rng.uniform(0, 1, (100_000, 10)),
-        np.repeat(np.arange(2, dtype=np.int32), 50_000),
-        np.full(100_000, 10, dtype=np.int32),
-        matrices,
-    )
+    pointwise = PointwiseFeatureSet(np.repeat(np.arange(2, dtype=np.int32), 50_000), 10, matrices)
     return matrices, pointwise
 
 
@@ -84,14 +83,18 @@ class TestContainerMemory:
     def test_save_holds_one_converted_array(self, tmp_path):
         matrices, pointwise = feature_set(np.random.default_rng(2))
         _, peak = traced_peak(save_feature_file, tmp_path / "f.rapd", matrices, pointwise)
-        assert peak <= pointwise.values.size * 4 + SLACK  # the largest array at float32
+        largest = max(m.values.size * 4 for m in matrices)  # a matrix at float32
+        assert peak <= largest + SLACK
 
     def test_load_holds_the_file_and_the_decoded_arrays(self, tmp_path):
+        # Load builds the matrices and the roi ids; the pointwise rows are
+        # derived only when read. Checking the anchors takes two int64
+        # arrays of one entry per point: the anchors joined, and their counts.
         matrices, pointwise = feature_set(np.random.default_rng(3))
         path = tmp_path / "f.rapd"
         save_feature_file(path, matrices, pointwise)
         loaded, peak = traced_peak(load_feature_file, path)
         p = loaded.pointwise
         decoded = sum(m.values.nbytes + m.anchors.nbytes for m in loaded.matrices)
-        decoded += p.values.nbytes + p.roi.nbytes + p.valid_width.nbytes
+        decoded += p.roi.nbytes + 2 * 8 * len(p.roi)
         assert peak <= path.stat().st_size + decoded + SLACK

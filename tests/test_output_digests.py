@@ -6,16 +6,23 @@ rule, a new sort precision) edits the digests here and states the old and
 the new digest and the definition change behind them. Each case runs at
 workers 1 and 2, so the pins also hold the byte identity across worker
 counts.
+
+The decoded pins hash what load_feature_file returns: every matrix and the
+pointwise rows, roi ids and valid widths. They were first computed from
+files of the earlier layout, which stored the rows, with that layout's own
+loader. A change of file layout alone leaves them as they are.
 """
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from rapidfeat import save_kitti_labels, save_kitti_scan
 from rapidfeat.cli import EXIT_OK, main
+from rapidfeat.scene_io import load_feature_file
 
 from conftest import kitti_style_scan
 
@@ -39,13 +46,23 @@ README_CONFIG = {
 }
 
 README_DIGESTS = {
-    "r.rapd": "e16fd0956b1a066e7855f0836e493f4f64ad9f27719fb53325d28bbc0a18e940",
-    "c.rapd": "8092a90884f15874d469499aa6fbbfd01b87eab990410e1bb09a8b1dec99c0a4",
+    "r.rapd": "65246119760c3f0526e9738a7e297c4a889f331e7d57f797be69b21db96046f4",
+    "c.rapd": "36ad922e115a8170f0e88cffde39f5ab7d292312c1f022ffff3965523db0794f",
 }
 
 KITTI_DIGESTS = {
-    "r.rapd": "102f157ccbc0bf8fdb69b7b8cbf474307691c5851db102dd897ae2bf9afc541e",
-    "c.rapd": "1954da2ebe2a069a43e177fff42de2d2059790c25551fbcb41a9ad54d848b97f",
+    "r.rapd": "d0e1a31b5f9c36d36906ef2897b499130b7234b2d1b0350732ef4dbf3d711c97",
+    "c.rapd": "79c0edb24c9a134cfe04702ed3066b104e4e78280e4d871dd45bd26dc5e94d95",
+}
+
+README_DECODED = {
+    "r.rapd": "82bff31a7df31553d6b0674a0c71d2f3ae2fc800c31e4d31a39d150c7d154a59",
+    "c.rapd": "e66b1e9db03c0c4bc09f7461e29d6fa88ef48e7f6df311adc9ac35db223ae08a",
+}
+
+KITTI_DECODED = {
+    "r.rapd": "cbbe1f697636b7c22e5513b87f41df7fa1bd24f9fc48167d85406119509c53eb",
+    "c.rapd": "f9b4d09eb66db867c6c18749423144b6f6b533fdf41a72122e909ed2800bbb63",
 }
 
 
@@ -60,7 +77,28 @@ def kitti_labels(points: np.ndarray) -> np.ndarray:
     return labels
 
 
-def _extract(tmp_path, doc: dict, workers: int) -> dict:
+def _decoded(path) -> str:
+    """sha256 of what load_feature_file decodes from path: each matrix's id,
+    k, scale, values and anchors, then the pointwise values, roi and
+    valid_width, each array with its dtype and shape."""
+    features = load_feature_file(path)
+    h = hashlib.sha256()
+
+    def update(*arrays):
+        for a in arrays:
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+
+    for m in features.matrices:
+        h.update(json.dumps([m.roi_id, m.k, asdict(m.scale)]).encode())
+        update(m.values, m.anchors)
+    pw = features.pointwise
+    update(pw.values, pw.roi, pw.valid_width)
+    return h.hexdigest()
+
+
+def _extract(tmp_path, doc: dict, workers: int) -> tuple[dict, dict]:
+    """(file digests, decoded digests) of the R and C outputs."""
     out = tmp_path / f"w{workers}"
     out.mkdir()
     doc = {
@@ -70,15 +108,16 @@ def _extract(tmp_path, doc: dict, workers: int) -> dict:
     cfg = tmp_path / f"cfg{workers}.json"
     cfg.write_text(json.dumps(doc))
     assert main(["extract", "--config", str(cfg), "--workers", str(workers)]) == EXIT_OK
-    return {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("r.rapd", "c.rapd")
-    }
+    names = ("r.rapd", "c.rapd")
+    return (
+        {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in names},
+        {name: _decoded(out / name) for name in names},
+    )
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_readme_config_digests(tmp_path, workers):
-    assert _extract(tmp_path, README_CONFIG, workers) == README_DIGESTS
+    assert _extract(tmp_path, README_CONFIG, workers) == (README_DIGESTS, README_DECODED)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -91,4 +130,4 @@ def test_kitti_bin_scan_digests(tmp_path, workers):
         "input": {"scan": str(tmp_path / "scan.bin"), "labels": str(tmp_path / "scan.label")},
         "sensor": {"beam_count": 64, "vertical_fov_deg": [-24.8, 2.0]},
     }
-    assert _extract(tmp_path, doc, workers) == KITTI_DIGESTS
+    assert _extract(tmp_path, doc, workers) == (KITTI_DIGESTS, KITTI_DECODED)

@@ -1,4 +1,4 @@
-"""Ring/class partitioning, range banding, fallback, and scatter-back."""
+"""Ring/class partitioning, range banding, fallback, and the pointwise rows."""
 
 import functools
 import os
@@ -16,6 +16,8 @@ from rapidfeat import (
     PlanePrimitive,
     PointCloud,
     RangeAwareConfig,
+    RapidMatrix,
+    ReflectivityScale,
     RigidTransform,
     SensorGeometry,
     SyntheticSceneSpec,
@@ -29,10 +31,11 @@ from rapidfeat import (
     synthesize_scene,
 )
 
-from rapidfeat.partition import elevation_rings
+from rapidfeat.partition import PointwiseFeatureSet, elevation_rings
+from rapidfeat.scene_io import load_feature_file, save_feature_file
 
-from conftest import small_geometry
-from oracles import cylindrical_bin
+from conftest import default_scene, small_geometry
+from oracles import cylindrical_bin, scatter
 
 
 class TestCylindricalBin:
@@ -505,6 +508,60 @@ class TestWorkerDispatch:
         for mat in fs.matrices:
             rows, _, _ = rapid_unnormalized(mat.anchors, cloud, mat.k)
             assert mat.outliers == int((rows > config.delta).sum())
+
+
+class TestPointwiseRows:
+    """A pointwise feature set is its matrices: the rows are derived."""
+
+    def test_derived_rows_equal_the_scatter_oracle(self, tmp_path):
+        config = RangeAwareConfig(k_close=10, k_mid=7, k_far=5)
+        cloud = synthesize_scene(default_scene())
+        three = _three_region_cloud()
+        padded = 0
+        for fs in (
+            r_rapid(cloud, small_geometry(), config),
+            c_rapid(cloud, config, workers=2),
+            r_rapid(three, SensorGeometry(3, 0.1), config),
+            c_rapid(three, config),
+        ):
+            save_feature_file(tmp_path / "f.rapd", fs.matrices, fs)
+            for pw in (fs, load_feature_file(tmp_path / "f.rapd").pointwise):
+                values, valid = scatter(pw.roi, pw.matrices, config.k_max)
+                assert pw.values.dtype == values.dtype and pw.values.shape == values.shape
+                assert pw.values.tobytes() == values.tobytes()
+                assert pw.valid_width.dtype == valid.dtype
+                assert pw.valid_width.tobytes() == valid.tobytes()
+            padded += int(np.count_nonzero(valid == 0))
+        assert padded > 0  # the padding rows are covered too
+
+    def test_rows_are_derived_once(self):
+        config = RangeAwareConfig(k_close=5, k_mid=4, k_far=3)
+        fs = r_rapid(single_ring_circle(), SensorGeometry(1, 0.1), config)
+        assert fs.width == 5 and fs.values.shape == (120, 5)
+        assert fs.values is fs.values and fs.valid_width is fs.valid_width
+
+    @pytest.mark.parametrize(
+        "roi, width, anchors, k",
+        [
+            (np.zeros((6, 1), np.int32), 3, [[0, 1]], 2),
+            (np.zeros(6, np.int32), 0, [[0, 1]], 2),
+            (np.zeros(6, np.int32), 2**31, [[0, 1]], 2),
+            (np.zeros(6, np.int32), 2, [[0, 1]], 3),
+            (np.zeros(6, np.int32), 3, [[0, 6]], 2),
+            (np.zeros(6, np.int32), 3, [[-1, 0]], 2),
+            (np.zeros(6, np.int32), 3, [[0, 1], [1, 2]], 2),
+        ],
+        ids=["roi-2d", "width-0", "width-2^31", "k-above-width", "past-roi", "negative",
+             "overlap"],
+    )
+    def test_rows_that_cannot_be_derived(self, roi, width, anchors, k):
+        scale = ReflectivityScale(0.0, 1.0, 0.0, 1.0)
+        matrices = tuple(
+            RapidMatrix(np.ones((len(a), k)), f"m{i}", k, scale, np.array(a))
+            for i, a in enumerate(anchors)
+        )
+        with pytest.raises(ContractError):
+            PointwiseFeatureSet(roi, width, matrices)
 
 
 class TestSyntheticRingAssignment:

@@ -3,7 +3,9 @@
 import json
 import math
 import struct
+import zlib
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,6 +42,8 @@ from rapidfeat.cli import EXIT_DATA, main
 from rapidfeat.scene_io import (
     CONTAINER_VERSION,
     MAGIC,
+    _PayloadBuilder,
+    _matrix_record,
     _read_container,
     _write_container,
     load_feature_file,
@@ -51,6 +55,11 @@ from rapidfeat.scene_io import (
 
 from conftest import default_scene, random_cloud, small_geometry
 from oracles import JoinedPayload
+
+
+def _seal(body: bytes) -> bytes:
+    """body with the container's little-endian CRC-32 trailer appended."""
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 class TestKittiScan:
@@ -278,11 +287,12 @@ class TestFeatureContainer:
             load_feature_file(path)
 
     def test_truncated_payload(self, tmp_path, rng):
+        # Resealed, so that the array bounds check, not the checksum, stops it.
         path = tmp_path / "trunc.rapd"
         save_feature_file(path, [random_matrix(rng, 8, 4)])
         raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) - 10])
-        with pytest.raises(FormatError):
+        path.write_bytes(_seal(raw[: len(raw) - 4 - 10]))
+        with pytest.raises(FormatError, match="truncated payload"):
             load_feature_file(path)
 
     def test_record_missing_keys(self, tmp_path, rng):
@@ -326,8 +336,9 @@ class TestFeatureContainer:
         header, payload = _read_container(path)
         head = json.dumps({**header, "records": [{**header["records"][0], "k": 0}]})
         head = head.replace('"k": 0', '"k": ' + "9" * 5000).encode()
-        path.write_bytes(MAGIC + struct.pack("<II", CONTAINER_VERSION, len(head)) + head + payload)
-        with pytest.raises(FormatError):
+        start = MAGIC + struct.pack("<II", CONTAINER_VERSION, len(head))
+        path.write_bytes(_seal(start + head + payload))
+        with pytest.raises(FormatError, match="corrupt header"):
             load_feature_file(path)
 
     def test_malformed_array_descriptor(self, tmp_path, rng):
@@ -385,6 +396,83 @@ class TestFeatureContainer:
         assert all(m.seconds == () for m in loaded.pointwise.matrices)
 
 
+def _pointwise_file(path, anchors: list, k: int, width: int, points: int = 6) -> None:
+    """A feature file whose pointwise record holds points roi ids and width,
+    over one k-column matrix of values 1/16, 2/16, ... per anchor list,
+    written by the writer as it is."""
+    scale = ReflectivityScale(0.0, 1.0, 0.0, 1.0)
+    matrices = [
+        RapidMatrix(
+            np.arange(1, len(a) * k + 1).reshape(len(a), k) / 16,
+            f"ring00{i}-close", k, scale, np.array(a),
+        )
+        for i, a in enumerate(anchors)
+    ]
+    roi = np.zeros(points, dtype=np.int32)
+    save_feature_file(path, matrices, SimpleNamespace(roi=roi, width=width))
+
+
+class TestPointwiseRecord:
+    """The pointwise record holds roi ids and a width; its rows are derived
+    from the matrices, so a record the derivation cannot place is a data
+    error, exit 2."""
+
+    @staticmethod
+    def _rejected(path, match: str, tmp_path, capsys) -> None:
+        with pytest.raises(FormatError, match=match):
+            load_feature_file(path)
+        argv = ["heatmap", str(path), "--roi", "ring000-close", "--out", str(tmp_path / "i.pgm")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_old_layout(self, tmp_path, capsys):
+        # The layout that stored the rows as values and valid_width arrays.
+        fs = r_rapid(
+            PointCloud(np.random.default_rng(4).uniform(2, 30, (40, 3)), np.full(40, 0.5)),
+            SensorGeometry(2, 0.1),
+            RangeAwareConfig(k_close=3, k_mid=3, k_far=2),
+        )
+        builder = _PayloadBuilder()
+        records = [_matrix_record(builder, m) for m in fs.matrices]
+        arrays = {
+            "values": builder.add(fs.values, "<f4"),
+            "roi": builder.add(fs.roi, "<i4"),
+            "valid_width": builder.add(fs.valid_width, "<i4"),
+        }
+        records.append({"type": "pointwise", "arrays": arrays})
+        path = tmp_path / "old.rapd"
+        _write_container(path, {"kind": "rapid-features", "meta": {}, "records": records}, builder)
+        self._rejected(path, r"records\[\d+\]\.width is missing", tmp_path, capsys)
+
+    @pytest.mark.parametrize(
+        "anchors, k, width, match",
+        [
+            ([[0, 1, 2], [2, 3, 4]], 2, 2, "anchors rows of two matrices"),
+            ([[0, 1, 6]], 2, 2, r"anchors must lie in \[0, 6\)"),
+            ([[-1, 0, 1]], 2, 2, r"anchors must lie in \[0, 6\)"),
+            ([[0, 1, 2]], 3, 2, "at least every k"),
+            ([[0, 1, 2]], 2, 0, r"must be in \[1, 2\^31\)"),
+            ([[0, 1, 2]], 2, 2**31, r"must be in \[1, 2\^31\)"),
+        ],
+        ids=["overlap", "past-roi", "negative", "k-above-width", "width-0", "width-2^31"],
+    )
+    def test_record_the_rows_cannot_come_from(
+        self, tmp_path, capsys, anchors, k, width, match
+    ):
+        path = tmp_path / "bad.rapd"
+        _pointwise_file(path, anchors, k, width)
+        self._rejected(path, match, tmp_path, capsys)
+
+    def test_disjoint_record_loads(self, tmp_path):
+        path = tmp_path / "good.rapd"
+        _pointwise_file(path, [[0, 1, 2], [5, 4]], 2, 3)
+        pw = load_feature_file(path).pointwise
+        assert pw.width == 3 and pw.valid_width.tolist() == [2, 2, 2, 0, 2, 2]
+        expected = np.array([[1, 2, 16], [3, 4, 16], [5, 6, 16], [16] * 3, [3, 4, 16], [1, 2, 16]])
+        assert np.array_equal(pw.values, expected / 16)
+
+
 def _container_bytes(directory) -> dict:
     """A feature file with matrices and a pointwise record, and a weight file."""
     rng = np.random.default_rng(5)
@@ -405,22 +493,36 @@ _JSON_BYTES = st.sampled_from(list(b'0123456789-+.eE[]{}",: tfn'))
 
 @st.composite
 def _mutated(draw, raw: bytes) -> bytes:
-    """raw truncated, with bits flipped, or with header bytes rewritten."""
+    """raw truncated, or with bits flipped or header bytes rewritten and then
+    resealed, so that the checks behind the checksum see the change."""
     out = bytearray(raw)
     kind = draw(st.sampled_from(["truncate", "flip", "rewrite"]))
     if kind == "truncate":
         return raw[: draw(st.integers(0, len(raw) - 1))]
     if kind == "flip":
-        spots = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 7))
+        spots = st.tuples(st.integers(0, len(raw) - 5), st.integers(0, 7))
         for pos, bit in draw(st.lists(spots, min_size=1, max_size=4)):
             out[pos] ^= 1 << bit
-        return bytes(out)
+        return _seal(bytes(out[:-4]))
     head_end = 12 + struct.unpack("<I", raw[8:12])[0]
     byte = st.one_of(_JSON_BYTES, st.integers(0, 255))
     for pos, value in draw(
         st.lists(st.tuples(st.integers(12, head_end - 1), byte), min_size=1, max_size=4)
     ):
         out[pos] = value
+    return _seal(bytes(out[:-4]))
+
+
+@st.composite
+def _damaged(draw, raw: bytes) -> bytes:
+    """raw truncated, or with one to three distinct bits flipped anywhere,
+    the trailer included, and not resealed."""
+    if draw(st.booleans()):
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    out = bytearray(raw)
+    spots = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 7))
+    for pos, bit in draw(st.lists(spots, min_size=1, max_size=3, unique=True)):
+        out[pos] ^= 1 << bit
     return bytes(out)
 
 
@@ -452,6 +554,19 @@ class TestContainerFuzz:
     def test_weight_file(self, originals, data):
         directory, raw = originals
         self._load(WeightSet.load, directory, data.draw(_mutated(raw["weights"])))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["features", "weights"]))
+    def test_unsealed_damage_is_format_error(self, originals, data, kind):
+        # CRC-32 detects every error of up to three bits in a message under
+        # 91,607 bits (Koopman, DSN 2002), and a truncated file reads its
+        # last four bytes as the trailer.
+        directory, raw = originals
+        assert 8 * len(raw[kind]) < 91_607
+        path = directory / "damaged.rapd"
+        path.write_bytes(data.draw(_damaged(raw[kind])))
+        with pytest.raises(FormatError):
+            (load_feature_file if kind == "features" else WeightSet.load)(path)
 
     def test_pointwise_length_mismatch(self, tmp_path):
         # A header edit shortening the roi array: found by fuzzing, it used
@@ -492,9 +607,7 @@ class TestContainerFuzz:
         [
             ("matrix", "values", "<i4"),
             ("matrix", "anchors", "<f8"),
-            ("pointwise", "values", "<i4"),
             ("pointwise", "roi", "<f4"),
-            ("pointwise", "valid_width", "<f4"),
             ("tensor", "data", "<i8"),
         ],
     )
