@@ -43,7 +43,6 @@ from .scene_io import (
     CylinderPrimitive,
     PlanePrimitive,
     SyntheticSceneSpec,
-    load_csv_cloud,
     load_feature_file,
     load_kitti_labels,
     load_kitti_scan,

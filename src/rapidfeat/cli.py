@@ -1,6 +1,6 @@
 """Command-line surface for the feature pipeline.
 
-Commands: extract, check-invariance, eval, bench, heatmap. Exit codes are 0
+Commands: extract, check-invariance, eval, heatmap. Exit codes are 0
 on success, 1 for usage errors, 2 for data errors, and 3 when an invariant
 check fails, so the invariance checker can gate CI jobs.
 """
@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import math
 import sys
-import time
 from pathlib import Path
 from typing import Optional
 
@@ -21,7 +19,7 @@ import numpy as np
 from . import scene_io
 from .cloud import PointCloud
 from .config import RunConfig, config_echo
-from .errors import RapidError
+from .errors import ContractError, RapidError
 from .geometry import RigidTransform, apply_transform
 from .metrics import ConfusionMatrix, accumulate, iou, miou
 from .partition import PointwiseFeatureSet, _run_jobs, c_rapid, r_rapid
@@ -38,18 +36,12 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, **kwargs) -> None:
-        # Exact flag names only: bench must not read --workers as --workers-list.
+        # Flags are spelled out in full: an abbreviation would change meaning
+        # once its command gained a second flag of the same prefix.
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):  # noqa: A003 - argparse hook
         raise _UsageError(message)
-
-
-def _worker_counts(text: str) -> list[int]:
-    counts = [int(w) for w in text.split(",")]
-    if min(counts) < 1:
-        raise argparse.ArgumentTypeError(f"worker counts must be >= 1, got {text}")
-    return counts
 
 
 def _tolerance(text: str) -> float:
@@ -92,12 +84,18 @@ def _save(path: str, features: PointwiseFeatureSet, config: RunConfig) -> None:
     scene_io.save_feature_file(path, features.matrices, features, meta=config_echo(config))
     m = len(features.roi)
     print(f"wrote {path}: {m} pointwise rows")
-    print(f"{'roi':<18}{'points':>8}{'k':>4}{'outliers':>10}  histogram[0,1]")
+    print(f"{'roi':<18}{'points':>8}{'k':>4}{'outliers':>10}{'seconds':>9}  histogram[0,1]")
+    steps = np.zeros(3)  # the (knn, normalize, sort) seconds of every rapid() call
     for mat in features.matrices:
         hist, _ = np.histogram(mat.values, bins=10, range=(0.0, 1.0))
-        print(f"{mat.roi_id:<18}{mat.u:>8}{mat.k:>4}{mat.outliers:>10}  {hist.tolist()}")
+        steps += mat.seconds
+        print(
+            f"{mat.roi_id:<18}{mat.u:>8}{mat.k:>4}{mat.outliers:>10}"
+            f"{sum(mat.seconds):>9.4f}  {hist.tolist()}"
+        )
     n_pad = m - sum(mat.u for mat in features.matrices)  # no point anchors two rows
     print(f"total points {m}, regions {len(features.matrices)}, pad-only points {n_pad}")
+    print("step seconds: knn {:.4f}, normalize {:.4f}, sort {:.4f}".format(*steps))
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -143,19 +141,20 @@ def cmd_check_invariance(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = RunConfig.load(args.config, _config_overrides(args))
+    cm = ConfusionMatrix.empty(config.eval_num_classes, config.eval_ignore)
     truth_files = sorted(Path(args.truth).glob("*.label"))
     pred_files = sorted(Path(args.pred).glob("*.label"))
     if [f.name for f in truth_files] != [f.name for f in pred_files]:
         raise RapidError("truth and prediction scan lists are not aligned")
     if not truth_files:
         raise RapidError(f"no .label files under {args.truth}")
-    cm = ConfusionMatrix.empty(config.eval_num_classes, config.eval_ignore)
     for tf, pf in zip(truth_files, pred_files):
         truth = scene_io.load_label_array(tf)
         pred = scene_io.load_label_array(pf)
-        if len(truth) != len(pred):
-            raise RapidError(f"{tf.name}: truth/pred length mismatch")
-        accumulate(cm, truth, pred)
+        try:
+            accumulate(cm, truth, pred)
+        except ContractError as exc:
+            raise ContractError(f"{tf.name}: {exc}") from exc
     rows = [(c, iou(cm, c)) for c in range(config.eval_num_classes) if c not in cm.ignore]
     for c, v in rows:
         print(f"class {c:>3}  IoU {'undefined' if math.isnan(v) else f'{v:.4f}'}")
@@ -166,40 +165,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         with open(args.csv, "w", newline="") as fh:
             csv.writer(fh).writerows([["class", "iou"], *cells, ["miou", f"{mean:.6f}"]])
         print(f"wrote {args.csv}")
-    return EXIT_OK
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    config = RunConfig.load(args.config, _config_overrides(args))
-    t0 = time.perf_counter()
-    cloud = _load_cloud(config)
-    load_time = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    features = r_rapid(cloud, config.sensor, config.rapid, workers=1)
-    base_wall = time.perf_counter() - t0
-    base_bytes = features.values.tobytes()
-    digest = hashlib.sha256(base_bytes).hexdigest()[:16]
-    print(f"points {len(cloud)}, regions {len(features.matrices)}, sha {digest}")
-    # Partition is the rest of the run: ring rule, banding, planning, scatter.
-    steps = np.array([m.seconds for m in features.matrices]).reshape(-1, 3).sum(axis=0)
-    stages = {"load": load_time, "partition": base_wall - steps.sum()}
-    stages.update(zip(("knn", "normalize", "sort"), steps))
-    print("stage timings (workers=1):")
-    for stage in ("load", "partition", "knn", "sort", "normalize"):
-        print(f"  {stage:<10} {stages[stage]:8.4f} s")
-    print(f"{'workers':>8}{'seconds':>10}{'speedup':>9}  identical")
-    print(f"{1:>8}{base_wall:>10.3f}{1.0:>9.2f}  yes")
-    for w in args.workers_list:
-        if w == 1:
-            continue
-        t0 = time.perf_counter()
-        fs = r_rapid(cloud, config.sensor, config.rapid, workers=w)
-        wall = time.perf_counter() - t0
-        same = fs.values.tobytes() == base_bytes
-        print(f"{w:>8}{wall:>10.3f}{base_wall / wall:>9.2f}  {'yes' if same else 'NO'}")
-        if not same:
-            print("worker outputs diverge from the single-worker run", file=sys.stderr)
-            return EXIT_INVARIANT
     return EXIT_OK
 
 
@@ -263,18 +228,6 @@ def build_parser() -> _Parser:
     p.add_argument("--pred", required=True, help="directory of predicted .label files")
     p.add_argument("--csv", default=None, help="write the IoU table here")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="stage timings and worker scaling")
-    common(p)
-    p.add_argument("--scan", default=None)
-    p.add_argument(
-        "--workers-list",
-        dest="workers_list",
-        type=_worker_counts,
-        default="1,2,4,8",
-        help="comma-separated worker counts",
-    )
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("heatmap", help="export one region's matrix as a PGM image")
     p.add_argument("features", help="feature container path")

@@ -11,7 +11,8 @@ has a default; CLI flags override file values. Defaults:
     rapid.k_close / k_mid / k_far                 10 / 7 / 5
     rapid.band_edges                              [20.0, 50.0] meters
     rapid.delta                                   2.0 meters
-    eval.num_classes / eval.ignore                20 / [0]
+    eval.num_classes / eval.ignore                20 / [0] (num_classes in [1, 2**16]:
+                                                  a .label class id is 16 bits)
     workers                                       1 (at least 1)
     seed                                          0 (at least 0; check-invariance)
 

@@ -22,8 +22,10 @@ class ConfusionMatrix:
 
     @classmethod
     def empty(cls, num_classes: int, ignore: tuple[int, ...] = ()) -> "ConfusionMatrix":
-        if num_classes < 1:
-            raise ContractError("need at least one class")
+        """ContractError unless 1 <= num_classes <= 2**16: a .label class id
+        is the low 16 bits of its entry."""
+        if not 1 <= num_classes <= 2**16:
+            raise ContractError(f"num_classes must be in [1, 2**16], got {num_classes}")
         return cls(
             counts=np.zeros((num_classes, num_classes), dtype=np.int64),
             ignore=frozenset(int(i) for i in ignore),

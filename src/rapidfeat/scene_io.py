@@ -156,37 +156,6 @@ def save_kitti_labels(labels: np.ndarray, path: PathLike) -> None:
     Path(path).write_bytes(np.asarray(labels).astype("<u4").tobytes())
 
 
-def load_csv_cloud(path: PathLike) -> PointCloud:
-    """CSV converter route for clouds not in the KITTI binary layout.
-
-    Expects a header line naming at least x, y, z, remission; optional ring
-    and label columns are picked up by name. Values are never coerced: a cell
-    that is not a number, or a ring or label that is not int32, is malformed.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = [c.strip().lower() for c in fh.readline().split(",")]
-    required = ("x", "y", "z", "remission")
-    if any(c not in header for c in required):
-        raise MalformedScanError(f"{path}: header must name x, y, z, remission")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as exc:
-        raise MalformedScanError(f"{path}: {exc}") from exc
-    if data.shape[1] != len(header):
-        raise MalformedScanError(f"{path}: row width does not match the header")
-    col = {name: data[:, i] for i, name in enumerate(header)}
-    for name in ("ring", "label"):
-        v = col.get(name, np.zeros(0))
-        for i in np.flatnonzero(~((v == np.round(v)) & (v >= -(2**31)) & (v < 2**31)))[:1]:
-            raise MalformedScanError(f"{path}: {name} {v[i]:g} in data row {i + 1} is not int32")
-    return PointCloud(
-        points=np.column_stack([col["x"], col["y"], col["z"]]),
-        remission=col["remission"],
-        ring=col["ring"].astype(np.int32) if "ring" in col else None,
-        label=col["label"].astype(np.int32) if "label" in col else None,
-    )
-
-
 # ---------------------------------------------------------------------------
 # synthetic scenes
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -364,7 +365,28 @@ class TestExtract:
     def test_prints_region_statistics(self, config_file, capsys):
         main(["extract", "--config", str(config_file())])
         out = capsys.readouterr().out
-        assert "outliers" in out and "histogram" in out
+        assert "outliers" in out and "seconds" in out and "histogram" in out
+        lines = out.splitlines()
+        rows = [line.split("[")[0].split() for line in lines[2:-2]]
+        region_seconds = [float(row[4]) for row in rows]
+        assert rows and all(len(row) == 5 for row in rows)
+        assert min(region_seconds) >= 0
+        # Each region prints its rapid() step seconds summed; the last line
+        # sums every step over the regions, both rounded to 4 places.
+        steps = [float(v.split()[-1]) for v in lines[-1].split(":")[1].split(",")]
+        assert lines[-1].startswith("step seconds: knn ") and sum(steps) > 0
+        assert sum(region_seconds) == pytest.approx(sum(steps), abs=1e-4 * (len(rows) + 3))
+
+    def test_no_computable_region(self, config_file, capsys):
+        # 5 points cannot supply any k of the fallback chain: every row is
+        # padding, no matrix carries seconds, and every step total is 0.
+        scene = {**SCENE, "primitives": [{**SCENE["primitives"][0], "count": 5}]}
+        argv = ["extract", "--config", str(config_file(input={"synthetic": scene}))]
+        for workers in ("1", "2"):
+            assert main(argv + ["--workers", workers]) == EXIT_OK
+            out = capsys.readouterr().out.splitlines()
+            assert "regions 0, pad-only points 5" in out[-2]
+            assert out[-1] == "step seconds: knn 0.0000, normalize 0.0000, sort 0.0000"
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_summary_counts_outliers(self, tmp_path, capsys, workers):
@@ -544,6 +566,43 @@ class TestEval:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "truth_bytes, pred_bytes, message",
+        [
+            pytest.param(None, [1], "label length mismatch", id="length"),
+            pytest.param(None, [1, 25], r"labels outside \[0, num_classes\)", id="class-25"),
+            pytest.param(b"\x01" * 5, None, "size 5 is not a multiple of 4", id="5-byte-truth"),
+            pytest.param(None, b"\x01" * 5, "size 5 is not a multiple of 4", id="5-byte-pred"),
+        ],
+    )
+    def test_label_error_names_the_scan(
+        self, tmp_path, config_file, capsys, truth_bytes, pred_bytes, message
+    ):
+        # The second scan is bad; a class past num_classes used to print no
+        # file name. Labels of [1, 2] unless a case gives a list or raw bytes.
+        truth, pred = tmp_path / "t", tmp_path / "p"
+        for directory, bad in ((truth, truth_bytes), (pred, pred_bytes)):
+            self.write_labels(directory, "000000.label", [1, 2])
+            if isinstance(bad, bytes):
+                (directory / "000001.label").write_bytes(bad)
+            else:
+                self.write_labels(directory, "000001.label", [1, 2] if bad is None else bad)
+        argv = ["eval", "--config", str(config_file()), "--truth", str(truth), "--pred", str(pred)]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "000001.label" in err and re.search(message, err)
+
+    def test_num_classes_past_16_bits_is_data_error(self, tmp_path, config_file, capsys):
+        # 2**40 classes used to end in np.zeros' ValueError traceback (exit 1).
+        truth = tmp_path / "t"
+        self.write_labels(truth, "a.label", [1])
+        path = config_file(eval={"num_classes": 2**40})
+        argv = ["eval", "--config", str(path), "--truth", str(truth), "--pred", str(truth)]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "num_classes" in err and len(err.splitlines()) == 1
+
     def test_no_defined_class_surfaces_undefined_metric(self, tmp_path, config_file, capsys):
         # every point carries the ignored class: no IoU is defined
         truth, pred = tmp_path / "t4", tmp_path / "p4"
@@ -555,43 +614,6 @@ class TestEval:
         )
         assert code == EXIT_DATA
         assert "no class has a defined IoU" in capsys.readouterr().err
-
-
-class TestBench:
-    def test_reports_all_stages_and_identical_workers(self, config_file, capsys):
-        code = main(
-            ["bench", "--config", str(config_file()), "--workers-list", "1,2"]
-        )
-        assert code == EXIT_OK
-        out = capsys.readouterr().out
-        for stage in ("load", "partition", "knn", "sort", "normalize"):
-            assert stage in out
-        assert "NO" not in out
-
-    def test_stable_point_counts(self, config_file, capsys):
-        main(["bench", "--config", str(config_file()), "--workers-list", "1"])
-        first = capsys.readouterr().out.splitlines()[0]
-        main(["bench", "--config", str(config_file()), "--workers-list", "1"])
-        second = capsys.readouterr().out.splitlines()[0]
-        assert first.split("sha")[0] == second.split("sha")[0]
-
-    @pytest.mark.parametrize("workers_list", ["x", "1,,2", "0", "1,-2"])
-    def test_malformed_workers_list_is_usage_error(self, config_file, capsys, workers_list):
-        argv = ["bench", "--config", str(config_file()), "--workers-list", workers_list]
-        assert main(argv) == EXIT_USAGE
-        assert capsys.readouterr().err.startswith("usage error: ")
-
-    def test_no_computable_region(self, config_file, capsys):
-        # 5 points cannot supply any k of the fallback chain: every row is
-        # padding, no matrix carries seconds, and partition is the whole run.
-        scene = {**SCENE, "primitives": [{**SCENE["primitives"][0], "count": 5}]}
-        argv = ["bench", "--config", str(config_file(input={"synthetic": scene}))]
-        assert main(argv + ["--workers-list", "1,2"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "regions 0" in out
-        for stage in ("load", "partition", "knn", "sort", "normalize"):
-            assert f"  {stage} " in out
-        assert "NO" not in out
 
 
 class TestHeatmap:
@@ -717,20 +739,22 @@ class TestUsage:
         [
             ["eval", "--truth", "t", "--pred", "p", "--workers", "2"],
             ["eval", "--truth", "t", "--pred", "p", "--seed", "1"],
-            ["bench", "--workers", "2"],
-            ["bench", "--seed", "1"],
-            ["bench", "--csv", "x"],
             ["check-invariance", "--labels", "x"],
             ["extract", "--seed", "1"],
         ],
         ids=[
-            "eval-workers", "eval-seed", "bench-workers", "bench-seed", "bench-csv",
-            "check-labels", "extract-seed",
+            "eval-workers", "eval-seed", "check-labels", "extract-seed",
         ],
     )
     def test_unread_flag_is_usage_error(self, config_file, capsys, argv):
         # Each command used to accept these flags and never read them.
         assert main(argv + ["--config", str(config_file())]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_removed_command_is_usage_error(self, config_file, capsys):
+        # bench was a second timing harness; extract's summary prints the
+        # per-region seconds it read.
+        assert main(["bench", "--config", str(config_file())]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error: ")
 
     def test_no_command_prints_help(self):

@@ -67,6 +67,13 @@ class TestAccumulate:
         accumulate(cm, [], [])  # an empty scan adds nothing, whatever its dtype
         assert cm.counts.tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 1]]
 
+    @pytest.mark.parametrize("num_classes", [0, 2**16 + 1, 2**40])
+    def test_num_classes_bounded(self, num_classes):
+        # A .label class id is 16 bits; 2**40 classes used to reach np.zeros
+        # and end in its ValueError ("array is too big").
+        with pytest.raises(ContractError, match="num_classes"):
+            ConfusionMatrix.empty(num_classes)
+
     def test_order_independence(self, rng):
         scans = [
             (rng.integers(0, 4, 50), rng.integers(0, 4, 50)) for _ in range(6)

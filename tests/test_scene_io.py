@@ -730,54 +730,6 @@ class TestContainerBytes:
             assert path.read_bytes() == raw
 
 
-class TestCsvConverter:
-    def test_full_columns(self, tmp_path):
-        from rapidfeat import load_csv_cloud
-
-        path = tmp_path / "cloud.csv"
-        path.write_text(
-            "x,y,z,remission,ring,label\n"
-            "1.0,2.0,3.0,0.5,0,9\n"
-            "4.0,5.0,6.0,0.25,1,4\n"
-        )
-        cloud = load_csv_cloud(path)
-        assert cloud.points.tolist() == [[1, 2, 3], [4, 5, 6]]
-        assert cloud.ring.tolist() == [0, 1]
-        assert cloud.label.tolist() == [9, 4]
-
-    def test_minimal_columns(self, tmp_path):
-        from rapidfeat import load_csv_cloud
-
-        path = tmp_path / "cloud.csv"
-        path.write_text("x,y,z,remission\n1,2,3,0.5\n")
-        cloud = load_csv_cloud(path)
-        assert cloud.ring is None and cloud.label is None
-
-    def test_missing_required_column(self, tmp_path):
-        from rapidfeat import load_csv_cloud
-
-        path = tmp_path / "cloud.csv"
-        path.write_text("x,y,z\n1,2,3\n")
-        with pytest.raises(MalformedScanError):
-            load_csv_cloud(path)
-
-    @pytest.mark.parametrize(
-        "row, message",
-        [
-            ("1.0,2.0,oops,0.5,0,9", "oops"),  # numpy's own ValueError at the parent
-            ("1.0,2.0,3.0,0.5,0,1.7", "label 1.7 in data row 2"),  # loaded as 1
-            ("1.0,2.0,3.0,0.5,0,70000000000", r"label 7e\+10 in data row 2"),  # as -2**31
-        ],
-    )
-    def test_values_are_never_coerced(self, tmp_path, row, message):
-        from rapidfeat import load_csv_cloud
-
-        path = tmp_path / "cloud.csv"
-        path.write_text(f"x,y,z,remission,ring,label\n4.0,5.0,6.0,0.25,1,4\n{row}\n")
-        with pytest.raises(MalformedScanError, match=message):
-            load_csv_cloud(path)
-
-
 class TestPgm:
     def test_header_and_payload(self, tmp_path):
         path = tmp_path / "img.pgm"
