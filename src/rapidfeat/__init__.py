@@ -17,7 +17,6 @@ from .geometry import (
     NeighborList,
     RigidTransform,
     apply_transform,
-    euclidean_metric,
     knn_brute,
     knn_indexed,
     range_of,

@@ -29,7 +29,8 @@ KD-tree queries through the library's one KNN routine, so the loss costs
 O(m log m) per class instead of the O(m^2) of an all-pairs scan.
 
 Everything here is pure forward math with explicit weights; there is no
-training loop.
+training loop. Weights are built in memory, seeded or identity, and never
+filed: no command reads or writes a weight file.
 """
 
 from __future__ import annotations
@@ -38,14 +39,13 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from math import prod
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .cloud import PointCloud
-from .errors import ContractError, FormatError
+from .errors import ContractError
 from .geometry import cell_codes, cell_neighbours, nearest_candidate_rows
-from . import scene_io
 
 _ACTIVATIONS = {
     "relu": lambda x: np.maximum(x, 0.0),
@@ -242,7 +242,7 @@ _TENSOR_FIELDS = {LinearStage: ("weight", "bias"), NormStage: ("gamma", "beta", 
 
 
 def _layout(d_in: int, enc: list[int], dec: list[int], l: int) -> dict[str, tuple[int, ...]]:
-    """Container name and shape of every weight tensor, in file order, for
+    """Name and shape of every weight tensor, in a fixed order, for
     input width d_in, inner encoder widths enc (d down to d'), inner decoder
     widths dec (d' back to d) and l latents."""
     d, shapes = enc[0], {}
@@ -307,7 +307,7 @@ class WeightSet:
                 raise ContractError(f"weight {name}: shape {np.shape(tensor)}, not {layout[name]}")
 
     def _tensors(self) -> dict[str, np.ndarray]:
-        """Every tensor under its container name, in file order."""
+        """Every tensor under its layout name, in layout order."""
         stages = [(name, getattr(self, name)) for name in _PROJECTIONS]
         for i, pair in enumerate(self.inner_encoder):
             stages += [(f"inner.enc{i}", stage) for stage in pair]
@@ -320,32 +320,23 @@ class WeightSet:
         return {**tensors, "ffn.conv1": self.ffn_conv1, "ffn.conv2": self.ffn_conv2}
 
     @classmethod
-    def _assemble(
-        cls, n_enc: int, n_dec: int, tensor: Callable[[str], np.ndarray], eps: tuple, activation: str
-    ) -> "WeightSet":
-        """Weights whose tensors come from tensor(container name), asked for in
-        the order seeded weights draw them: encoder stages, decoder stages,
-        projections, kernels."""
-
-        def stage(kind: type, prefix: str, *eps: float):
-            return kind(*(tensor(f"{prefix}.{f}") for f in _TENSOR_FIELDS[kind]), *eps)
-
-        inner_enc = tuple(
-            (stage(LinearStage, f"inner.enc{i}"), stage(NormStage, f"inner.enc{i}", eps[i]))
-            for i in range(n_enc)
-        )
-        inner_dec = tuple(stage(LinearStage, f"inner.dec{i}") for i in range(n_dec))
-        projections = [stage(LinearStage, name) for name in _PROJECTIONS]
-        kernels = tensor("ffn.conv1"), tensor("ffn.conv2")
-        return cls(*projections, inner_enc, *kernels, activation, inner_dec)
-
-    @classmethod
     def _from_dims(cls, dims: EmbeddingDims, d_in: int, make, eps: float, activation: str):
-        """The layout of dims with each tensor from make(field, shape)."""
+        """The layout of dims with each tensor from make(field, shape), drawn
+        in a fixed order: encoder stages, decoder stages, projections, kernels."""
         w = dims.stage_widths()
         shapes = _layout(d_in, w, w[::-1], dims.latents)
-        tensor = lambda name: make(name.rsplit(".", 1)[1], shapes[name])  # noqa: E731
-        return cls._assemble(dims.stages, dims.stages, tensor, (eps,) * dims.stages, activation)
+
+        def stage(kind: type, prefix: str, *scalars: float):
+            return kind(*(make(f, shapes[f"{prefix}.{f}"]) for f in _TENSOR_FIELDS[kind]), *scalars)
+
+        inner_enc = tuple(
+            (stage(LinearStage, f"inner.enc{i}"), stage(NormStage, f"inner.enc{i}", eps))
+            for i in range(dims.stages)
+        )
+        inner_dec = tuple(stage(LinearStage, f"inner.dec{i}") for i in range(dims.stages))
+        projections = [stage(LinearStage, name) for name in _PROJECTIONS]
+        kernels = make("conv1", shapes["ffn.conv1"]), make("conv2", shapes["ffn.conv2"])
+        return cls(*projections, inner_enc, *kernels, activation, inner_dec)
 
     @classmethod
     def seeded(
@@ -379,33 +370,6 @@ class WeightSet:
             return out
 
         return cls._from_dims(dims, dims.width, unit, 0.0, "identity")
-
-    def save(self, path) -> None:
-        meta = {
-            "activation": self.activation,
-            "bn_eps": [norm.eps for _, norm in self.inner_encoder],
-            "encoder_stages": len(self.inner_encoder),
-            "decoder_stages": len(self.inner_decoder),
-        }
-        scene_io.save_tensors(path, self._tensors(), meta)
-
-    @classmethod
-    def load(cls, path) -> "WeightSet":
-        tensors, meta = scene_io.load_tensors(path)
-
-        def tensor(name: str) -> np.ndarray:
-            if name not in tensors:
-                raise FormatError(f"{path}: weight tensor {name!r} missing")
-            return tensors[name]
-
-        try:  # a malformed meta, or a decoded set that breaks the layout or a variance contract
-            n_enc, n_dec = (scene_io._get(meta, f"{k}_stages", int) for k in ("encoder", "decoder"))
-            eps = scene_io._get(meta, "bn_eps", tuple[float, ...])
-            if min(n_enc, n_dec) < 0 or len(eps) < n_enc:
-                raise ContractError("meta needs stage counts >= 0 and a bn_eps per encoder stage")
-            return cls._assemble(n_enc, n_dec, tensor, eps, meta.get("activation"))
-        except ContractError as exc:
-            raise FormatError(f"{path}: {exc}") from exc
 
 
 def seeded_latents(dims: EmbeddingDims, rng: np.random.Generator) -> np.ndarray:

@@ -24,9 +24,9 @@ cannot rule out.
 
 Metrics are expressed as embeddings: a metric is a callable mapping
 ``(cloud, subset) -> (n, D) float64`` such that the metric distance between
-two points is the Euclidean distance between their embedded rows. The plain
-coordinate metric embeds into 3D; the reflectivity-augmented metric of the
-feature pipeline embeds into 4D.
+two points is the Euclidean distance between their embedded rows. Without
+a metric, the KNN ranks the 3D coordinates themselves; the
+reflectivity-augmented metric of the feature pipeline embeds into 4D.
 """
 
 from __future__ import annotations
@@ -112,15 +112,6 @@ def range_of(point: np.ndarray) -> np.ndarray | float:
     if p.ndim == 1:
         return float(np.sqrt(p @ p))
     return np.sqrt(np.einsum("ij,ij->i", p, p))
-
-
-def euclidean_metric() -> MetricEmbedding:
-    """Plain 3D coordinate metric."""
-
-    def embed(cloud: PointCloud, subset: np.ndarray) -> np.ndarray:
-        return cloud.points[np.asarray(subset)]
-
-    return embed
 
 
 @dataclass(frozen=True)
@@ -394,8 +385,8 @@ def _knn_lists(
     row routine's index tie-break is the cloud-level one.
     """
     order, anchors = sorted_subset(subset, len(cloud), k)
-    x = np.asarray((metric or euclidean_metric())(cloud, anchors), dtype=np.float64)
-    idx_rows, d2_rows = candidate_rows(x, k)
+    x = cloud.points[anchors] if metric is None else metric(cloud, anchors)
+    idx_rows, d2_rows = candidate_rows(np.asarray(x, dtype=np.float64), k)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return [

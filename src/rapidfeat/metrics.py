@@ -63,7 +63,9 @@ def accumulate(
     t, p = t[keep], p[keep]
     if len(t) and (t.min() < 0 or t.max() >= n or p.min() < 0 or p.max() >= n):
         raise ContractError("labels outside [0, num_classes) and not ignored")
-    cm.counts += np.bincount(t * n + p, minlength=n * n).reshape(n, n)
+    # count only the corner of the ids in use: the temporary is (m * m,), not (n * n,)
+    m = int(max(t.max(initial=0), p.max(initial=0))) + 1
+    cm.counts[:m, :m] += np.bincount(t * m + p, minlength=m * m).reshape(m, m)
     return cm
 
 

@@ -6,11 +6,12 @@ On-disk formats:
   order x, y, z, remission.
 * KITTI label (.label): packed little-endian uint32 per point; the low 16
   bits are the semantic class, the high 16 bits (instance id) are discarded.
-* Feature/weight container (.rapd): magic "RAPD", uint32 version, uint32
-  header length, UTF-8 JSON header, a raw little-endian payload of the
-  arrays the header describes, then a uint32 CRC-32 of all bytes before it.
-  One format serves RAPiD matrices, the scan-level pointwise record (int32
-  roi ids and a row width; rows derive from the matrices) and weights.
+* Feature container (.rapd): magic "RAPD", uint32 version, uint32 header
+  length, UTF-8 JSON header, a raw little-endian payload of the arrays the
+  header describes, then a uint32 CRC-32 of all bytes before it. It serves
+  RAPiD matrices and the scan-level pointwise record (int32 roi ids and a
+  row width; rows derive from the matrices) only: weights are built in
+  memory, never filed.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ PathLike = Union[str, Path]
 
 
 # ---------------------------------------------------------------------------
-# typed JSON reader: the one reader of the run config, the container header
-# and records, and the weight meta
+# typed JSON reader: the one reader of the run config and of the container
+# header and records
 # ---------------------------------------------------------------------------
 
 
@@ -294,7 +295,7 @@ def synthesize_scene(spec: SyntheticSceneSpec) -> PointCloud:
 
 
 # ---------------------------------------------------------------------------
-# feature / weight container
+# feature container
 # ---------------------------------------------------------------------------
 
 
@@ -350,20 +351,6 @@ def _read_container(path: PathLike) -> tuple[dict, memoryview]:
     except (ValueError, ContractError) as exc:
         raise FormatError(f"{path}: corrupt header ({exc})") from exc
     return header, body[12 + head_len :]
-
-
-def _contents(header: dict, kind: str, types: tuple[str, ...]) -> tuple[list, dict]:
-    """The (type, record, key prefix) of each record and the meta of a header
-    that holds kind; ContractError for another kind or record type."""
-    if (found := _get(header, "kind", str)) != kind:
-        raise ContractError(f"container holds {found!r}, not {kind}")
-    records = []
-    for i, rec in enumerate(_get(header, "records", tuple[dict, ...], ())):
-        at = f"records[{i}]."
-        if (rtype := _get(rec, "type", str, at=at)) not in types:
-            raise ContractError(f"{at}type: unexpected record type {rtype!r}")
-        records.append((rtype, rec, at))
-    return records, _get(header, "meta", dict, {})
 
 
 @dataclass(frozen=True)
@@ -452,10 +439,15 @@ def load_feature_file(path: PathLike) -> FeatureFile:
     header, payload = _read_container(path)
     matrices, stored = [], None
     try:
-        records, meta = _contents(header, "rapid-features", ("matrix", "pointwise"))
-        for rtype, rec, at in records:
-            if rtype == "matrix":
+        if (kind := _get(header, "kind", str)) != "rapid-features":
+            raise ContractError(f"container holds {kind!r}, not rapid-features")
+        meta = _get(header, "meta", dict, {})
+        for i, rec in enumerate(_get(header, "records", tuple[dict, ...], ())):
+            at = f"records[{i}]."
+            if (rtype := _get(rec, "type", str, at=at)) == "matrix":
                 matrices.append(_matrix_from_record(rec, payload, at))
+            elif rtype != "pointwise":
+                raise ContractError(f"{at}type: unexpected record type {rtype!r}")
             elif stored is not None:
                 raise ContractError(f"{at}type: more than one pointwise record")
             else:
@@ -465,30 +457,6 @@ def load_feature_file(path: PathLike) -> FeatureFile:
     except ContractError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return FeatureFile(matrices=tuple(matrices), pointwise=pointwise, meta=meta)
-
-
-def save_tensors(path: PathLike, tensors: dict[str, np.ndarray], meta: dict) -> None:
-    """Named float64 tensor records (weight files)."""
-    builder = _PayloadBuilder()
-    records = [
-        {"type": "tensor", "name": name, "arrays": {"data": builder.add(t, "<f8")}}
-        for name, t in sorted(tensors.items())
-    ]
-    header = {"kind": "weights", "meta": meta, "records": records}
-    _write_container(path, header, builder)
-
-
-def load_tensors(path: PathLike) -> tuple[dict[str, np.ndarray], dict]:
-    header, payload = _read_container(path)
-    try:
-        records, meta = _contents(header, "weights", ("tensor",))
-        tensors = {
-            _get(rec, "name", str, at=at): _read_array(payload, rec, "data", "<f8", at)
-            for _, rec, at in records
-        }
-    except ContractError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    return {name: data.astype(np.float64) for name, data in tensors.items()}, meta
 
 
 def write_pgm(values01: np.ndarray, path: PathLike) -> None:

@@ -16,7 +16,6 @@ from rapidfeat import (
     RigidTransform,
     SensorGeometry,
     apply_transform,
-    euclidean_metric,
     knn_brute,
     knn_indexed,
     load_kitti_scan,
@@ -309,10 +308,15 @@ class TestCandidateRows:
         finite = d2[:, :-1]
         assert np.all(np.diff(finite, axis=1) >= 0)
 
-    def test_metric_embedding_shape(self, rng):
-        cloud = random_cloud(rng, 10)
-        emb = euclidean_metric()(cloud, np.arange(10))
-        assert emb.shape == (10, 3)
+    def test_no_metric_ranks_coordinates(self, rng):
+        cloud, subset = random_cloud(rng, 30), rng.permutation(30)[:20]
+        for knn in (knn_brute, knn_indexed):
+            plain = knn(subset, cloud, 4)
+            embedded = knn(subset, cloud, 4, lambda c, s: c.points[s])
+            for a, b in zip(plain, embedded, strict=True):
+                assert a.anchor == b.anchor
+                assert np.array_equal(a.indices, b.indices)
+                assert np.array_equal(a.distances, b.distances)
 
 
 def cross_set_oracle(x, queries, n):

@@ -1,6 +1,7 @@
 """Confusion matrix accumulation and IoU/mIoU."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,31 @@ class TestAccumulate:
         # and end in its ValueError ("array is too big").
         with pytest.raises(ContractError, match="num_classes"):
             ConfusionMatrix.empty(num_classes)
+
+    def test_counts_equal_full_bincount(self, rng):
+        # Scans whose largest id varies, an ignored class among them, against
+        # one bincount over all n * n cells per scan.
+        for n in (1, 2, 7, 20):
+            cm, expected = ConfusionMatrix.empty(n, ignore=(n - 1,)), np.zeros((n, n), np.int64)
+            for _ in range(8):
+                top = int(rng.integers(1, n + 1))
+                t, p = rng.integers(0, top, (2, int(rng.integers(0, 60))))
+                accumulate(cm, t, p)
+                t, p = t[t != n - 1], p[t != n - 1]
+                expected += np.bincount(t * n + p, minlength=n * n).reshape(n, n)
+            assert np.array_equal(cm.counts, expected)
+
+    def test_temporary_is_the_ids_in_use(self):
+        # One (n * n,) bincount per scan used to peak at 32 MiB here.
+        cm = ConfusionMatrix.empty(2048)
+        tracemalloc.start()
+        try:
+            accumulate(cm, np.array([0, 1, 2]), np.array([2, 1, 1]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert cm.counts.sum() == 3 and cm.counts[0, 2] == cm.counts[1, 1] == cm.counts[2, 1] == 1
 
     def test_order_independence(self, rng):
         scans = [

@@ -16,7 +16,6 @@ from rapidfeat import (
     BoxPrimitive,
     ContractError,
     CylinderPrimitive,
-    EmbeddingDims,
     EmptySceneError,
     FormatError,
     LabelMismatchError,
@@ -28,7 +27,6 @@ from rapidfeat import (
     ReflectivityScale,
     SensorGeometry,
     SyntheticSceneSpec,
-    WeightSet,
     load_kitti_labels,
     load_kitti_scan,
     r_rapid,
@@ -48,8 +46,6 @@ from rapidfeat.scene_io import (
     _write_container,
     load_feature_file,
     save_feature_file,
-    load_tensors,
-    save_tensors,
     write_pgm,
 )
 
@@ -277,6 +273,20 @@ class TestFeatureContainer:
         with pytest.raises(FormatError):
             load_feature_file(path)
 
+    def test_kind_mismatch(self, tmp_path, capsys):
+        # A weight file, a kind no command writes or reads, is a data error.
+        path = tmp_path / "w.rapd"
+        builder = _PayloadBuilder()
+        data = builder.add(np.ones(3), "<f8")
+        record = {"type": "tensor", "name": "t", "arrays": {"data": data}}
+        _write_container(path, {"kind": "weights", "meta": {}, "records": [record]}, builder)
+        with pytest.raises(FormatError, match="container holds 'weights'"):
+            load_feature_file(path)
+        argv = ["heatmap", str(path), "--roi", "t", "--out", str(tmp_path / "i.pgm")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unknown_version(self, tmp_path, rng):
         path = tmp_path / "v9.rapd"
         save_feature_file(path, [random_matrix(rng, 3, 2)])
@@ -473,18 +483,13 @@ class TestPointwiseRecord:
         assert np.array_equal(pw.values, expected / 16)
 
 
-def _container_bytes(directory) -> dict:
-    """A feature file with matrices and a pointwise record, and a weight file."""
+def _container_bytes(directory) -> bytes:
+    """The bytes of f.rapd, a feature file with matrices and a pointwise record."""
     rng = np.random.default_rng(5)
     cloud = PointCloud(points=rng.uniform(2, 30, (40, 3)), remission=rng.uniform(0, 1, 40))
     fs = r_rapid(cloud, SensorGeometry(2, 0.1), RangeAwareConfig(k_close=3, k_mid=3, k_far=2))
     save_feature_file(directory / "f.rapd", fs.matrices, fs, meta={"k": [3, 3, 2]})
-    dims = EmbeddingDims(latents=2, width=4, reduced=2, stages=1)
-    WeightSet.seeded(dims, rng).save(directory / "w.rapd")
-    return {
-        "features": (directory / "f.rapd").read_bytes(),
-        "weights": (directory / "w.rapd").read_bytes(),
-    }
+    return (directory / "f.rapd").read_bytes()
 
 
 # Bytes that keep a rewritten JSON header close to parseable.
@@ -547,31 +552,25 @@ class TestContainerFuzz:
     @given(data=st.data())
     def test_feature_file(self, originals, data):
         directory, raw = originals
-        self._load(load_feature_file, directory, data.draw(_mutated(raw["features"])))
+        self._load(load_feature_file, directory, data.draw(_mutated(raw)))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
-    def test_weight_file(self, originals, data):
-        directory, raw = originals
-        self._load(WeightSet.load, directory, data.draw(_mutated(raw["weights"])))
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), kind=st.sampled_from(["features", "weights"]))
-    def test_unsealed_damage_is_format_error(self, originals, data, kind):
+    def test_unsealed_damage_is_format_error(self, originals, data):
         # CRC-32 detects every error of up to three bits in a message under
         # 91,607 bits (Koopman, DSN 2002), and a truncated file reads its
         # last four bytes as the trailer.
         directory, raw = originals
-        assert 8 * len(raw[kind]) < 91_607
+        assert 8 * len(raw) < 91_607
         path = directory / "damaged.rapd"
-        path.write_bytes(data.draw(_damaged(raw[kind])))
+        path.write_bytes(data.draw(_damaged(raw)))
         with pytest.raises(FormatError):
-            (load_feature_file if kind == "features" else WeightSet.load)(path)
+            load_feature_file(path)
 
     def test_pointwise_length_mismatch(self, tmp_path):
         # A header edit shortening the roi array: found by fuzzing, it used
         # to escape as ContractError.
-        raw = _container_bytes(tmp_path)["features"]
+        raw = _container_bytes(tmp_path)
         path = tmp_path / "f.rapd"
         header, payload = _read_container(path)
         header["records"][-1]["arrays"]["roi"]["shape"] = [39]
@@ -594,21 +593,12 @@ class TestContainerFuzz:
         with pytest.raises(FormatError, match="more than one pointwise record"):
             load_feature_file(path)
 
-    def test_nonpositive_variance(self, tmp_path):
-        _container_bytes(tmp_path)
-        path = tmp_path / "w.rapd"
-        tensors, meta = load_tensors(path)
-        save_tensors(path, {**tensors, "inner.enc0.var": -tensors["inner.enc0.var"]}, meta)
-        with pytest.raises(FormatError):
-            WeightSet.load(path)
-
     @pytest.mark.parametrize(
         "record, array, dtype",
         [
             ("matrix", "values", "<i4"),
             ("matrix", "anchors", "<f8"),
             ("pointwise", "roi", "<f4"),
-            ("tensor", "data", "<i8"),
         ],
     )
     def test_array_of_another_dtype(self, tmp_path, record, array, dtype):
@@ -616,87 +606,16 @@ class TestContainerFuzz:
         # dtype check stops the bits being reinterpreted and cast (int roi
         # ids read as floats cast to 0).
         _container_bytes(tmp_path)
-        path = tmp_path / ("w.rapd" if record == "tensor" else "f.rapd")
+        path = tmp_path / "f.rapd"
         header, payload = _read_container(path)
         rec = next(r for r in header["records"] if r["type"] == record)
         rec["arrays"][array]["dtype"] = dtype
         _write_container(path, header, payload)
         with pytest.raises(FormatError, match="dtype"):
-            (load_tensors if record == "tensor" else load_feature_file)(path)
-        if record != "tensor":
-            roi = next(r["roi_id"] for r in header["records"] if r["type"] == "matrix")
-            argv = ["heatmap", str(path), "--roi", roi, "--out", str(tmp_path / "i.pgm")]
-            assert main(argv) == EXIT_DATA
-
-    @pytest.mark.parametrize(
-        "name, shape",
-        [
-            ("enc_key.bias", [2]),
-            ("inner.enc0.gamma", [1]),
-            ("inner.enc0.weight", [2, 2]),
-            ("ffn.conv1", [1, 2, 3, 3, 3]),
-            ("enc_key.weight", [2, 4]),
-        ],
-    )
-    def test_tensor_of_another_shape(self, tmp_path, name, shape):
-        # A tensor at odds with the layout fails at load, not later in the
-        # forward pass; the last three agree with their own stage but not
-        # with the widths of the others.
-        _container_bytes(tmp_path)
-        path = tmp_path / "w.rapd"
-        header, payload = _read_container(path)
-        rec = next(r for r in header["records"] if r["name"] == name)
-        rec["arrays"]["data"]["shape"] = shape
-        _write_container(path, header, payload)
-        with pytest.raises(FormatError):
-            WeightSet.load(path)
-
-
-class TestTensorContainer:
-    def test_roundtrip(self, tmp_path, rng):
-        tensors = {
-            "a.weight": rng.normal(size=(4, 6)),
-            "a.bias": rng.normal(size=6),
-            "k": rng.normal(size=(2, 3, 3, 3, 3)),
-        }
-        path = tmp_path / "w.rapd"
-        save_tensors(path, tensors, {"activation": "relu"})
-        loaded, meta = load_tensors(path)
-        assert meta == {"activation": "relu"}
-        assert set(loaded) == set(tensors)
-        for name in tensors:
-            assert np.array_equal(loaded[name], tensors[name])
-
-    def test_malformed_records(self, tmp_path, rng):
-        path = tmp_path / "w.rapd"
-        save_tensors(path, {"t": rng.normal(size=3)}, {})
-        header, payload = _read_container(path)
-        desc = header["records"][0]["arrays"]["data"]
-        for records in (5, {"t": 1}):
-            _write_container(path, {**header, "records": records}, payload)
-            with pytest.raises(FormatError):
-                load_tensors(path)
-        good = header["records"][0]
-        bad_records = [
-            {**good, "arrays": {"data": {**desc, "offset": -8}}},
-            {k: v for k, v in good.items() if k != "name"},
-            {k: v for k, v in good.items() if k != "arrays"},
-            {**good, "arrays": {}},
-            {**good, "name": 3},
-            {k: v for k, v in good.items() if k != "type"},
-            {**good, "type": "matrix"},
-            ["tensor"],
-        ]
-        for rec in bad_records:
-            _write_container(path, {**header, "records": [rec]}, payload)
-            with pytest.raises(FormatError):
-                load_tensors(path)
-
-    def test_kind_mismatch(self, tmp_path, rng):
-        path = tmp_path / "w.rapd"
-        save_tensors(path, {"t": rng.normal(size=3)}, {})
-        with pytest.raises(FormatError):
             load_feature_file(path)
+        roi = next(r["roi_id"] for r in header["records"] if r["type"] == "matrix")
+        argv = ["heatmap", str(path), "--roi", roi, "--out", str(tmp_path / "i.pgm")]
+        assert main(argv) == EXIT_DATA
 
 
 class TestContainerBytes:
@@ -713,9 +632,7 @@ class TestContainerBytes:
         raw = _container_bytes(tmp_path)
         f = load_feature_file(tmp_path / "f.rapd")
         save_feature_file(tmp_path / "f2.rapd", f.matrices, f.pointwise, f.meta)
-        WeightSet.load(tmp_path / "w.rapd").save(tmp_path / "w2.rapd")
-        assert (tmp_path / "f2.rapd").read_bytes() == raw["features"]
-        assert (tmp_path / "w2.rapd").read_bytes() == raw["weights"]
+        assert (tmp_path / "f2.rapd").read_bytes() == raw
 
     def test_bytes_like_payload(self, tmp_path, rng):
         # The payload of _read_container is a view of the file's bytes, and
