@@ -20,7 +20,7 @@ sums them per voxel, so no per-point (m, l, d) tensor exists; linear stages
 are one 2-D GEMM on the (rows, d) view; convolutions add slot by slot to
 prefixes of the (c, l*d') rows, with voxels ranked by their count of present
 offsets; and the decoder projects voxel rows once, then gathers them for
-the points of each of the encoder's voxel blocks. Every sum keeps a fixed
+each block of points in storage order. Every sum keeps a fixed
 order, so results do not depend on scheduling or on block sizes.
 
 The contrastive loss pairs every point with its coordinate-nearest point of
@@ -50,7 +50,6 @@ from .geometry import cell_codes, cell_neighbours, nearest_candidate_rows
 _ACTIVATIONS = {
     "relu": lambda x: np.maximum(x, 0.0),
     "identity": lambda x: x,
-    "tanh": np.tanh,
 }
 
 
@@ -62,22 +61,18 @@ class EmbeddingDims:
     width     feature width d of the outer stage
     reduced   compressed width d' of the inner stage (at most d)
     stages    number of inner encoder stages
-    activation  nonlinearity between the depthwise convolutions
     """
 
     latents: int = 4
     width: int = 16
     reduced: int = 8
     stages: int = 2
-    activation: str = "relu"
 
     def __post_init__(self) -> None:
         if min(self.latents, self.width, self.reduced, self.stages) < 1:
             raise ContractError("all embedding dimensions must be >= 1")
         if self.reduced > self.width:
             raise ContractError("reduced width must not exceed width")
-        if self.activation not in _ACTIVATIONS:
-            raise ContractError(f"unknown activation {self.activation!r}")
 
     def stage_widths(self) -> list[int]:
         """Inner encoder widths from d down to d', linearly interpolated."""
@@ -107,9 +102,6 @@ class VoxelGroups:
     @property
     def num_voxels(self) -> int:
         return len(self.voxel_coords)
-
-    def counts(self) -> np.ndarray:
-        return np.diff(self.starts, append=self.num_points)
 
     @cached_property
     def kernel_map(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -191,8 +183,16 @@ def voxelize(
 
 @dataclass(frozen=True)
 class LinearStage:
+    """x @ weight + bias, from width a to width b: weight (a, b), bias (b,)."""
+
     weight: np.ndarray
     bias: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = np.shape(self.weight)
+        if len(shape) != 2 or min(shape) < 1:
+            raise ContractError(f"linear weight must be a non-empty (a, b) matrix, got {shape}")
+        _checked("linear bias", self.bias, shape[1:])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """x @ weight + bias over the last axis, as one 2-D GEMM on the
@@ -206,7 +206,7 @@ class LinearStage:
 
 @dataclass(frozen=True)
 class NormStage:
-    """Batch normalization with fixed statistics."""
+    """Batch normalization with fixed statistics: (b,) vectors, var > 0."""
 
     gamma: np.ndarray
     beta: np.ndarray
@@ -215,6 +215,9 @@ class NormStage:
     eps: float = 1e-5
 
     def __post_init__(self) -> None:
+        shapes = [np.shape(v) for v in (self.gamma, self.beta, self.mean, self.var)]
+        if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 4:
+            raise ContractError(f"batch-norm parameters must be (b,) vectors, got {shapes}")
         if np.any(np.asarray(self.var) <= 0):
             raise ContractError("batch-norm variance must be positive")
 
@@ -237,35 +240,6 @@ def _rowwise(x: np.ndarray, *params: np.ndarray) -> tuple[np.ndarray, list[np.nd
     return x.reshape(-1, reps * x.shape[-1]), [np.tile(p, reps) for p in params]
 
 
-_PROJECTIONS = ("enc_key", "enc_value", "dec_query", "dec_key", "dec_value")
-_TENSOR_FIELDS = {LinearStage: ("weight", "bias"), NormStage: ("gamma", "beta", "mean", "var")}
-
-
-def _layout(d_in: int, enc: list[int], dec: list[int], l: int) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every weight tensor, in a fixed order, for
-    input width d_in, inner encoder widths enc (d down to d'), inner decoder
-    widths dec (d' back to d) and l latents."""
-    d, shapes = enc[0], {}
-
-    def stage(prefix: str, kind: type, a: int, b: int) -> None:
-        for field in _TENSOR_FIELDS[kind]:
-            shapes[f"{prefix}.{field}"] = (a, b) if field == "weight" else (b,)
-
-    for name in _PROJECTIONS:
-        stage(name, LinearStage, d if name in ("dec_key", "dec_value") else d_in, d)
-    for i, (a, b) in enumerate(zip(enc, enc[1:])):
-        stage(f"inner.enc{i}", LinearStage, a, b)
-        stage(f"inner.enc{i}", NormStage, a, b)
-    for i, (a, b) in enumerate(zip(dec, dec[1:])):
-        stage(f"inner.dec{i}", LinearStage, a, b)
-    return {**shapes, "ffn.conv1": (l, enc[-1], 3, 3, 3), "ffn.conv2": (l, enc[-1], 3, 3, 3)}
-
-
-def _axis(tensor: np.ndarray, axis: int) -> int:
-    """Length of tensor along axis, or -1 (a width no layout has) if it is 0-d."""
-    return (np.shape(tensor) or (-1,))[axis]
-
-
 @dataclass(frozen=True)
 class WeightSet:
     """All parameters of the forward autoencoder evaluation.
@@ -278,8 +252,10 @@ class WeightSet:
     activation         nonlinearity between the two depthwise convolutions
     inner_decoder      linear stages reconstructing d' back to d
 
-    Construction checks every tensor shape against the layout that enc_key's
-    (d_in, d), the stage output widths and the kernels' l define.
+    Construction walks the chain: the projections are (d_in, d) and (d, d)
+    for enc_key's (d_in, d), the encoder stages start at d with norms of their
+    widths, both kernels are (l, d', 3, 3, 3) at the encoder's end width d',
+    and the decoder stages lead from d' back to d.
     """
 
     enc_key: LinearStage
@@ -296,53 +272,52 @@ class WeightSet:
     def __post_init__(self) -> None:
         if not isinstance(self.activation, str) or self.activation not in _ACTIVATIONS:
             raise ContractError(f"unknown activation {self.activation!r}")
-        d = _axis(self.enc_key.weight, -1)
-        enc = [d] + [_axis(lin.weight, -1) for lin, _ in self.inner_encoder]
-        dec = [enc[-1]] + [_axis(lin.weight, -1) for lin in self.inner_decoder]
-        if dec[-1] != d:
-            raise ContractError(f"inner decoder ends at width {dec[-1]}, not d = {d}")
-        layout = _layout(_axis(self.enc_key.weight, 0), enc, dec, _axis(self.ffn_conv1, 0))
-        for name, tensor in self._tensors().items():
-            if np.shape(tensor) != layout[name]:
-                raise ContractError(f"weight {name}: shape {np.shape(tensor)}, not {layout[name]}")
-
-    def _tensors(self) -> dict[str, np.ndarray]:
-        """Every tensor under its layout name, in layout order."""
-        stages = [(name, getattr(self, name)) for name in _PROJECTIONS]
-        for i, pair in enumerate(self.inner_encoder):
-            stages += [(f"inner.enc{i}", stage) for stage in pair]
-        stages += [(f"inner.dec{i}", lin) for i, lin in enumerate(self.inner_decoder)]
-        tensors = {
-            f"{prefix}.{field}": getattr(stage, field)
-            for prefix, stage in stages
-            for field in _TENSOR_FIELDS[type(stage)]
-        }
-        return {**tensors, "ffn.conv1": self.ffn_conv1, "ffn.conv2": self.ffn_conv2}
+        d_in, d = np.shape(self.enc_key.weight)
+        for name, a in (("enc_value", d_in), ("dec_query", d_in), ("dec_key", d), ("dec_value", d)):
+            _checked(f"{name}.weight", getattr(self, name).weight, (a, d))
+        a = d
+        for i, (lin, norm) in enumerate(self.inner_encoder):
+            b = np.shape(lin.weight)[1]
+            _checked(f"inner.enc{i}.weight", lin.weight, (a, b))
+            _checked(f"inner.enc{i} norm", norm.mean, (b,))
+            a = b
+        for name in ("ffn_conv1", "ffn_conv2"):  # (l, d', 3, 3, 3), l of the first
+            _checked(name, getattr(self, name), np.shape(self.ffn_conv1)[:1] + (a, 3, 3, 3))
+        for i, lin in enumerate(self.inner_decoder):
+            b = np.shape(lin.weight)[1]
+            _checked(f"inner.dec{i}.weight", lin.weight, (a, b))
+            a = b
+        if a != d:
+            raise ContractError(f"inner decoder ends at width {a}, not d = {d}")
 
     @classmethod
     def _from_dims(cls, dims: EmbeddingDims, d_in: int, make, eps: float, activation: str):
-        """The layout of dims with each tensor from make(field, shape), drawn
+        """The weights of dims with each tensor from make(field, shape), drawn
         in a fixed order: encoder stages, decoder stages, projections, kernels."""
-        w = dims.stage_widths()
-        shapes = _layout(d_in, w, w[::-1], dims.latents)
+        w, d = dims.stage_widths(), dims.width
 
-        def stage(kind: type, prefix: str, *scalars: float):
-            return kind(*(make(f, shapes[f"{prefix}.{f}"]) for f in _TENSOR_FIELDS[kind]), *scalars)
+        def linear(a: int, b: int) -> LinearStage:
+            return LinearStage(make("weight", (a, b)), make("bias", (b,)))
 
-        inner_enc = tuple(
-            (stage(LinearStage, f"inner.enc{i}"), stage(NormStage, f"inner.enc{i}", eps))
-            for i in range(dims.stages)
-        )
-        inner_dec = tuple(stage(LinearStage, f"inner.dec{i}") for i in range(dims.stages))
-        projections = [stage(LinearStage, name) for name in _PROJECTIONS]
-        kernels = make("conv1", shapes["ffn.conv1"]), make("conv2", shapes["ffn.conv2"])
+        def norm(b: int) -> NormStage:
+            return NormStage(*(make(f, (b,)) for f in ("gamma", "beta", "mean", "var")), eps)
+
+        inner_enc = tuple((linear(a, b), norm(b)) for a, b in zip(w, w[1:]))
+        inner_dec = tuple(linear(a, b) for a, b in zip(w[::-1], w[-2::-1]))
+        projections = [linear(a, d) for a in (d_in, d_in, d_in, d, d)]
+        kernel = (dims.latents, w[-1], 3, 3, 3)
+        kernels = make("conv1", kernel), make("conv2", kernel)
         return cls(*projections, inner_enc, *kernels, activation, inner_dec)
 
     @classmethod
     def seeded(
         cls, dims: EmbeddingDims, rng: np.random.Generator, in_width: Optional[int] = None
     ) -> "WeightSet":
-        """Random weights with a deterministic layout for a given generator."""
+        """Random weights, drawn in a fixed order from the generator, for
+        input features of in_width (default dims.width) columns."""
+        d_in = dims.width if in_width is None else in_width
+        if not isinstance(d_in, (int, np.integer)) or d_in < 1:
+            raise ContractError(f"in_width must be an integer >= 1, got {in_width!r}")
 
         def draw(field: str, shape: tuple[int, ...]) -> np.ndarray:
             if field == "weight":
@@ -351,8 +326,7 @@ class WeightSet:
                 return rng.uniform(0.5, 1.5, shape)
             return rng.normal(0.0, 0.2 if field.startswith("conv") else 0.01, size=shape)
 
-        d_in = dims.width if in_width is None else in_width
-        return cls._from_dims(dims, d_in, draw, 1e-5, dims.activation)
+        return cls._from_dims(dims, d_in, draw, 1e-5, "relu")
 
     @classmethod
     def identity(cls, dims: EmbeddingDims) -> "WeightSet":
@@ -381,7 +355,7 @@ def seeded_latents(dims: EmbeddingDims, rng: np.random.Generator) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-_SCATTER_BLOCK = 4096  # points per voxel-aligned block of every point walk
+_SCATTER_BLOCK = 4096  # points per block of every point walk
 _IN_ORDER = 8  # numpy's pairwise sum adds fewer terms than this in order
 
 
@@ -558,18 +532,21 @@ def vsa_decode(
     groups: VoxelGroups,
 ) -> np.ndarray:
     """Point decoder: broadcast voxel features to points and attend against
-    point-side queries. Returns the reconstructed (m, d) feature set."""
+    point-side queries. Returns the reconstructed (m, d) feature set. Each
+    point's row depends on its own voxel alone, so the walk takes the points
+    in storage order, _SCATTER_BLOCK at a time."""
     hv = _checked("hv_hat (c, l, d)", hv_hat, _voxel_shape(weights, groups))
     g = _checked("feats (m, d_in)", feats, (groups.num_points, weights.dec_query.weight.shape[0]))
     q = weights.dec_query(g)
     keys, values = weights.dec_key(hv), weights.dec_value(hv)  # project c voxel rows once
     out = np.empty_like(q)
-    for _, idx, _, (qb, voxels) in _voxel_blocks(groups, q, groups.point_voxel):
-        scores = np.einsum("mld,md->ml", np.take(keys, voxels, axis=0), qb)
+    for lo in range(0, groups.num_points, _SCATTER_BLOCK):
+        rows = slice(lo, lo + _SCATTER_BLOCK)
+        scores = np.einsum("mld,md->ml", np.take(keys, groups.point_voxel[rows], axis=0), q[rows])
         scores -= _column_fold(np.maximum, scores)[:, None]
         e = np.exp(scores, out=scores)
         e /= (_column_fold(np.add, e) if e.shape[1] < _IN_ORDER else e.sum(axis=1))[:, None]
-        out[idx] = np.einsum("ml,mld->md", e, np.take(values, voxels, axis=0))
+        out[rows] = np.einsum("ml,mld->md", e, np.take(values, groups.point_voxel[rows], axis=0))
     return out
 
 
@@ -633,6 +610,8 @@ def contrastive_loss(
     m = len(h)
     if len(p) != m or len(y) != m:
         raise ContractError("embeddings, points, and labels must align")
+    if m == 0:
+        raise ContractError("contrastive loss needs at least one point")
     pos, neg = _class_pairs(p, y)
     if np.all(neg < 0):
         warnings.warn(
@@ -688,6 +667,8 @@ def reconstruction_loss(feats: np.ndarray, reconstructed: np.ndarray) -> float:
     g_hat = np.asarray(reconstructed, dtype=np.float64)
     if g.shape != g_hat.shape:
         raise ContractError(f"shape mismatch: {g.shape} vs {g_hat.shape}")
+    if g.size == 0:
+        raise ContractError("reconstruction loss needs at least one entry")
     return float(np.mean((g - g_hat) ** 2))
 
 

@@ -1,6 +1,7 @@
 """Voxel attention forward math and the embedding losses."""
 
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 from itertools import product
 
 import numpy as np
@@ -31,7 +32,6 @@ from rapidfeat.embed import (
     LinearStage,
     NormStage,
     _class_pairs,
-    _layout,
     _similarity,
     _sparse_depthwise_conv,
 )
@@ -511,7 +511,8 @@ class TestMultiBlock:
     def test_scatters_and_decode_match_row_oracles(self, seed):
         pts, rng = multi_block_cloud(seed)
         groups = voxelize(pts, 1.0)
-        assert groups.counts()[: len(VOXEL_RUN)].tolist() == VOXEL_RUN
+        counts = np.diff(groups.starts, append=groups.num_points)
+        assert counts[: len(VOXEL_RUN)].tolist() == VOXEL_RUN
         # the layout meets the block sizes it is built for
         assert sum(VOXEL_RUN) == VOXEL_RUN[0] + _SCATTER_BLOCK and VOXEL_RUN[0] > _SCATTER_BLOCK
         assert groups.num_points > 4 * _SCATTER_BLOCK
@@ -568,7 +569,7 @@ class TestSmallVoxelBlocks:
         groups = voxelize(np.vstack([pts, beside]), 1.0)
         spans = [v.stop - v.start for v, *_ in embed._voxel_blocks(groups)]
         assert len(spans) > 100 and sum(s > 1 for s in spans) > 40
-        assert max(groups.counts()) > 50 * request.param
+        assert max(np.diff(groups.starts, append=groups.num_points)) > 50 * request.param
         return groups, rng
 
     def test_scatters_match_row_oracles(self, cloud):
@@ -610,7 +611,13 @@ class TestInputsUnchanged:
         scores = rng.normal(size=(len(feats), l))
         lin, norm = weights.inner_encoder[0]
         normed = rng.normal(size=(c, l, lin.weight.shape[1]))
-        inputs = [feats, latents, hv, xr, normed, per_point, scores, *weights._tensors().values()]
+        stages = [weights.enc_key, weights.enc_value, weights.dec_query, weights.dec_key]
+        stages += [weights.dec_value, *(s for pair in weights.inner_encoder for s in pair)]
+        stages += weights.inner_decoder
+        tensors = [getattr(stage, f.name) for stage in stages for f in fields(stage)]
+        tensors += [weights.ffn_conv1, weights.ffn_conv2]
+        inputs = [feats, latents, hv, xr, normed, per_point, scores]
+        inputs += [t for t in tensors if isinstance(t, np.ndarray)]  # every tensor, not eps
         before = [a.copy() for a in inputs]
         lin(hv)
         norm(normed)
@@ -792,6 +799,12 @@ class TestContrastiveLoss:
         with pytest.raises(ContractError):
             contrastive_loss(rng.normal(size=(3, 2)), rng.normal(size=(4, 3)), [0, 1, 2])
 
+    def test_no_points(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="at least one point"):
+                contrastive_loss(np.zeros((0, 4)), np.zeros((0, 3)), np.zeros(0, dtype=int))
+
     def test_full_120k_scan(self, rng):
         # all-pairs masks would need ~14 GB each at this size
         cloud = kitti_style_scan(seed=77, beams=64, per_beam=1875)
@@ -826,6 +839,12 @@ class TestReconstructionLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ContractError):
             reconstruction_loss(np.zeros((2, 3)), np.zeros((3, 2)))
+
+    def test_no_entries(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="at least one entry"):
+                reconstruction_loss(np.zeros((0, 4)), np.zeros((0, 4)))
 
 
 class TestTotalLoss:
@@ -898,18 +917,31 @@ class TestAutoencoderForward:
         assert len(rows) > 2 and sum(rows) == groups.num_points
 
 
-def _with_tensor(weights, name, tensor):
-    """weights with the tensor the layout calls name replaced, built through
-    dataclasses.replace so that construction checks the layout again."""
+def _tensor_slot(weights, name):
+    """(tensor, rebuild): the tensor of weights that name names, a field path
+    with inner.enc0 for the one encoder stage and ffn for the kernels, and a
+    function that returns weights with that tensor replaced, built through
+    dataclasses.replace so that construction checks the shapes again."""
     prefix, field = name.rsplit(".", 1)
     if prefix == "ffn":
-        return replace(weights, **{f"ffn_{field}": tensor})
+        key = f"ffn_{field}"
+        return getattr(weights, key), lambda t: replace(weights, **{key: t})
     if prefix == "inner.enc0":
-        ((lin, norm),) = weights.inner_encoder
-        if field in ("weight", "bias"):
-            return replace(weights, inner_encoder=((replace(lin, **{field: tensor}), norm),))
-        return replace(weights, inner_encoder=((lin, replace(norm, **{field: tensor})),))
-    return replace(weights, **{prefix: replace(getattr(weights, prefix), **{field: tensor})})
+        (pair,) = weights.inner_encoder
+        at = 0 if field in ("weight", "bias") else 1  # the linear or the norm stage
+
+        def rebuild(t):
+            stages = list(pair)
+            stages[at] = replace(pair[at], **{field: t})
+            return replace(weights, inner_encoder=(tuple(stages),))
+
+        return getattr(pair[at], field), rebuild
+    stage = getattr(weights, prefix)
+
+    def rebuild(t):
+        return replace(weights, **{prefix: replace(stage, **{field: t})})
+
+    return getattr(stage, field), rebuild
 
 
 class TestWeightSetIO:
@@ -924,23 +956,38 @@ class TestWeightSetIO:
         ],
     )
     def test_tensor_of_another_shape(self, name, shape):
-        # A tensor at odds with the layout fails at construction, not later in
-        # the forward pass; the last three agree with their own stage but not
-        # with the widths of the others.
+        # A tensor at odds with the others fails at construction, not later in
+        # the forward pass: the first two at odds with their own stage, the
+        # last three with the widths of the other stages.
         weights = WeightSet.seeded(EmbeddingDims(2, 4, 2, 1), np.random.default_rng(5))
-        same = weights._tensors()[name]
-        assert _with_tensor(weights, name, same.copy())._tensors()[name] is not same
+        same, rebuild = _tensor_slot(weights, name)
+        assert _tensor_slot(rebuild(same.copy()), name)[0] is not same
         with pytest.raises(ContractError):
-            _with_tensor(weights, name, np.ones(shape))
+            rebuild(np.ones(shape))
 
-    def test_layout_keys_match_tensor_names(self):
-        dims = EmbeddingDims(latents=2, width=6, reduced=3, stages=2)
-        weights = WeightSet.seeded(dims, np.random.default_rng(3), in_width=5)
-        widths = dims.stage_widths()
-        layout = _layout(5, widths, widths[::-1], 2)
-        tensors = weights._tensors()
-        assert list(layout) == list(tensors)
-        assert all(np.shape(tensors[name]) == shape for name, shape in layout.items())
+    @pytest.mark.parametrize(
+        "stage, shapes",
+        [
+            (LinearStage, [(0, 4), (4,)]),
+            (LinearStage, [(4, 0), (0,)]),
+            (LinearStage, [(4,), (4,)]),
+            (LinearStage, [(2, 4), (2,)]),
+            (NormStage, [(2,), (2,), (3,), (2,)]),
+            (NormStage, [(2, 1)] * 4),
+        ],
+    )
+    def test_stage_checks_its_own_shapes(self, stage, shapes):
+        with pytest.raises(ContractError):
+            stage(*(np.ones(shape) for shape in shapes))
+
+    @pytest.mark.parametrize("in_width", [0, -1, 2.5, "4"])
+    def test_seeded_in_width(self, in_width):
+        # rejected before anything is drawn from the generator
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ContractError, match="in_width"):
+            WeightSet.seeded(EmbeddingDims(2, 4, 2, 1), rng, in_width=in_width)
+        assert rng.bit_generator.state == state
 
     def test_kernels_of_two_latent_counts(self):
         weights = WeightSet.seeded(EmbeddingDims(3, 6, 3, 2), np.random.default_rng(1))

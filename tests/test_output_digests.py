@@ -11,16 +11,21 @@ The decoded pins hash what load_feature_file returns: every matrix and the
 pointwise rows, roi ids and valid widths. They were first computed from
 files of the earlier layout, which stored the rows, with that layout's own
 loader. A change of file layout alone leaves them as they are.
+
+The weight pins hash the tensors WeightSet.seeded and WeightSet.identity
+build, so a change to how the builders lay out or draw the weights shows
+here. Forward-pass bytes are not pinned: the GEMMs run through BLAS kernels
+whose summation order varies with the CPU.
 """
 
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from rapidfeat import save_kitti_labels, save_kitti_scan
+from rapidfeat import EmbeddingDims, WeightSet, save_kitti_labels, save_kitti_scan
 from rapidfeat.cli import EXIT_OK, main
 from rapidfeat.scene_io import load_feature_file
 
@@ -63,6 +68,22 @@ README_DECODED = {
 KITTI_DECODED = {
     "r.rapd": "cbbe1f697636b7c22e5513b87f41df7fa1bd24f9fc48167d85406119509c53eb",
     "c.rapd": "f9b4d09eb66db867c6c18749423144b6f6b533fdf41a72122e909ed2800bbb63",
+}
+
+# (builder, dims, in_width, seed) -> sha256 of its tensors and eps in draw order.
+WEIGHT_DIGESTS = {
+    ("seeded", EmbeddingDims(4, 10, 5, 2), 10, 3): (
+        "85cffe7768e9ba19466cbd42db538e3653cf070c8a762644a94b6aefcda40d23"
+    ),
+    ("seeded", EmbeddingDims(3, 6, 3, 3), 5, 7): (
+        "99d489e1fa03153f76e86f8c73e8f0af764a7ea7ec46b4b9f4268e4a6d62c980"
+    ),
+    ("identity", EmbeddingDims(4, 10, 10, 2), None, None): (
+        "bb6e9fd6fbce77c7d162026820520f5241b4ec92a1bd20407abd0e10c37716a6"
+    ),
+    ("identity", EmbeddingDims(2, 6, 6, 3), None, None): (
+        "7a182d9f2f901428dd594824bab6c61212287b40f9231ab952df6ad556c1f140"
+    ),
 }
 
 
@@ -131,3 +152,29 @@ def test_kitti_bin_scan_digests(tmp_path, workers):
         "sensor": {"beam_count": 64, "vertical_fov_deg": [-24.8, 2.0]},
     }
     assert _extract(tmp_path, doc, workers) == (KITTI_DIGESTS, KITTI_DECODED)
+
+
+def _weight_digest(weights: WeightSet) -> str:
+    """sha256 of every tensor and eps of weights, each with its dtype and
+    shape, in the order the builders draw them: inner encoder stages (linear,
+    then norm), inner decoder stages, the five projections, the two kernels."""
+    stages = [stage for pair in weights.inner_encoder for stage in pair]
+    stages += [*weights.inner_decoder, weights.enc_key, weights.enc_value]
+    stages += [weights.dec_query, weights.dec_key, weights.dec_value]
+    values = [getattr(stage, f.name) for stage in stages for f in fields(stage)]
+    h = hashlib.sha256()
+    for value in [*values, weights.ffn_conv1, weights.ffn_conv2]:
+        a = np.asarray(value)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", list(WEIGHT_DIGESTS), ids=lambda c: f"{c[0]}-{c[1].width}-{c[2]}")
+def test_weight_digests(case):
+    builder, dims, in_width, seed = case
+    if builder == "seeded":
+        weights = WeightSet.seeded(dims, np.random.default_rng(seed), in_width=in_width)
+    else:
+        weights = WeightSet.identity(dims)
+    assert _weight_digest(weights) == WEIGHT_DIGESTS[case]
