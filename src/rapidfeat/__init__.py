@@ -62,7 +62,6 @@ from .embed import (
     scatter_softmax,
     scatter_sum,
     seeded_latents,
-    total_loss,
     voxelize,
     vsa_decode,
     vsa_encode,

@@ -121,9 +121,7 @@ def cmd_check_invariance(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(config.seed)
     worst = 0.0
     for trial in range(args.trials):
-        if args.identity:
-            moved = cloud
-        elif args.non_rigid:
+        if args.non_rigid:
             factor = 1.0 + 0.5 * (trial + 1) / args.trials
             moved = cloud.with_points(cloud.points * factor)
         else:
@@ -211,9 +209,6 @@ def build_parser() -> _Parser:
     p.add_argument("--scan", default=None)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--tolerance", type=_tolerance, default=1e-6)
-    p.add_argument(
-        "--identity", action="store_true", help="use the identity transform"
-    )
     p.add_argument(
         "--non-rigid",
         dest="non_rigid",

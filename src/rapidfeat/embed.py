@@ -104,24 +104,18 @@ class VoxelGroups:
         return len(self.voxel_coords)
 
     @cached_property
-    def kernel_map(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per 3x3x3 offset, in product((-1, 0, 1), repeat=3) order, the
-        (destination, source) voxel indices with source = destination +
-        offset, destinations ascending: geometry's cell_neighbours of the
-        voxel grid. Built once per grid."""
-        return cell_neighbours(*cell_codes(self.voxel_coords))
-
-    @cached_property
     def conv_slots(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray], ...]]:
         """(rank, slots): the kernel map regrouped so that each convolution
-        step adds to a prefix of rows. Voxels are ranked by their count of
-        present offsets, most first (a stable sort); voxel v is row rank[v].
-        Slot j holds, for each of the first n_j ranked voxels (those with
-        more than j present offsets), the (source voxel, offset) of its j-th
-        present offset in offset order, so adding slots 0, 1, ... in turn
-        sums every voxel's terms in offset order. Built once per grid and
-        shared by every convolution on it."""
-        pairs = self.kernel_map
+        step adds to a prefix of rows. The kernel map is geometry's
+        cell_neighbours of the voxel grid: per 3x3x3 offset, the
+        (destination, source) voxel pairs with source = destination + offset.
+        Voxels are ranked by their count of present offsets, most first (a
+        stable sort); voxel v is row rank[v]. Slot j holds, for each of the
+        first n_j ranked voxels (those with more than j present offsets), the
+        (source voxel, offset) of its j-th present offset in offset order, so
+        adding slots 0, 1, ... in turn sums every voxel's terms in offset
+        order. Built once per grid and shared by every convolution on it."""
+        pairs = cell_neighbours(*cell_codes(self.voxel_coords))
         counts = np.bincount(np.concatenate([dst for dst, _ in pairs]), minlength=self.num_voxels)
         ranked, sizes = _longest_first(counts, 27)  # sizes[j] = n_j
         rank = np.empty_like(ranked)
@@ -153,8 +147,8 @@ def voxelize(
     Voxels are ordered lexicographically by their integer coordinates, which
     makes the grouping independent of point storage order.
     """
-    if voxel_size <= 0:
-        raise ContractError("voxel_size must be positive")
+    if not 0 < voxel_size < np.inf:  # false for nan too
+        raise ContractError(f"voxel_size must be positive and finite, got {voxel_size}")
     points = source.points if isinstance(source, PointCloud) else np.asarray(source)
     scaled = np.floor(points / voxel_size)
     if not np.all((scaled >= -(2.0 ** 63)) & (scaled < 2.0 ** 63)):
@@ -254,8 +248,8 @@ class WeightSet:
 
     Construction walks the chain: the projections are (d_in, d) and (d, d)
     for enc_key's (d_in, d), the encoder stages start at d with norms of their
-    widths, both kernels are (l, d', 3, 3, 3) at the encoder's end width d',
-    and the decoder stages lead from d' back to d.
+    widths, both kernels are (l, d', 3, 3, 3) with l >= 1 at the encoder's end
+    width d', and the decoder stages lead from d' back to d.
     """
 
     enc_key: LinearStage
@@ -283,6 +277,8 @@ class WeightSet:
             a = b
         for name in ("ffn_conv1", "ffn_conv2"):  # (l, d', 3, 3, 3), l of the first
             _checked(name, getattr(self, name), np.shape(self.ffn_conv1)[:1] + (a, 3, 3, 3))
+        if np.shape(self.ffn_conv1)[0] < 1:
+            raise ContractError("the kernels must have at least one latent, got l = 0")
         for i, lin in enumerate(self.inner_decoder):
             b = np.shape(lin.weight)[1]
             _checked(f"inner.dec{i}.weight", lin.weight, (a, b))
@@ -633,12 +629,10 @@ def contrastive_loss(
 
 @dataclass(frozen=True)
 class EmbeddingForward:
-    """Voxel tensors and decoded features of one autoencoder forward pass;
-    shapes from (m points, c voxels, l latents, d width, d' reduced width)."""
+    """Voxel tensor and decoded features of one autoencoder forward pass;
+    shapes from (m points, c voxels, l latents, d width)."""
 
     voxelwise: np.ndarray      # (c, l, d) scatter-summed voxel tensor
-    compressed: np.ndarray     # (c, l, d') inner embedding
-    reconstructed_voxel: np.ndarray  # (c, l, d)
     reconstructed: np.ndarray  # (m, d) decoded feature set
 
 
@@ -651,12 +645,10 @@ def autoencoder_forward(
     """Full nested forward pass: outer encode, inner bottleneck, point decode."""
     g = np.asarray(feats, dtype=np.float64)
     hv = vsa_encode(g, latents, weights, groups)
-    hbar, hv_hat = inner_bottleneck(hv, weights, groups)
+    _, hv_hat = inner_bottleneck(hv, weights, groups)
     g_hat = vsa_decode(hv_hat, g, weights, groups)
     return EmbeddingForward(
         voxelwise=hv,
-        compressed=hbar,
-        reconstructed_voxel=hv_hat,
         reconstructed=g_hat,
     )
 
@@ -671,9 +663,3 @@ def reconstruction_loss(feats: np.ndarray, reconstructed: np.ndarray) -> float:
         raise ContractError("reconstruction loss needs at least one entry")
     return float(np.mean((g - g_hat) ** 2))
 
-
-def total_loss(recon: float, contr: float, lam: float) -> float:
-    """Weighted sum: reconstruction plus lam times the contrastive term."""
-    if lam < 0:
-        raise ContractError("lambda must be >= 0")
-    return float(recon + lam * contr)

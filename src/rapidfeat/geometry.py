@@ -83,10 +83,6 @@ class RigidTransform:
         object.__setattr__(self, "translation", t)
 
     @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(np.eye(3), np.zeros(3))
-
-    @classmethod
     def random(cls, rng: np.random.Generator) -> "RigidTransform":
         """Uniform random rotation (QR of a Gaussian matrix) plus a translation
         uniform in [-_MAX_TRANSLATION, _MAX_TRANSLATION) per axis."""
@@ -106,11 +102,9 @@ def apply_transform(cloud: PointCloud, transform: RigidTransform) -> PointCloud:
     return cloud.with_points(transform.apply(cloud.points))
 
 
-def range_of(point: np.ndarray) -> np.ndarray | float:
-    """Euclidean norm of (x, y, z); vectorized over an (m, 3) array."""
-    p = np.asarray(point, dtype=np.float64)
-    if p.ndim == 1:
-        return float(np.sqrt(p @ p))
+def range_of(points: np.ndarray) -> np.ndarray:
+    """(m,) Euclidean norms of the rows of an (m, 3) array."""
+    p = np.asarray(points, dtype=np.float64)
     return np.sqrt(np.einsum("ij,ij->i", p, p))
 
 

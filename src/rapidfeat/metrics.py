@@ -35,12 +35,6 @@ class ConfusionMatrix:
     def num_classes(self) -> int:
         return self.counts.shape[0]
 
-    def merge(self, other: "ConfusionMatrix") -> "ConfusionMatrix":
-        """Elementwise sum; accumulation order never matters."""
-        if other.counts.shape != self.counts.shape or other.ignore != self.ignore:
-            raise ContractError("cannot merge matrices with different layouts")
-        return ConfusionMatrix(counts=self.counts + other.counts, ignore=self.ignore)
-
 
 def accumulate(
     cm: ConfusionMatrix, truth: np.ndarray, predicted: np.ndarray
@@ -82,21 +76,15 @@ def iou(cm: ConfusionMatrix, class_id: int) -> float:
     return tp / denom
 
 
-def miou(cm: ConfusionMatrix, undefined_as_zero: bool = False) -> float:
-    """Mean IoU over classes with a defined ratio.
-
-    Classes with a zero denominator are excluded by default; pass
-    undefined_as_zero=True for the convention that counts them as 0.
-    """
+def miou(cm: ConfusionMatrix) -> float:
+    """Mean IoU over classes with a defined ratio: a class with a zero
+    denominator is excluded, not counted as 0."""
     values = []
     for c in range(cm.num_classes):
         if c in cm.ignore:
             continue
         v = iou(cm, c)
-        if math.isnan(v):
-            if undefined_as_zero:
-                values.append(0.0)
-        else:
+        if not math.isnan(v):
             values.append(v)
     if not values:
         raise UndefinedMetricError("no class has a defined IoU")

@@ -189,7 +189,7 @@ def _extract(
 ) -> PointwiseFeatureSet:
     """RAPiD per (region x range band) of the per-point region ids, anchored
     to points."""
-    band = band_indices(np.asarray(range_of(cloud.points)), config)
+    band = band_indices(range_of(cloud.points), config)
     matrices = _run_jobs(cloud, _plan_jobs(ids, band, config, prefix), config.delta, workers)
     return PointwiseFeatureSet(ids, config.k_max, tuple(matrices))
 

@@ -133,7 +133,7 @@ class RapidMatrix:
         return self.values.shape[0]
 
 
-def reflectivity_map(r: np.ndarray | float, scale: ReflectivityScale) -> np.ndarray | float:
+def reflectivity_map(r: np.ndarray, scale: ReflectivityScale) -> np.ndarray:
     """Linear map of reflectivity onto [d_min, d_max].
 
     Degenerate scale (r_min == r_max, a constant-reflectivity region) maps
@@ -141,12 +141,10 @@ def reflectivity_map(r: np.ndarray | float, scale: ReflectivityScale) -> np.ndar
     """
     r = np.asarray(r, dtype=np.float64)
     if scale.r_max == scale.r_min:
-        out = np.full_like(r, scale.d_min)
-    else:
-        out = (r - scale.r_min) / (scale.r_max - scale.r_min) * (
-            scale.d_max - scale.d_min
-        ) + scale.d_min
-    return float(out) if out.ndim == 0 else out
+        return np.full_like(r, scale.d_min)
+    return (r - scale.r_min) / (scale.r_max - scale.r_min) * (
+        scale.d_max - scale.d_min
+    ) + scale.d_min
 
 
 def reflectivity_metric(scale: ReflectivityScale) -> MetricEmbedding:

@@ -20,7 +20,9 @@ point_attention     the per-point (m, l, d) tensor H, whose scatter_sum_rows
                     is vsa_encode's voxel tensor
 conv_oracle         one ravel_multi_index lookup per offset  vs  the slot-ordered
                     depthwise convolution
-kernel_map_pairs    one ravel_multi_index lookup per offset  vs  VoxelGroups.kernel_map
+kernel_map_pairs    one ravel_multi_index lookup per offset  vs  cell_neighbours of
+                    the voxel codes, the kernel map that VoxelGroups.conv_slots
+                    regroups
 
 The certificate oracles are the pass-1 cell-count certificate as first
 written, with its own cell codes and its own 13-offset mirrored loop:

@@ -437,14 +437,6 @@ class TestExtract:
 
 
 class TestCheckInvariance:
-    def test_identity_zero_deviation(self, config_file, capsys):
-        code = main(
-            ["check-invariance", "--config", str(config_file()), "--trials", "1",
-             "--identity"]
-        )
-        assert code == EXIT_OK
-        assert "0.000e+00" in capsys.readouterr().out
-
     def test_rigid_trials_pass(self, config_file):
         code = main(
             ["check-invariance", "--config", str(config_file()), "--trials", "5"]
@@ -740,14 +732,16 @@ class TestUsage:
             ["eval", "--truth", "t", "--pred", "p", "--workers", "2"],
             ["eval", "--truth", "t", "--pred", "p", "--seed", "1"],
             ["check-invariance", "--labels", "x"],
+            ["check-invariance", "--identity"],
             ["extract", "--seed", "1"],
         ],
         ids=[
-            "eval-workers", "eval-seed", "check-labels", "extract-seed",
+            "eval-workers", "eval-seed", "check-labels", "check-identity", "extract-seed",
         ],
     )
     def test_unread_flag_is_usage_error(self, config_file, capsys, argv):
-        # Each command used to accept these flags and never read them.
+        # Each command used to accept these flags. Most were never read;
+        # --identity compared the scan with itself and overrode --non-rigid.
         assert main(argv + ["--config", str(config_file())]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("usage error: ")
 

@@ -21,7 +21,6 @@ from rapidfeat import (
     scatter_softmax,
     scatter_sum,
     seeded_latents,
-    total_loss,
     voxelize,
     vsa_decode,
     vsa_encode,
@@ -35,6 +34,7 @@ from rapidfeat.embed import (
     _similarity,
     _sparse_depthwise_conv,
 )
+from rapidfeat.geometry import cell_codes, cell_neighbours
 
 from conftest import kitti_style_scan
 from oracles import (
@@ -104,9 +104,11 @@ class TestVoxelize:
         assert np.array_equal(g0.voxel_coords, g1.voxel_coords)
         assert np.array_equal(g0.point_voxel, g1.point_voxel[np.argsort(perm)])
 
-    def test_bad_voxel_size(self):
-        with pytest.raises(ContractError):
-            voxelize(np.zeros((2, 3)), 0.0)
+    @pytest.mark.parametrize("size", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_voxel_size(self, size, rng):
+        # inf would put points spread over [-5, 5]^3 into one voxel
+        with pytest.raises(ContractError, match="voxel_size"):
+            voxelize(rng.uniform(-5.0, 5.0, size=(100, 3)), size)
 
     @settings(max_examples=40, deadline=None)
     @given(cloud=grid_clouds(), scale=st.sampled_from([1.0, 0.3, 2.5]))
@@ -157,7 +159,7 @@ class TestVoxelize:
         index = np.arange(4)
         groups = VoxelGroups(point_voxel=index, voxel_coords=coords, order=index, starts=index)
         with pytest.raises(ContractError, match="int64"):
-            groups.kernel_map
+            groups.conv_slots
         with pytest.raises(ContractError, match="int64"):
             voxelize(coords + 0.5, 1.0)
 
@@ -375,7 +377,8 @@ class TestKernelMapConv:
     def test_isolated_voxels(self, rng):
         coords = 3 * rng.integers(-5, 6, size=(40, 3))
         groups = grid_groups(coords)
-        assert all(len(dst) == 0 for i, (dst, _) in enumerate(groups.kernel_map) if i != 13)
+        pairs = cell_neighbours(*cell_codes(groups.voxel_coords))
+        assert all(len(dst) == 0 for i, (dst, _) in enumerate(pairs) if i != 13)
         x = rng.normal(size=(groups.num_voxels, 2, 3))
         kernel = rng.normal(size=(2, 3, 3, 3, 3))
         got = _sparse_depthwise_conv(x, groups, kernel)
@@ -384,7 +387,6 @@ class TestKernelMapConv:
 
     def test_map_built_once_per_grid(self, rng):
         groups = grid_groups(rng.integers(0, 4, size=(20, 3)))
-        assert groups.kernel_map is groups.kernel_map
         assert groups.conv_slots is groups.conv_slots
 
     def test_zero_terms_sum_to_positive_zero(self, rng):
@@ -421,7 +423,8 @@ class TestKernelMapConv:
 
     @staticmethod
     def assert_map_matches_oracle(groups):
-        got, want = groups.kernel_map, kernel_map_pairs(groups.voxel_coords)
+        got = cell_neighbours(*cell_codes(groups.voxel_coords))
+        want = kernel_map_pairs(groups.voxel_coords)
         assert len(got) == 27
         for t, ((dst, src), (want_dst, want_src)) in enumerate(zip(got, want)):
             assert dst.dtype == want_dst.dtype and np.array_equal(dst, want_dst), t
@@ -847,22 +850,6 @@ class TestReconstructionLoss:
                 reconstruction_loss(np.zeros((0, 4)), np.zeros((0, 4)))
 
 
-class TestTotalLoss:
-    def test_lambda_zero(self):
-        assert total_loss(3.5, 100.0, 0.0) == 3.5
-
-    def test_weighted_sum(self):
-        assert total_loss(1.0, 2.0, 0.1) == pytest.approx(1.2, abs=1e-15)
-
-    def test_monotone(self):
-        assert total_loss(2.0, 1.0, 0.5) > total_loss(1.0, 1.0, 0.5)
-        assert total_loss(1.0, 2.0, 0.5) > total_loss(1.0, 1.0, 0.5)
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ContractError):
-            total_loss(1.0, 1.0, -0.1)
-
-
 class TestSimilarity:
     def test_zero_vector_cosine(self):
         out = _similarity(np.zeros((1, 3)), np.ones((1, 3)))
@@ -871,14 +858,12 @@ class TestSimilarity:
 
 class TestAutoencoderForward:
     def test_bundles_consistent_shapes(self):
-        from rapidfeat import autoencoder_forward, total_loss
+        from rapidfeat import autoencoder_forward
 
         _, pts, groups, feats, weights, latents, dims = make_instance(11, m=50)
         fw = autoencoder_forward(feats, latents, weights, groups)
         c = groups.num_voxels
         assert fw.voxelwise.shape == (c, dims.latents, dims.width)
-        assert fw.compressed.shape == (c, dims.latents, dims.reduced)
-        assert fw.reconstructed_voxel.shape == (c, dims.latents, dims.width)
         assert fw.reconstructed.shape == (50, dims.width)
 
     def test_matches_individual_stages(self):
@@ -887,11 +872,9 @@ class TestAutoencoderForward:
         _, _, groups, feats, weights, latents, _ = make_instance(12, m=40)
         fw = autoencoder_forward(feats, latents, weights, groups)
         hv = vsa_encode(feats, latents, weights, groups)
-        hbar, hv_hat = inner_bottleneck(hv, weights, groups)
+        _, hv_hat = inner_bottleneck(hv, weights, groups)
         g_hat = vsa_decode(hv_hat, feats, weights, groups)
         assert np.array_equal(fw.voxelwise, hv)
-        assert np.array_equal(fw.compressed, hbar)
-        assert np.array_equal(fw.reconstructed_voxel, hv_hat)
         assert np.array_equal(fw.reconstructed, g_hat)
 
     def test_one_attention_pass(self, monkeypatch):
@@ -993,6 +976,8 @@ class TestWeightSetIO:
         weights = WeightSet.seeded(EmbeddingDims(3, 6, 3, 2), np.random.default_rng(1))
         with pytest.raises(ContractError, match="ffn.conv2"):
             replace(weights, ffn_conv2=weights.ffn_conv2[:2])
+        with pytest.raises(ContractError, match="at least one latent"):
+            replace(weights, ffn_conv1=weights.ffn_conv1[:0], ffn_conv2=weights.ffn_conv2[:0])
 
     @pytest.mark.parametrize("stages", [0, 1, 3])
     def test_decoder_must_end_at_width(self, stages):

@@ -54,7 +54,7 @@ def lists_equal(a, b) -> bool:
 
 class TestRigidTransform:
     def test_identity_is_valid(self):
-        t = RigidTransform.identity()
+        t = RigidTransform(np.eye(3), np.zeros(3))
         assert np.array_equal(t.apply(np.array([[1.0, 2.0, 3.0]])), [[1.0, 2.0, 3.0]])
 
     def test_rejects_non_orthonormal(self):
@@ -76,7 +76,7 @@ class TestRigidTransform:
 
 class TestApplyTransform:
     def test_identity(self, scene_cloud):
-        moved = apply_transform(scene_cloud, RigidTransform.identity())
+        moved = apply_transform(scene_cloud, RigidTransform(np.eye(3), np.zeros(3)))
         assert np.array_equal(moved.points, scene_cloud.points)
         assert np.array_equal(moved.remission, scene_cloud.remission)
 
@@ -111,14 +111,11 @@ class TestApplyTransform:
 
 
 class TestRangeOf:
-    def test_pythagorean(self):
-        assert range_of(np.array([3.0, 4.0, 0.0])) == 5.0
-
-    def test_origin(self):
-        assert range_of(np.zeros(3)) == 0.0
-
-    def test_unit_diagonal(self):
-        assert range_of(np.ones(3)) == pytest.approx(np.sqrt(3.0), abs=0)
+    def test_pythagorean_origin_and_unit_diagonal(self):
+        out = range_of(np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+        assert out.shape == (3,)
+        assert out[0] == 5.0 and out[1] == 0.0
+        assert out[2] == pytest.approx(np.sqrt(3.0), abs=0)
 
     def test_vectorized(self):
         out = range_of(np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 2.0]]))

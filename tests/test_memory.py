@@ -1,4 +1,4 @@
-"""Peak memory of the extract path, traced with tracemalloc.
+"""Memory of the extract path and the embed forward, traced with tracemalloc.
 
 tracemalloc counts every numpy buffer and Python object allocated after it
 starts, so each peak below is a fixed number of bytes for fixed inputs and
@@ -11,7 +11,16 @@ import tracemalloc
 
 import numpy as np
 
-from rapidfeat import PointCloud, RapidMatrix, ReflectivityScale
+from rapidfeat import (
+    EmbeddingDims,
+    PointCloud,
+    RapidMatrix,
+    ReflectivityScale,
+    WeightSet,
+    autoencoder_forward,
+    seeded_latents,
+    voxelize,
+)
 from rapidfeat.geometry import knn_brute, nearest_candidate_rows
 from rapidfeat.partition import PointwiseFeatureSet
 from rapidfeat.scene_io import load_feature_file, save_feature_file
@@ -98,3 +107,24 @@ class TestContainerMemory:
         decoded = sum(m.values.nbytes + m.anchors.nbytes for m in loaded.matrices)
         decoded += p.roi.nbytes + 2 * 8 * len(p.roi)
         assert peak <= path.stat().st_size + decoded + SLACK
+
+
+class TestForwardMemory:
+    def test_result_keeps_only_its_outputs(self):
+        # Once the forward returns, what stays allocated is the two tensors
+        # of the result and the convolution slots cached on the grid: no
+        # inner tensor and no second copy of the kernel map.
+        rng = np.random.default_rng(4)
+        dims = EmbeddingDims(latents=4, width=10, reduced=5, stages=2)
+        groups = voxelize(rng.uniform(-15.0, 15.0, size=(30_000, 3)), 0.5)
+        feats = rng.normal(size=(30_000, dims.width))
+        weights, latents = WeightSet.seeded(dims, rng), seeded_latents(dims, rng)
+        tracemalloc.start()
+        try:
+            fw = autoencoder_forward(feats, latents, weights, groups)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        rank, slots = groups.conv_slots
+        cached = rank.nbytes + sum(src.nbytes + off.nbytes for src, off in slots)
+        assert held <= fw.voxelwise.nbytes + fw.reconstructed.nbytes + cached + SLACK
