@@ -111,11 +111,16 @@ class TestApplyTransform:
 
 
 class TestRangeOf:
-    def test_pythagorean_origin_and_unit_diagonal(self):
-        out = range_of(np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
-        assert out.shape == (3,)
-        assert out[0] == 5.0 and out[1] == 0.0
-        assert out[2] == pytest.approx(np.sqrt(3.0), abs=0)
+    def test_pythagorean(self):
+        assert range_of(np.array([[3.0, 4.0, 0.0]])) == [5.0]
+
+    def test_origin(self):
+        assert range_of(np.zeros((1, 3))) == [0.0]
+
+    def test_unit_diagonal(self):
+        out = range_of(np.ones((1, 3)))
+        assert out.shape == (1,)
+        assert out[0] == pytest.approx(np.sqrt(3.0), abs=0)
 
     def test_vectorized(self):
         out = range_of(np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 2.0]]))
