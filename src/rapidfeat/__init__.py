@@ -16,7 +16,6 @@ from .errors import (
 from .geometry import (
     NeighborList,
     RigidTransform,
-    apply_transform,
     knn_brute,
     knn_indexed,
     range_of,

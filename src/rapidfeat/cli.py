@@ -20,7 +20,7 @@ from . import scene_io
 from .cloud import PointCloud
 from .config import RunConfig, config_echo
 from .errors import ContractError, RapidError
-from .geometry import RigidTransform, apply_transform
+from .geometry import RigidTransform
 from .metrics import ConfusionMatrix, accumulate, iou, miou
 from .partition import PointwiseFeatureSet, _run_jobs, c_rapid, r_rapid
 
@@ -81,7 +81,7 @@ def _config_overrides(args: argparse.Namespace) -> dict:
 
 def _save(path: str, features: PointwiseFeatureSet, config: RunConfig) -> None:
     """Write one extract output and print its per-region statistics."""
-    scene_io.save_feature_file(path, features.matrices, features, meta=config_echo(config))
+    scene_io.save_feature_file(path, features, config_echo(config))
     m = len(features.roi)
     print(f"wrote {path}: {m} pointwise rows")
     print(f"{'roi':<18}{'points':>8}{'k':>4}{'outliers':>10}{'seconds':>9}  histogram[0,1]")
@@ -125,7 +125,7 @@ def cmd_check_invariance(args: argparse.Namespace) -> int:
             factor = 1.0 + 0.5 * (trial + 1) / args.trials
             moved = cloud.with_points(cloud.points * factor)
         else:
-            moved = apply_transform(cloud, RigidTransform.random(rng))
+            moved = cloud.with_points(RigidTransform.random(rng).apply(cloud.points))
         rerun = _run_jobs(moved, jobs, config.rapid.delta, config.workers)
         for mat, again in zip(baseline.matrices, rerun):
             worst = max(worst, float(np.abs(again.values - mat.values).max()))

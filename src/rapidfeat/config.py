@@ -5,7 +5,7 @@ has a default; CLI flags override file values. Defaults:
 
     input.scan / input.labels / input.synthetic   null (choose one input)
     output.features                               "r_rapid.rapd"
-    output.class_features                         null (C-RAPiD not written)
+    output.class_features                         null (no C-RAPiD output; not output.features)
     sensor.beam_count                             64
     sensor.vertical_fov_deg                       [-24.8, 2.0] degrees
     rapid.k_close / k_mid / k_far                 10 / 7 / 5
@@ -36,6 +36,7 @@ input.synthetic.pose of older config files. The k triple (10, 7, 5) suits
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -111,12 +112,16 @@ class RunConfig:
         fov = get("sensor.vertical_fov_deg", tuple[float, float], (-24.8, 2.0))
         sensor = SensorGeometry.from_fov(get("sensor.beam_count", int, 64), fov)
         synthetic = get("input.synthetic", Optional[dict], None)
+        features_out = get("output.features", str, "r_rapid.rapd")
+        class_out = get("output.class_features", Optional[str], None)
+        if class_out is not None and os.path.abspath(class_out) == os.path.abspath(features_out):
+            raise ContractError(f"output.class_features {class_out!r} is output.features")
         return cls(
             scan=get("input.scan", Optional[str], None),
             labels=get("input.labels", Optional[str], None),
             synthetic=None if synthetic is None else _scene(synthetic, "input.synthetic."),
-            features_out=get("output.features", str, "r_rapid.rapd"),
-            class_features_out=get("output.class_features", Optional[str], None),
+            features_out=features_out,
+            class_features_out=class_out,
             sensor=sensor,
             vertical_fov_deg=fov,
             rapid=_fields(RangeAwareConfig, doc.get("rapid", {}), "rapid"),

@@ -97,11 +97,6 @@ class RigidTransform:
         return np.asarray(points, dtype=np.float64) @ self.rotation.T + self.translation
 
 
-def apply_transform(cloud: PointCloud, transform: RigidTransform) -> PointCloud:
-    """Map coordinates through the rigid motion; remission, ring, label untouched."""
-    return cloud.with_points(transform.apply(cloud.points))
-
-
 def range_of(points: np.ndarray) -> np.ndarray:
     """(m,) Euclidean norms of the rows of an (m, 3) array."""
     p = np.asarray(points, dtype=np.float64)

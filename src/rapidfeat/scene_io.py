@@ -8,10 +8,10 @@ On-disk formats:
   bits are the semantic class, the high 16 bits (instance id) are discarded.
 * Feature container (.rapd): magic "RAPD", uint32 version, uint32 header
   length, UTF-8 JSON header, a raw little-endian payload of the arrays the
-  header describes, then a uint32 CRC-32 of all bytes before it. It serves
-  RAPiD matrices and the scan-level pointwise record (int32 roi ids and a
-  row width; rows derive from the matrices) only: weights are built in
-  memory, never filed.
+  header describes, then a uint32 CRC-32 of all bytes before it. It holds one
+  PointwiseFeatureSet: its RAPiD matrices (values finite, in [0, 1], ascending
+  in each row), then exactly one pointwise record (int32 roi ids and a row
+  width; rows derive from the matrices). Weights are never filed.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import zlib
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cache
 from pathlib import Path
-from typing import Optional, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -319,15 +319,14 @@ class _PayloadBuilder:
             yield np.ascontiguousarray(array, dtype=kind).data
 
 
-def _write_container(path: PathLike, header: dict, payload) -> None:
-    """Write a container and its CRC-32 trailer; payload is bytes-like or a
-    _PayloadBuilder, whose arrays go to the file one converted array at a time."""
+def _write_container(path: PathLike, header: dict, payload: _PayloadBuilder) -> None:
+    """Write a container, its payload one converted array at a time, then its CRC-32 trailer."""
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     start = MAGIC + struct.pack("<II", CONTAINER_VERSION, len(head)) + head
     crc = zlib.crc32(start)
     with open(path, "wb") as fh:
         fh.write(start)
-        for chunk in payload.buffers() if isinstance(payload, _PayloadBuilder) else [payload]:
+        for chunk in payload.buffers():
             fh.write(chunk)
             crc = zlib.crc32(chunk, crc)
         fh.write(struct.pack("<I", crc))
@@ -396,46 +395,43 @@ def _matrix_record(builder: _PayloadBuilder, mat: RapidMatrix) -> dict:
 
 
 def _matrix_from_record(rec: dict, payload: memoryview, at: str) -> RapidMatrix:
-    return RapidMatrix(
+    mat = RapidMatrix(
         roi_id=_get(rec, "roi_id", str, at=at),
         k=_get(rec, "k", int, at=at),
         scale=_fields(ReflectivityScale, _get(rec, "scale", dict, at=at), f"{at}scale"),
         values=_read_array(payload, rec, "values", "<f4", at).astype(np.float64),
         anchors=_read_array(payload, rec, "anchors", "<i8", at).astype(np.int64),
     )
+    if not ((mat.values >= 0) & (mat.values <= 1)).all():  # false for nan too
+        raise ContractError(f"{at}values must be finite and in [0, 1]")
+    if (mat.values[:, 1:] < mat.values[:, :-1]).any():
+        raise ContractError(f"{at}values must ascend within each row")
+    return mat
 
 
 @dataclass(frozen=True)
 class FeatureFile:
-    """Decoded feature container: per-region matrices plus the optional
-    scan-level pointwise record written by the extract command."""
+    """Decoded feature container: the feature set extract wrote and its meta."""
 
-    matrices: tuple[RapidMatrix, ...]
-    pointwise: Optional[PointwiseFeatureSet]
+    matrices: tuple[RapidMatrix, ...]  # pointwise.matrices
+    pointwise: PointwiseFeatureSet
     meta: dict
 
 
-def save_feature_file(
-    path: PathLike,
-    matrices: Sequence[RapidMatrix],
-    pointwise: Optional[PointwiseFeatureSet] = None,
-    meta: Optional[dict] = None,
-) -> None:
-    """Persist RAPiD matrices, plus an optional scan-level pointwise record
-    (roi ids and width) and provenance meta; lossless at float32."""
+def save_feature_file(path: PathLike, features: PointwiseFeatureSet, meta: dict) -> None:
+    """Persist a feature set (matrices, then pointwise record) and meta; lossless at float32."""
     builder = _PayloadBuilder()
-    records = [_matrix_record(builder, m) for m in matrices]
-    if pointwise is not None:
-        roi = builder.add(pointwise.roi, "<i4")
-        records.append({"type": "pointwise", "width": pointwise.width, "arrays": {"roi": roi}})
-    header = {"kind": "rapid-features", "meta": meta or {}, "records": records}
+    records = [_matrix_record(builder, m) for m in features.matrices]
+    roi = builder.add(features.roi, "<i4")
+    records.append({"type": "pointwise", "width": features.width, "arrays": {"roi": roi}})
+    header = {"kind": "rapid-features", "meta": meta, "records": records}
     _write_container(path, header, builder)
 
 
 def load_feature_file(path: PathLike) -> FeatureFile:
     """Decode a feature container; FormatError on a checksum mismatch, on any
-    malformed header, record or array descriptor, and on a decoded record
-    that breaks a contract, such as matrices the pointwise rows cannot hold."""
+    malformed header, record or array descriptor, on no or two pointwise records
+    and on a record that breaks a contract, such as values out of [0, 1]."""
     header, payload = _read_container(path)
     matrices, stored = [], None
     try:
@@ -453,10 +449,12 @@ def load_feature_file(path: PathLike) -> FeatureFile:
             else:
                 roi = _read_array(payload, rec, "roi", "<i4", at).astype(np.int32)
                 stored = (roi, _get(rec, "width", int, at=at))
-        pointwise = None if stored is None else PointwiseFeatureSet(*stored, tuple(matrices))
+        if stored is None:
+            raise ContractError("no pointwise record")
+        pointwise = PointwiseFeatureSet(*stored, tuple(matrices))
     except ContractError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    return FeatureFile(matrices=tuple(matrices), pointwise=pointwise, meta=meta)
+    return FeatureFile(matrices=pointwise.matrices, pointwise=pointwise, meta=meta)
 
 
 def write_pgm(values01: np.ndarray, path: PathLike) -> None:

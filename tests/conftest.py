@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -10,10 +14,33 @@ from rapidfeat import (
     CylinderPrimitive,
     PlanePrimitive,
     PointCloud,
+    PointwiseFeatureSet,
     SensorGeometry,
     SyntheticSceneSpec,
     synthesize_scene,
 )
+from rapidfeat.scene_io import CONTAINER_VERSION, MAGIC
+
+
+def sealed(body: bytes) -> bytes:
+    """body with the container's little-endian CRC-32 trailer appended."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def write_raw_container(path, header, payload=b"") -> None:
+    """A sealed container of any JSON header and the payload bytes as they
+    are, for headers and payloads the library's writer never makes."""
+    head = json.dumps(header).encode("utf-8")
+    start = MAGIC + struct.pack("<II", CONTAINER_VERSION, len(head))
+    path.write_bytes(sealed(start + head + bytes(payload)))
+
+
+def feature_set(matrices) -> PointwiseFeatureSet:
+    """matrices, whose anchors must be disjoint, as one feature set: roi id 0
+    for every point up to the largest anchor, and the largest k as width."""
+    points = max((int(m.anchors.max()) + 1 for m in matrices if m.u), default=0)
+    width = max((m.k for m in matrices), default=1)
+    return PointwiseFeatureSet(np.zeros(points, dtype=np.int32), width, tuple(matrices))
 
 
 def small_geometry(beams: int = 16) -> SensorGeometry:

@@ -11,6 +11,7 @@ import pytest
 from rapidfeat import (
     BoxPrimitive,
     ConfusionMatrix,
+    ContractError,
     PointCloud,
     RangeAwareConfig,
     RunConfig,
@@ -25,6 +26,7 @@ from rapidfeat import cli
 from rapidfeat.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from rapidfeat.scene_io import load_feature_file, save_feature_file
 
+from conftest import feature_set, write_raw_container
 from test_output_digests import README_CONFIG
 
 
@@ -65,15 +67,16 @@ def _scene_with(index, **fields):
 
 def _with_descriptor(header, **fields):
     """Header whose first record's values descriptor has fields replaced."""
-    rec = header["records"][0]
+    rec, *rest = header["records"]
     values = {**rec["arrays"]["values"], **fields}
     arrays = {**rec["arrays"], "values": values}
-    return {**header, "records": [{**rec, "arrays": arrays}]}
+    return {**header, "records": [{**rec, "arrays": arrays}, *rest]}
 
 
 def _with_field(header, **fields):
     """Header whose first record has fields replaced."""
-    return {**header, "records": [{**header["records"][0], **fields}]}
+    rec, *rest = header["records"]
+    return {**header, "records": [{**rec, **fields}, *rest]}
 
 
 def _die_in_helper(task):
@@ -281,8 +284,6 @@ class TestRunConfig:
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
-        from rapidfeat import ContractError
-
         with pytest.raises(ContractError):
             RunConfig.load(str(path))
 
@@ -322,6 +323,21 @@ class TestExtract:
         assert main(["extract", "--config", str(path)]) == EXIT_OK
         mats = load_feature_file(tmp_path / "c.rapd").matrices
         assert {m.roi_id[:8] for m in mats} <= {"class001", "class002"}
+
+    @pytest.mark.parametrize("class_out", ["x.rapd", "./x.rapd", "sub/../x.rapd"])
+    def test_both_outputs_at_one_path_is_data_error(
+        self, config_file, tmp_path, capsys, monkeypatch, class_out
+    ):
+        # Both outputs at one path used to exit 0 and print "wrote" twice,
+        # the file then holding only the class regions: R was lost.
+        monkeypatch.chdir(tmp_path)
+        argv = ["extract", "--config", str(config_file()), "--out", "x.rapd"]
+        assert main([*argv, "--class-out", class_out]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: output.class_features") and len(err.splitlines()) == 1
+        assert not (tmp_path / "x.rapd").exists()
+        with pytest.raises(ContractError, match="is output.features"):
+            RunConfig.from_dict({"output": {"features": "x.rapd", "class_features": class_out}})
 
     def test_missing_input_is_usage_error(self, tmp_path):
         path = tmp_path / "c.json"
@@ -620,7 +636,7 @@ class TestHeatmap:
             anchors=np.arange(6),
         )
         feat = tmp_path / "f.rapd"
-        save_feature_file(feat, [mat])
+        save_feature_file(feat, feature_set([mat]), {})
         out = tmp_path / "img.pgm"
         code = main(["heatmap", str(feat), "--roi", "ring000-far", "--out", str(out)])
         assert code == EXIT_OK
@@ -629,11 +645,9 @@ class TestHeatmap:
         assert set(raw.split(b"255\n", 1)[1]) == {255}
 
     def test_record_missing_keys_is_data_error(self, tmp_path, capsys):
-        from rapidfeat.scene_io import _write_container
-
         feat = tmp_path / "corrupt.rapd"
         header = {"kind": "rapid-features", "records": [{"type": "matrix", "roi_id": "x"}]}
-        _write_container(feat, header, b"")
+        write_raw_container(feat, header)
         code = main(["heatmap", str(feat), "--roi", "x", "--out", str(tmp_path / "i.pgm")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
@@ -673,7 +687,7 @@ class TestHeatmap:
     )
     def test_malformed_header_is_data_error(self, tmp_path, capsys, corrupt):
         from rapidfeat import RapidMatrix, ReflectivityScale
-        from rapidfeat.scene_io import _read_container, _write_container
+        from rapidfeat.scene_io import _read_container
 
         feat = tmp_path / "bad.rapd"
         mat = RapidMatrix(
@@ -683,9 +697,9 @@ class TestHeatmap:
             scale=ReflectivityScale(0, 1, 0, 1),
             anchors=np.arange(3),
         )
-        save_feature_file(feat, [mat])
+        save_feature_file(feat, feature_set([mat]), {})
         header, payload = _read_container(feat)
-        _write_container(feat, corrupt(header), payload)
+        write_raw_container(feat, corrupt(header), payload)
         code = main(["heatmap", str(feat), "--roi", "x", "--out", str(tmp_path / "i.pgm")])
         assert code == EXIT_DATA
         assert "Traceback" not in capsys.readouterr().err
@@ -717,8 +731,8 @@ class TestHeatmap:
         base = rf.r_rapid(cloud, config.sensor, config.rapid)
         after = rf.r_rapid(moved, config.sensor, config.rapid)
         p1, p2 = tmp_path / "a.rapd", tmp_path / "b.rapd"
-        rf.save_feature_file(p1, base.matrices)
-        rf.save_feature_file(p2, after.matrices)
+        rf.save_feature_file(p1, base, {})
+        rf.save_feature_file(p2, after, {})
         roi = base.matrices[0].roi_id
         main(["heatmap", str(p1), "--roi", roi, "--out", str(tmp_path / "a.pgm")])
         main(["heatmap", str(p2), "--roi", roi, "--out", str(tmp_path / "b.pgm")])

@@ -15,7 +15,6 @@ from rapidfeat import (
     PointCloud,
     RigidTransform,
     SensorGeometry,
-    apply_transform,
     knn_brute,
     knn_indexed,
     load_kitti_scan,
@@ -75,34 +74,39 @@ class TestRigidTransform:
 
 
 class TestApplyTransform:
+    """A rigid motion applied to a cloud's points, as check-invariance applies
+    it: cloud.with_points(t.apply(cloud.points))."""
+
     def test_identity(self, scene_cloud):
-        moved = apply_transform(scene_cloud, RigidTransform(np.eye(3), np.zeros(3)))
+        t = RigidTransform(np.eye(3), np.zeros(3))
+        moved = scene_cloud.with_points(t.apply(scene_cloud.points))
         assert np.array_equal(moved.points, scene_cloud.points)
         assert np.array_equal(moved.remission, scene_cloud.remission)
 
     def test_pure_translation(self):
         cloud = PointCloud(points=np.zeros((1, 3)), remission=np.zeros(1))
         t = RigidTransform(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        assert np.array_equal(apply_transform(cloud, t).points, [[1.0, 0.0, 0.0]])
+        assert np.array_equal(cloud.with_points(t.apply(cloud.points)).points, [[1.0, 0.0, 0.0]])
 
     def test_z_rotation_90deg(self):
         cloud = PointCloud(points=np.array([[1.0, 0.0, 0.0]]), remission=np.zeros(1))
         t = RigidTransform(rotation_z(np.pi / 2), np.zeros(3))
         assert np.allclose(
-            apply_transform(cloud, t).points, [[0.0, 1.0, 0.0]], atol=1e-12
+            cloud.with_points(t.apply(cloud.points)).points, [[0.0, 1.0, 0.0]], atol=1e-12
         )
 
     def test_channels_untouched(self, scene_cloud):
         # A synthetic scene has no ring channel; give it one to carry.
         cloud = replace(scene_cloud, ring=np.arange(len(scene_cloud)) % 16)
-        moved = apply_transform(cloud, RigidTransform.random(np.random.default_rng(0)))
+        t = RigidTransform.random(np.random.default_rng(0))
+        moved = cloud.with_points(t.apply(cloud.points))
         assert moved.ring is not None and np.array_equal(moved.ring, cloud.ring)
         assert np.array_equal(moved.label, cloud.label)
 
     def test_pairwise_distances_preserved(self, rng):
         pts = rng.normal(size=(80, 3)) * 5.0
         cloud = PointCloud(points=pts, remission=np.zeros(80))
-        moved = apply_transform(cloud, RigidTransform.random(rng))
+        moved = cloud.with_points(RigidTransform.random(rng).apply(cloud.points))
         d0 = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
         d1 = np.linalg.norm(
             moved.points[:, None] - moved.points[None, :], axis=2

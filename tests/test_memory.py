@@ -74,12 +74,12 @@ class TestRetrievalMemory:
 
 
 def feature_set(rng):
-    """Two 50k-row matrices anchored to the two halves of a 100k-point
-    pointwise record, k = 10."""
+    """Two 50k-row matrices of rows ascending in [0, 1], anchored to the two
+    halves of a 100k-point pointwise record, k = 10."""
     scale = ReflectivityScale(0.0, 1.0, 0.1, 2.0)
     matrices = tuple(
         RapidMatrix(
-            rng.uniform(0, 1, (50_000, 10)), f"ring00{i}-close", 10, scale,
+            np.sort(rng.uniform(0, 1, (50_000, 10)), axis=1), f"ring00{i}-close", 10, scale,
             np.arange(50_000) + 50_000 * i,
         )
         for i in range(2)
@@ -91,7 +91,7 @@ def feature_set(rng):
 class TestContainerMemory:
     def test_save_holds_one_converted_array(self, tmp_path):
         matrices, pointwise = feature_set(np.random.default_rng(2))
-        _, peak = traced_peak(save_feature_file, tmp_path / "f.rapd", matrices, pointwise)
+        _, peak = traced_peak(save_feature_file, tmp_path / "f.rapd", pointwise, {})
         largest = max(m.values.size * 4 for m in matrices)  # a matrix at float32
         assert peak <= largest + SLACK
 
@@ -101,7 +101,7 @@ class TestContainerMemory:
         # arrays of one entry per point: the anchors joined, and their counts.
         matrices, pointwise = feature_set(np.random.default_rng(3))
         path = tmp_path / "f.rapd"
-        save_feature_file(path, matrices, pointwise)
+        save_feature_file(path, pointwise, {})
         loaded, peak = traced_peak(load_feature_file, path)
         p = loaded.pointwise
         decoded = sum(m.values.nbytes + m.anchors.nbytes for m in loaded.matrices)

@@ -524,7 +524,7 @@ class TestPointwiseRows:
             r_rapid(three, SensorGeometry(3, 0.1), config),
             c_rapid(three, config),
         ):
-            save_feature_file(tmp_path / "f.rapd", fs.matrices, fs)
+            save_feature_file(tmp_path / "f.rapd", fs, {})
             for pw in (fs, load_feature_file(tmp_path / "f.rapd").pointwise):
                 values, valid = scatter(pw.roi, pw.matrices, config.k_max)
                 assert pw.values.dtype == values.dtype and pw.values.shape == values.shape

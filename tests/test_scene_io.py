@@ -3,7 +3,6 @@
 import json
 import math
 import struct
-import zlib
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -49,13 +48,15 @@ from rapidfeat.scene_io import (
     write_pgm,
 )
 
-from conftest import default_scene, random_cloud, small_geometry
+from conftest import (
+    default_scene,
+    feature_set,
+    random_cloud,
+    sealed,
+    small_geometry,
+    write_raw_container,
+)
 from oracles import JoinedPayload
-
-
-def _seal(body: bytes) -> bytes:
-    """body with the container's little-endian CRC-32 trailer appended."""
-    return body + struct.pack("<I", zlib.crc32(body))
 
 
 class TestKittiScan:
@@ -201,7 +202,9 @@ class TestSynthesizeScene:
             make()
 
 
-def random_matrix(rng, u, k, roi="ring000-close"):
+def random_matrix(rng, u, k, roi="ring000-close", first=0):
+    """A u x k matrix of float32-exact sorted values, anchored to points
+    first .. first + u - 1 in random order."""
     values = np.sort(rng.uniform(0, 1, size=(u, k)).astype(np.float32), axis=1)
     values = values[np.lexsort(values[:, ::-1].T)].astype(np.float64)
     return RapidMatrix(
@@ -214,15 +217,15 @@ def random_matrix(rng, u, k, roi="ring000-close"):
             float(rng.uniform(0, 1)),
             float(rng.uniform(1, 2)),
         ),
-        anchors=rng.permutation(u).astype(np.int64),
+        anchors=first + rng.permutation(u).astype(np.int64),
     )
 
 
 class TestFeatureContainer:
     def test_roundtrip_field_by_field(self, tmp_path, rng):
-        mats = [random_matrix(rng, 12, 4), random_matrix(rng, 7, 6, "ring001-far")]
+        mats = [random_matrix(rng, 12, 4), random_matrix(rng, 7, 6, "ring001-far", first=12)]
         path = tmp_path / "f.rapd"
-        save_feature_file(path, mats)
+        save_feature_file(path, feature_set(mats), {})
         loaded = load_feature_file(path).matrices
         assert len(loaded) == 2
         for a, b in zip(mats, loaded):
@@ -234,8 +237,9 @@ class TestFeatureContainer:
         # seconds and the outlier count describe the rapid() call, not the matrix.
         cloud = random_cloud(rng, 60, spread=8.0)
         mat = rapid(np.arange(60), cloud, k=5, delta=0.8)
-        save_feature_file(tmp_path / "a.rapd", [mat])
-        save_feature_file(tmp_path / "b.rapd", [replace(mat, seconds=(), outliers=None)])
+        save_feature_file(tmp_path / "a.rapd", feature_set([mat]), {})
+        bare = replace(mat, seconds=(), outliers=None)
+        save_feature_file(tmp_path / "b.rapd", feature_set([bare]), {})
         assert (tmp_path / "a.rapd").read_bytes() == (tmp_path / "b.rapd").read_bytes()
         loaded = load_feature_file(tmp_path / "a.rapd").matrices[0]
         assert mat.outliers > 0 and (loaded.seconds, loaded.outliers) == ((), None)
@@ -247,14 +251,14 @@ class TestFeatureContainer:
         from pathlib import Path
 
         rng = np.random.default_rng(seed)
-        mats = [
-            random_matrix(rng, int(rng.integers(1, 20)), int(rng.integers(1, 8)),
-                          roi=f"ring{i:03d}-mid")
-            for i in range(n_mats)
-        ]
+        mats, first = [], 0
+        for i in range(n_mats):
+            u, k = int(rng.integers(1, 20)), int(rng.integers(1, 8))
+            mats.append(random_matrix(rng, u, k, roi=f"ring{i:03d}-mid", first=first))
+            first += u
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "f.rapd"
-            save_feature_file(path, mats)
+            save_feature_file(path, feature_set(mats), {})
             loaded = load_feature_file(path).matrices
         assert len(loaded) == n_mats
         for a, b in zip(mats, loaded):
@@ -264,7 +268,7 @@ class TestFeatureContainer:
 
     def test_empty_sequence(self, tmp_path):
         path = tmp_path / "empty.rapd"
-        save_feature_file(path, [])
+        save_feature_file(path, feature_set([]), {})
         assert load_feature_file(path).matrices == ()
 
     def test_wrong_magic(self, tmp_path):
@@ -289,7 +293,7 @@ class TestFeatureContainer:
 
     def test_unknown_version(self, tmp_path, rng):
         path = tmp_path / "v9.rapd"
-        save_feature_file(path, [random_matrix(rng, 3, 2)])
+        save_feature_file(path, feature_set([random_matrix(rng, 3, 2)]), {})
         raw = bytearray(path.read_bytes())
         raw[4] = 9
         path.write_bytes(bytes(raw))
@@ -299,17 +303,17 @@ class TestFeatureContainer:
     def test_truncated_payload(self, tmp_path, rng):
         # Resealed, so that the array bounds check, not the checksum, stops it.
         path = tmp_path / "trunc.rapd"
-        save_feature_file(path, [random_matrix(rng, 8, 4)])
+        save_feature_file(path, feature_set([random_matrix(rng, 8, 4)]), {})
         raw = path.read_bytes()
-        path.write_bytes(_seal(raw[: len(raw) - 4 - 10]))
+        path.write_bytes(sealed(raw[: len(raw) - 4 - 10]))
         with pytest.raises(FormatError, match="truncated payload"):
             load_feature_file(path)
 
     def test_record_missing_keys(self, tmp_path, rng):
         path = tmp_path / "m.rapd"
-        save_feature_file(path, [random_matrix(rng, 3, 2)])
+        save_feature_file(path, feature_set([random_matrix(rng, 3, 2)]), {})
         header, payload = _read_container(path)
-        good = header["records"][0]
+        good, pointwise = header["records"]
         bad_records = [
             {k: v for k, v in good.items() if k != "type"},
             {k: v for k, v in good.items() if k != "k"},
@@ -321,20 +325,20 @@ class TestFeatureContainer:
             ["matrix"],
         ]
         for rec in bad_records:
-            _write_container(path, {**header, "records": [rec]}, payload)
+            write_raw_container(path, {**header, "records": [rec, pointwise]}, payload)
             with pytest.raises(FormatError):
                 load_feature_file(path)
 
     def test_malformed_header(self, tmp_path, rng):
         path = tmp_path / "h.rapd"
-        save_feature_file(path, [random_matrix(rng, 3, 2)])
+        save_feature_file(path, feature_set([random_matrix(rng, 3, 2)]), {})
         header, payload = _read_container(path)
         for bad in ([], "rapid-features", 3, None):
-            _write_container(path, bad, payload)
+            write_raw_container(path, bad, payload)
             with pytest.raises(FormatError):
                 load_feature_file(path)
         for records in (5, "matrix", {"type": "matrix"}):
-            _write_container(path, {**header, "records": records}, payload)
+            write_raw_container(path, {**header, "records": records}, payload)
             with pytest.raises(FormatError):
                 load_feature_file(path)
 
@@ -342,20 +346,20 @@ class TestFeatureContainer:
         # json refuses an integer of more than 4300 digits with a ValueError
         # that is not a JSONDecodeError; it used to escape load_feature_file.
         path = tmp_path / "n.rapd"
-        save_feature_file(path, [random_matrix(rng, 3, 2)])
+        save_feature_file(path, feature_set([random_matrix(rng, 3, 2)]), {})
         header, payload = _read_container(path)
         head = json.dumps({**header, "records": [{**header["records"][0], "k": 0}]})
         head = head.replace('"k": 0', '"k": ' + "9" * 5000).encode()
         start = MAGIC + struct.pack("<II", CONTAINER_VERSION, len(head))
-        path.write_bytes(_seal(start + head + payload))
+        path.write_bytes(sealed(start + head + payload))
         with pytest.raises(FormatError, match="corrupt header"):
             load_feature_file(path)
 
     def test_malformed_array_descriptor(self, tmp_path, rng):
         path = tmp_path / "d.rapd"
-        save_feature_file(path, [random_matrix(rng, 3, 2)])
+        save_feature_file(path, feature_set([random_matrix(rng, 3, 2)]), {})
         header, payload = _read_container(path)
-        rec = header["records"][0]
+        rec, pointwise = header["records"]
         desc = rec["arrays"]["values"]
         bad_descriptors = [
             {**desc, "dtype": "bogus"},
@@ -376,7 +380,8 @@ class TestFeatureContainer:
         ]
         for bad in bad_descriptors:
             arrays = {**rec["arrays"], "values": bad}
-            _write_container(path, {**header, "records": [{**rec, "arrays": arrays}]}, payload)
+            records = [{**rec, "arrays": arrays}, pointwise]
+            write_raw_container(path, {**header, "records": records}, payload)
             with pytest.raises(FormatError):
                 load_feature_file(path)
 
@@ -385,7 +390,7 @@ class TestFeatureContainer:
 
         fs = r_rapid(scene_cloud, small_geometry(), RangeAwareConfig(k_close=5, k_mid=4, k_far=3))
         path = tmp_path / "full.rapd"
-        save_feature_file(path, fs.matrices, fs, meta={"k": [5, 4, 3]})
+        save_feature_file(path, fs, {"k": [5, 4, 3]})
         loaded = load_feature_file(path)
         assert loaded.meta == {"k": [5, 4, 3]}
         assert len(loaded.matrices) == len(fs.matrices)
@@ -398,7 +403,7 @@ class TestFeatureContainer:
     def test_decoded_matrices_carry_no_seconds(self, tmp_path, scene_cloud):
         fs = r_rapid(scene_cloud, small_geometry(), RangeAwareConfig(k_close=5, k_mid=4, k_far=3))
         path = tmp_path / "s.rapd"
-        save_feature_file(path, fs.matrices, fs)
+        save_feature_file(path, fs, {})
         assert all(len(m.seconds) == 3 for m in fs.matrices)
         loaded = load_feature_file(path)
         assert loaded.matrices
@@ -409,7 +414,8 @@ class TestFeatureContainer:
 def _pointwise_file(path, anchors: list, k: int, width: int, points: int = 6) -> None:
     """A feature file whose pointwise record holds points roi ids and width,
     over one k-column matrix of values 1/16, 2/16, ... per anchor list,
-    written by the writer as it is."""
+    written by the writer as it is: the set is duck-typed, so nothing checks
+    it before the loader does."""
     scale = ReflectivityScale(0.0, 1.0, 0.0, 1.0)
     matrices = [
         RapidMatrix(
@@ -419,22 +425,59 @@ def _pointwise_file(path, anchors: list, k: int, width: int, points: int = 6) ->
         for i, a in enumerate(anchors)
     ]
     roi = np.zeros(points, dtype=np.int32)
-    save_feature_file(path, matrices, SimpleNamespace(roi=roi, width=width))
+    save_feature_file(path, SimpleNamespace(roi=roi, width=width, matrices=matrices), {})
+
+
+def _rejected(path, match: str, tmp_path, capsys) -> None:
+    """path is a FormatError matching match, and heatmap on it exits 2 with
+    one error line and no traceback."""
+    with pytest.raises(FormatError, match=match):
+        load_feature_file(path)
+    argv = ["heatmap", str(path), "--roi", "ring000-close", "--out", str(tmp_path / "i.pgm")]
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+class TestDecodedValues:
+    """A decoded matrix holds what rapid() writes: values finite, in [0, 1]
+    and ascending within each row. A file holding others is a data error."""
+
+    @pytest.mark.parametrize(
+        "column, value, match",
+        [
+            (1, np.nan, r"values must be finite and in \[0, 1\]"),
+            (2, 2.5, r"values must be finite and in \[0, 1\]"),
+            (0, -1.0, r"values must be finite and in \[0, 1\]"),
+            (None, None, "values must ascend within each row"),
+        ],
+        ids=["nan", "above-1", "below-0", "reversed-row"],
+    )
+    def test_values_rapid_never_writes(self, tmp_path, capsys, rng, column, value, match):
+        # Each case breaks one rule only: the out-of-range values keep their
+        # row ascending, and the reversed row stays in [0, 1].
+        mat = random_matrix(rng, 6, 3)
+        values = mat.values.copy()
+        if column is None:
+            values[2] = values[2, ::-1]
+        else:
+            values[2, column] = value
+        path = tmp_path / "bad.rapd"
+        save_feature_file(path, feature_set([replace(mat, values=values)]), {})
+        _rejected(path, match, tmp_path, capsys)
 
 
 class TestPointwiseRecord:
     """The pointwise record holds roi ids and a width; its rows are derived
     from the matrices, so a record the derivation cannot place is a data
-    error, exit 2."""
+    error, exit 2. Every file holds exactly one such record."""
 
-    @staticmethod
-    def _rejected(path, match: str, tmp_path, capsys) -> None:
-        with pytest.raises(FormatError, match=match):
-            load_feature_file(path)
-        argv = ["heatmap", str(path), "--roi", "ring000-close", "--out", str(tmp_path / "i.pgm")]
-        assert main(argv) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+    def test_no_pointwise_record(self, tmp_path, capsys, rng):
+        builder = _PayloadBuilder()
+        records = [_matrix_record(builder, random_matrix(rng, 3, 2))]
+        path = tmp_path / "bare.rapd"
+        _write_container(path, {"kind": "rapid-features", "meta": {}, "records": records}, builder)
+        _rejected(path, "no pointwise record", tmp_path, capsys)
 
     def test_old_layout(self, tmp_path, capsys):
         # The layout that stored the rows as values and valid_width arrays.
@@ -453,7 +496,7 @@ class TestPointwiseRecord:
         records.append({"type": "pointwise", "arrays": arrays})
         path = tmp_path / "old.rapd"
         _write_container(path, {"kind": "rapid-features", "meta": {}, "records": records}, builder)
-        self._rejected(path, r"records\[\d+\]\.width is missing", tmp_path, capsys)
+        _rejected(path, r"records\[\d+\]\.width is missing", tmp_path, capsys)
 
     @pytest.mark.parametrize(
         "anchors, k, width, match",
@@ -472,7 +515,7 @@ class TestPointwiseRecord:
     ):
         path = tmp_path / "bad.rapd"
         _pointwise_file(path, anchors, k, width)
-        self._rejected(path, match, tmp_path, capsys)
+        _rejected(path, match, tmp_path, capsys)
 
     def test_disjoint_record_loads(self, tmp_path):
         path = tmp_path / "good.rapd"
@@ -488,7 +531,7 @@ def _container_bytes(directory) -> bytes:
     rng = np.random.default_rng(5)
     cloud = PointCloud(points=rng.uniform(2, 30, (40, 3)), remission=rng.uniform(0, 1, 40))
     fs = r_rapid(cloud, SensorGeometry(2, 0.1), RangeAwareConfig(k_close=3, k_mid=3, k_far=2))
-    save_feature_file(directory / "f.rapd", fs.matrices, fs, meta={"k": [3, 3, 2]})
+    save_feature_file(directory / "f.rapd", fs, {"k": [3, 3, 2]})
     return (directory / "f.rapd").read_bytes()
 
 
@@ -508,14 +551,14 @@ def _mutated(draw, raw: bytes) -> bytes:
         spots = st.tuples(st.integers(0, len(raw) - 5), st.integers(0, 7))
         for pos, bit in draw(st.lists(spots, min_size=1, max_size=4)):
             out[pos] ^= 1 << bit
-        return _seal(bytes(out[:-4]))
+        return sealed(bytes(out[:-4]))
     head_end = 12 + struct.unpack("<I", raw[8:12])[0]
     byte = st.one_of(_JSON_BYTES, st.integers(0, 255))
     for pos, value in draw(
         st.lists(st.tuples(st.integers(12, head_end - 1), byte), min_size=1, max_size=4)
     ):
         out[pos] = value
-    return _seal(bytes(out[:-4]))
+    return sealed(bytes(out[:-4]))
 
 
 @st.composite
@@ -574,7 +617,7 @@ class TestContainerFuzz:
         path = tmp_path / "f.rapd"
         header, payload = _read_container(path)
         header["records"][-1]["arrays"]["roi"]["shape"] = [39]
-        _write_container(path, header, payload)
+        write_raw_container(path, header, payload)
         with pytest.raises(FormatError):
             load_feature_file(path)
         path.write_bytes(raw)
@@ -589,7 +632,7 @@ class TestContainerFuzz:
         first = header["records"][-1]
         arrays = {**first["arrays"], "valid_width": first["arrays"]["roi"]}
         header["records"].append({**first, "arrays": arrays})
-        _write_container(path, header, payload)
+        write_raw_container(path, header, payload)
         with pytest.raises(FormatError, match="more than one pointwise record"):
             load_feature_file(path)
 
@@ -610,7 +653,7 @@ class TestContainerFuzz:
         header, payload = _read_container(path)
         rec = next(r for r in header["records"] if r["type"] == record)
         rec["arrays"][array]["dtype"] = dtype
-        _write_container(path, header, payload)
+        write_raw_container(path, header, payload)
         with pytest.raises(FormatError, match="dtype"):
             load_feature_file(path)
         roi = next(r["roi_id"] for r in header["records"] if r["type"] == "matrix")
@@ -631,20 +674,8 @@ class TestContainerBytes:
     def test_decode_encode_round_trip(self, tmp_path):
         raw = _container_bytes(tmp_path)
         f = load_feature_file(tmp_path / "f.rapd")
-        save_feature_file(tmp_path / "f2.rapd", f.matrices, f.pointwise, f.meta)
+        save_feature_file(tmp_path / "f2.rapd", f.pointwise, f.meta)
         assert (tmp_path / "f2.rapd").read_bytes() == raw
-
-    def test_bytes_like_payload(self, tmp_path, rng):
-        # The payload of _read_container is a view of the file's bytes, and
-        # _write_container takes it, or any bytes-like payload, as it is.
-        path = tmp_path / "f.rapd"
-        save_feature_file(path, [random_matrix(rng, 6, 3)])
-        raw = path.read_bytes()
-        header, payload = _read_container(path)
-        assert isinstance(payload, memoryview)
-        for copy in (payload, bytes(payload), bytearray(payload)):
-            _write_container(path, header, copy)
-            assert path.read_bytes() == raw
 
 
 class TestPgm:
