@@ -21,7 +21,7 @@ from .cloud import PointCloud
 from .config import RunConfig, config_echo
 from .errors import ContractError, RapidError
 from .geometry import RigidTransform
-from .metrics import ConfusionMatrix, accumulate, iou, miou
+from .metrics import ConfusionMatrix, _mean_defined, accumulate, iou
 from .partition import PointwiseFeatureSet, _run_jobs, c_rapid, r_rapid
 
 EXIT_OK = 0
@@ -156,7 +156,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     rows = [(c, iou(cm, c)) for c in range(config.eval_num_classes) if c not in cm.ignore]
     for c, v in rows:
         print(f"class {c:>3}  IoU {'undefined' if math.isnan(v) else f'{v:.4f}'}")
-    mean = miou(cm)
+    mean = _mean_defined(v for _, v in rows)
     print(f"mIoU {mean:.4f}")
     if args.csv:
         cells = [[c, "" if math.isnan(v) else f"{v:.6f}"] for c, v in rows]

@@ -11,18 +11,18 @@ has a default; CLI flags override file values. Defaults:
     rapid.k_close / k_mid / k_far                 10 / 7 / 5
     rapid.band_edges                              [20.0, 50.0] meters
     rapid.delta                                   2.0 meters
-    eval.num_classes / eval.ignore                20 / [0] (num_classes in [1, 2**16]:
-                                                  a .label class id is 16 bits)
+    eval.num_classes / eval.ignore                20 / [0] (num_classes in [1, 2**16], as a
+                                                  .label id is 16 bits; eval is O(num_classes))
     workers                                       1 (at least 1)
     seed                                          0 (at least 0; check-invariance)
 
 Every value, the synthetic scene's too, is read by its field's type and
 never coerced: a string or a bool is not a number, an integer field takes no
-fraction, a vector is a list of exactly its length, and a path is a string.
-A number must be finite: NaN, Infinity and 1e400 (read as infinity) are
-errors, and an integer in a float field must fit a finite float, so a
-400-digit one is too. Any other value raises ContractError. The reader is
-scene_io's, which reads the .rapd header and records the same way.
+fraction, a vector is a list of exactly its length, and a path is a string
+with no NUL. A number must be finite: NaN, Infinity and 1e400 (read as
+infinity) are errors, and an integer in a float field must fit a finite
+float, so a 400-digit one is too. Any other value raises ContractError. The
+reader is scene_io's, which reads the .rapd header and records the same way.
 
 The ring rule's vertical resolution is SensorGeometry.from_fov of the beam
 count and the field of view; no key overrides it. A synthetic scene, like a
@@ -103,7 +103,10 @@ class RunConfig:
         over = overrides or {}
 
         def get(key: str, kind, default):
-            return _typed(over[key], kind, key) if key in over else _get(doc, key, kind, default)
+            value = _typed(over[key], kind, key) if key in over else _get(doc, key, kind, default)
+            if isinstance(value, str) and "\0" in value:  # every str setting is a path
+                raise ContractError(f"{key} holds a NUL character: {value!r}")
+            return value
 
         workers, seed = get("workers", int, 1), get("seed", int, 0)
         for key, value, low in (("workers", workers, 1), ("seed", seed, 0)):

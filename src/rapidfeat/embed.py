@@ -404,7 +404,7 @@ def _block_softmax(block: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     voxel block of scores, independently per column."""
     starts, counts = bounds[:-1], np.diff(bounds)
     e = np.exp(block - np.repeat(np.maximum.reduceat(block, starts), counts, axis=0))
-    e /= np.repeat(_segment_sums(e, bounds), counts, axis=0)
+    e /= np.repeat(np.add.reduceat(e, starts), counts, axis=0)
     return e
 
 

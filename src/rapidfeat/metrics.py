@@ -1,9 +1,13 @@
-"""Segmentation metrics: confusion-matrix accumulation, per-class IoU, mIoU."""
+"""Segmentation metrics: per-class point counts, per-class IoU, mIoU.
+
+Memory and time are O(num_classes): a class's IoU needs only its true
+positives and its truth and prediction totals, never a dense matrix."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -12,12 +16,13 @@ from .errors import ContractError, UndefinedMetricError
 
 @dataclass
 class ConfusionMatrix:
-    """N_c x N_c counts; rows are ground truth, columns prediction.
+    """Per-class int64 counts of the points seen so far: true positives and
+    points per truth class and per predicted class. Points whose truth label
+    is in the ignore set are excluded entirely."""
 
-    Points whose truth label is in the ignore set are excluded entirely.
-    """
-
-    counts: np.ndarray
+    tp: np.ndarray
+    per_truth: np.ndarray
+    per_pred: np.ndarray
     ignore: frozenset[int] = field(default_factory=frozenset)
 
     @classmethod
@@ -26,20 +31,16 @@ class ConfusionMatrix:
         is the low 16 bits of its entry."""
         if not 1 <= num_classes <= 2**16:
             raise ContractError(f"num_classes must be in [1, 2**16], got {num_classes}")
-        return cls(
-            counts=np.zeros((num_classes, num_classes), dtype=np.int64),
-            ignore=frozenset(int(i) for i in ignore),
-        )
+        tp, per_truth, per_pred = np.zeros((3, num_classes), dtype=np.int64)
+        return cls(tp, per_truth, per_pred, frozenset(int(i) for i in ignore))
 
     @property
     def num_classes(self) -> int:
-        return self.counts.shape[0]
+        return len(self.tp)
 
 
-def accumulate(
-    cm: ConfusionMatrix, truth: np.ndarray, predicted: np.ndarray
-) -> ConfusionMatrix:
-    """Add one scan's (truth, prediction) pairs to the matrix in place.
+def accumulate(cm: ConfusionMatrix, truth: np.ndarray, predicted: np.ndarray) -> ConfusionMatrix:
+    """Add one scan's (truth, prediction) pairs to the counts in place.
 
     ContractError for labels that are not integers: floats and bools are
     not truncated into class ids.
@@ -57,35 +58,31 @@ def accumulate(
     t, p = t[keep], p[keep]
     if len(t) and (t.min() < 0 or t.max() >= n or p.min() < 0 or p.max() >= n):
         raise ContractError("labels outside [0, num_classes) and not ignored")
-    # count only the corner of the ids in use: the temporary is (m * m,), not (n * n,)
-    m = int(max(t.max(initial=0), p.max(initial=0))) + 1
-    cm.counts[:m, :m] += np.bincount(t * m + p, minlength=m * m).reshape(m, m)
+    cm.tp += np.bincount(t[t == p], minlength=n)
+    cm.per_truth += np.bincount(t, minlength=n)
+    cm.per_pred += np.bincount(p, minlength=n)
     return cm
 
 
 def iou(cm: ConfusionMatrix, class_id: int) -> float:
-    """TP / (TP + FP + FN); NaN when the class has a zero denominator."""
+    """TP / (TP + FP + FN) = TP / (truth + prediction - TP); NaN when the
+    class has a zero denominator."""
     if class_id in cm.ignore:
         raise ContractError(f"class {class_id} is ignored")
-    tp = int(cm.counts[class_id, class_id])
-    fp = int(cm.counts[:, class_id].sum()) - tp
-    fn = int(cm.counts[class_id, :].sum()) - tp
-    denom = tp + fp + fn
-    if denom == 0:
-        return math.nan
-    return tp / denom
+    tp = int(cm.tp[class_id])
+    union = int(cm.per_truth[class_id]) + int(cm.per_pred[class_id]) - tp
+    return tp / union if union else math.nan
+
+
+def _mean_defined(values: Iterable[float]) -> float:
+    """Mean of the IoUs that are defined: a class with a zero denominator
+    is excluded, not counted as 0."""
+    defined = [v for v in values if not math.isnan(v)]
+    if not defined:
+        raise UndefinedMetricError("no class has a defined IoU")
+    return float(np.mean(defined))
 
 
 def miou(cm: ConfusionMatrix) -> float:
-    """Mean IoU over classes with a defined ratio: a class with a zero
-    denominator is excluded, not counted as 0."""
-    values = []
-    for c in range(cm.num_classes):
-        if c in cm.ignore:
-            continue
-        v = iou(cm, c)
-        if not math.isnan(v):
-            values.append(v)
-    if not values:
-        raise UndefinedMetricError("no class has a defined IoU")
-    return float(np.mean(values))
+    """Mean IoU over the classes not ignored that have a defined ratio."""
+    return _mean_defined(iou(cm, c) for c in range(cm.num_classes) if c not in cm.ignore)

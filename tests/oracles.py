@@ -39,12 +39,14 @@ JoinedPayload       each array's tobytes, joined into one payload  vs  the
                     container writer that streams converted arrays to the file
 scatter             the pointwise rows scattered from the matrices, as extract
                     built and stored them  vs  PointwiseFeatureSet's derived rows
+DenseConfusion      the (n, n) confusion matrix, IoU from its row and column
+                    sums  vs  metrics' three per-class count vectors
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import prod
+from math import isnan, nan, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -338,3 +340,28 @@ def scatter(
         values[mat.anchors, : mat.k] = mat.values
         valid[mat.anchors] = mat.k
     return values, valid
+
+
+class DenseConfusion:
+    """(n, n) int64 counts, rows ground truth and columns prediction; points
+    whose truth is ignored are left out. IoU is TP / (TP + FP + FN) with FP
+    and FN from the class's column and row sums."""
+
+    def __init__(self, num_classes: int, ignore: Sequence[int] = ()) -> None:
+        self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
+        self.ignore = frozenset(ignore)
+
+    def add(self, truth, pred) -> None:
+        for t, p in zip(np.asarray(truth).tolist(), np.asarray(pred).tolist()):
+            if t not in self.ignore:
+                self.counts[t, p] += 1
+
+    def iou(self, class_id: int) -> float:
+        tp = int(self.counts[class_id, class_id])
+        fp = int(self.counts[:, class_id].sum()) - tp
+        fn = int(self.counts[class_id, :].sum()) - tp
+        return nan if tp + fp + fn == 0 else tp / (tp + fp + fn)
+
+    def miou(self) -> float:
+        values = [self.iou(c) for c in range(len(self.counts)) if c not in self.ignore]
+        return float(np.mean([v for v in values if not isnan(v)]))

@@ -324,10 +324,8 @@ class TestCriterion10Metrics:
                 expect = set_based_iou(truth, pred, c)
                 got = rf.iou(cm, c)
                 assert (math.isnan(expect) and math.isnan(got)) or got == expect
-        cm = rf.ConfusionMatrix.empty(2)
-        cm.counts[0, 0] = 6
-        cm.counts[1, 0] = 2
-        cm.counts[0, 1] = 4
+        cm = rf.ConfusionMatrix.empty(2)  # class 0: TP 6, FP 2, FN 4
+        rf.accumulate(cm, [0] * 6 + [1] * 2 + [0] * 4, [0] * 6 + [0] * 2 + [1] * 4)
         assert rf.iou(cm, 0) == 0.5
         truth = rng.integers(0, 5, 300)
         cm = rf.ConfusionMatrix.empty(5)

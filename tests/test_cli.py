@@ -22,7 +22,7 @@ from rapidfeat import (
     save_kitti_labels,
     save_kitti_scan,
 )
-from rapidfeat import cli
+from rapidfeat import cli, metrics
 from rapidfeat.cli import EXIT_DATA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main
 from rapidfeat.scene_io import load_feature_file, save_feature_file
 
@@ -265,6 +265,30 @@ class TestRunConfig:
         assert main(["extract", "--config", str(config_file(**extra))]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "extra, flags",
+        [
+            pytest.param({"output": {"features": "a\0b.rapd"}}, [], id="features"),
+            pytest.param({"output": {"class_features": "c\0.rapd"}}, [], id="class-features"),
+            pytest.param({"input": {"scan": "s\0.bin"}}, [], id="scan"),
+            pytest.param({"input": {"labels": "l\0.label"}}, [], id="labels"),
+            pytest.param({}, ["--out", "a\0b.rapd"], id="out-flag"),
+            pytest.param({}, ["--class-out", "c\0.rapd"], id="class-out-flag"),
+            pytest.param({}, ["--scan", "s\0.bin"], id="scan-flag"),
+            pytest.param({}, ["--labels", "l\0.label"], id="labels-flag"),
+        ],
+    )
+    def test_nul_in_a_path_is_data_error_before_any_work(
+        self, config_file, monkeypatch, capsys, extra, flags
+    ):
+        # A NUL in output.features used to end, after R was computed, in
+        # scene_io's "ValueError: embedded null byte" traceback (exit 1).
+        monkeypatch.setattr(cli, "_load_cloud", lambda config: pytest.fail("loaded the scan"))
+        argv = ["extract", "--config", str(config_file(**extra)), *flags]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "NUL" in err and len(err.splitlines()) == 1
 
     def test_workers_flag_zero_is_data_error(self, config_file, capsys):
         # --workers 0 used to be dropped, so the config's worker count ran.
@@ -610,6 +634,38 @@ class TestEval:
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "num_classes" in err and len(err.splitlines()) == 1
+
+    def test_hand_worked_labels_at_the_16_bit_bound(self, tmp_path, config_file, capsys):
+        # Classes 1 and 2 score 1/2, class 3 scores 1 and every other class
+        # is undefined. A dense matrix of 2**16 classes needed 32 GiB, and
+        # eval ended in "Unable to allocate 32.0 GiB" (exit 2).
+        truth, pred = tmp_path / "t", tmp_path / "p"
+        self.write_labels(truth, "000000.label", [1, 1, 2, 3])
+        self.write_labels(pred, "000000.label", [1, 2, 2, 3])
+        path = config_file(eval={"num_classes": 2**16})
+        assert main(["eval", "--config", str(path), "--truth", str(truth), "--pred", str(pred)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "mIoU 0.6667" and len(lines) == 2**16
+        assert lines[:4] == [
+            "class   1  IoU 0.5000", "class   2  IoU 0.5000", "class   3  IoU 1.0000",
+            "class   4  IoU undefined",
+        ]
+        assert lines[-2] == "class 65535  IoU undefined"
+
+    def test_each_class_iou_computed_once(self, tmp_path, config_file, monkeypatch, capsys):
+        # The table and the mean share one IoU per class; eval used to
+        # compute every class twice, once for its row and once in miou.
+        calls = []
+        inner = metrics.iou
+        for module in (cli, metrics):
+            monkeypatch.setattr(module, "iou", lambda cm, c: calls.append(c) or inner(cm, c))
+        truth, pred = tmp_path / "t", tmp_path / "p"
+        self.write_labels(truth, "000000.label", [1, 1, 2, 3])
+        self.write_labels(pred, "000000.label", [1, 2, 2, 3])
+        argv = ["eval", "--config", str(config_file()), "--truth", str(truth), "--pred", str(pred)]
+        assert main(argv) == EXIT_OK
+        assert calls == list(range(1, 20))  # num_classes 20, class 0 ignored
+        assert capsys.readouterr().out.splitlines()[-1] == "mIoU 0.6667"
 
     def test_no_defined_class_surfaces_undefined_metric(self, tmp_path, config_file, capsys):
         # every point carries the ignored class: no IoU is defined

@@ -1,4 +1,4 @@
-"""Confusion matrix accumulation and IoU/mIoU."""
+"""Per-class count accumulation and IoU/mIoU."""
 
 import math
 import tracemalloc
@@ -15,6 +15,19 @@ from rapidfeat import (
     miou,
 )
 
+from oracles import DenseConfusion
+
+
+def counts(cm):
+    """The three per-class count vectors as lists: TP, per truth, per prediction."""
+    return [cm.tp.tolist(), cm.per_truth.tolist(), cm.per_pred.tolist()]
+
+
+def dense_counts(dense):
+    """What the three vectors hold, read off the dense matrix: its diagonal,
+    row sums and column sums."""
+    return [np.diag(dense.counts).tolist(), dense.counts.sum(1).tolist(), dense.counts.sum(0).tolist()]
+
 
 def set_based_iou(truth, pred, class_id):
     """Independent oracle: intersection/union over point index sets."""
@@ -30,17 +43,17 @@ class TestAccumulate:
     def test_diagonal_counts(self):
         cm = ConfusionMatrix.empty(5)
         accumulate(cm, np.full(10, 3), np.full(10, 3))
-        assert cm.counts[3, 3] == 10
+        assert counts(cm) == [[0, 0, 0, 10, 0]] * 3
 
     def test_off_diagonal(self):
         cm = ConfusionMatrix.empty(5)
         accumulate(cm, [1], [2])
-        assert cm.counts[1, 2] == 1
+        assert counts(cm) == [[0, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0]]
 
     def test_ignored_points_excluded(self):
         cm = ConfusionMatrix.empty(5, ignore=(0,))
         accumulate(cm, [0, 0, 0], [1, 2, 3])
-        assert cm.counts.sum() == 0
+        assert counts(cm) == [[0] * 5] * 3
 
     def test_length_mismatch(self):
         cm = ConfusionMatrix.empty(3)
@@ -62,11 +75,11 @@ class TestAccumulate:
             cm = ConfusionMatrix.empty(3)
             with pytest.raises(ContractError):
                 accumulate(cm, truth, pred)
-            assert cm.counts.sum() == 0
+            assert counts(cm) == [[0, 0, 0]] * 3
         cm = ConfusionMatrix.empty(3)
         accumulate(cm, np.array([1, 2], dtype=np.uint8), np.array([1, 2], dtype=np.int32))
         accumulate(cm, [], [])  # an empty scan adds nothing, whatever its dtype
-        assert cm.counts.tolist() == [[0, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert counts(cm) == [[0, 1, 1]] * 3
 
     @pytest.mark.parametrize("num_classes", [0, 2**16 + 1, 2**40])
     def test_num_classes_bounded(self, num_classes):
@@ -75,30 +88,35 @@ class TestAccumulate:
         with pytest.raises(ContractError, match="num_classes"):
             ConfusionMatrix.empty(num_classes)
 
-    def test_counts_equal_full_bincount(self, rng):
-        # Scans whose largest id varies, an ignored class among them, against
-        # one bincount over all n * n cells per scan.
+    def test_counts_equal_the_dense_matrix(self, rng):
+        # Scans whose largest id varies, an ignored class among them: the
+        # vectors are the dense matrix's diagonal, row sums and column sums.
         for n in (1, 2, 7, 20):
-            cm, expected = ConfusionMatrix.empty(n, ignore=(n - 1,)), np.zeros((n, n), np.int64)
+            cm, dense = ConfusionMatrix.empty(n, ignore=(n - 1,)), DenseConfusion(n, (n - 1,))
             for _ in range(8):
                 top = int(rng.integers(1, n + 1))
                 t, p = rng.integers(0, top, (2, int(rng.integers(0, 60))))
                 accumulate(cm, t, p)
-                t, p = t[t != n - 1], p[t != n - 1]
-                expected += np.bincount(t * n + p, minlength=n * n).reshape(n, n)
-            assert np.array_equal(cm.counts, expected)
+                dense.add(t, p)
+            assert counts(cm) == dense_counts(dense)
 
-    def test_temporary_is_the_ids_in_use(self):
-        # One (n * n,) bincount per scan used to peak at 32 MiB here.
-        cm = ConfusionMatrix.empty(2048)
+    def test_memory_is_linear_in_num_classes(self):
+        # At the 2**16 bound the dense (n, n) int64 matrix needed 32 GiB; the
+        # three count vectors and one scan's bincounts take 2 MiB.
         tracemalloc.start()
         try:
-            accumulate(cm, np.array([0, 1, 2]), np.array([2, 1, 1]))
+            cm = ConfusionMatrix.empty(2**16)
+            accumulate(cm, np.array([0, 1, 2, 65535]), np.array([2, 1, 1, 65535]))
+            mean = miou(cm)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2**20
-        assert cm.counts.sum() == 3 and cm.counts[0, 2] == cm.counts[1, 1] == cm.counts[2, 1] == 1
+        assert peak < 8 * 2**20
+        assert mean == (0.0 + 0.5 + 0.0 + 1.0) / 4  # classes 0, 1, 2 and 65535
+        assert [v[[0, 1, 2, 65535]].tolist() for v in (cm.tp, cm.per_truth, cm.per_pred)] == [
+            [0, 1, 0, 1], [1, 1, 1, 1], [0, 2, 1, 1],
+        ]
+        assert [int(v.sum()) for v in (cm.tp, cm.per_truth, cm.per_pred)] == [2, 4, 4]  # no other class
 
     def test_order_independence(self, rng):
         scans = [
@@ -110,7 +128,7 @@ class TestAccumulate:
         b = ConfusionMatrix.empty(4)
         for t, p in reversed(scans):
             accumulate(b, t, p)
-        assert np.array_equal(a.counts, b.counts)
+        assert counts(a) == counts(b)
 
 
 class TestIoU:
@@ -122,11 +140,12 @@ class TestIoU:
             assert iou(cm, int(c)) == 1.0
 
     def test_hand_built_tp6_fp2_fn4(self):
+        # class 0: 6 hits (TP), 2 class-1 points called 0 (FP), 4 missed (FN)
         cm = ConfusionMatrix.empty(2)
-        cm.counts[0, 0] = 6  # TP
-        cm.counts[1, 0] = 2  # FP for class 0
-        cm.counts[0, 1] = 4  # FN for class 0
+        accumulate(cm, [0] * 6 + [1] * 2 + [0] * 4, [0] * 6 + [0] * 2 + [1] * 4)
+        assert counts(cm) == [[6, 0], [10, 2], [8, 4]]
         assert iou(cm, 0) == 0.5
+        assert iou(cm, 1) == 0.0
 
     def test_absent_class_undefined(self):
         cm = ConfusionMatrix.empty(4)
@@ -167,10 +186,9 @@ class TestMiou:
     def test_two_class_mean(self):
         cm = ConfusionMatrix.empty(2)
         # class 0: TP=4 FP=2 FN=4 -> 0.4; class 1: TP=9 FP=4 FN=2 -> 0.6
-        cm.counts[0, 0] = 4
-        cm.counts[1, 1] = 9
-        cm.counts[1, 0] = 2
-        cm.counts[0, 1] = 4
+        truth = [0] * 4 + [1] * 9 + [1] * 2 + [0] * 4
+        pred = [0] * 4 + [1] * 9 + [0] * 2 + [1] * 4
+        accumulate(cm, truth, pred)
         assert iou(cm, 0) == pytest.approx(0.4, abs=1e-15)
         assert iou(cm, 1) == pytest.approx(0.6, abs=1e-15)
         assert miou(cm) == pytest.approx(0.5, abs=1e-15)
@@ -203,3 +221,28 @@ class TestMiou:
         cm = ConfusionMatrix.empty(4)
         accumulate(cm, rng.integers(0, 4, 300), rng.integers(0, 4, 300))
         assert 0.0 <= miou(cm) <= 1.0
+
+
+class TestDenseOracle:
+    def test_iou_and_miou_bit_identical(self):
+        # Several scans per matrix, one or two ignored classes, ids up to
+        # num_classes - 1 and classes absent from a scan or from all of them.
+        rng = np.random.default_rng(36)
+        for _ in range(200):
+            n = int(rng.integers(1, 12))
+            ignore = tuple(int(c) for c in rng.choice(n, int(rng.integers(0, min(n, 2) + 1)), False))
+            cm, dense = ConfusionMatrix.empty(n, ignore), DenseConfusion(n, ignore)
+            for _ in range(int(rng.integers(1, 4))):
+                t, p = rng.integers(0, n, (2, int(rng.integers(0, 40))))
+                accumulate(cm, t, p)
+                dense.add(t, p)
+            for c in range(n):
+                if c in ignore:
+                    continue
+                got, expect = iou(cm, c), dense.iou(c)
+                assert (math.isnan(got) and math.isnan(expect)) or got == expect
+            if any(not math.isnan(dense.iou(c)) for c in range(n) if c not in ignore):
+                assert miou(cm) == dense.miou()
+            else:
+                with pytest.raises(UndefinedMetricError):
+                    miou(cm)
