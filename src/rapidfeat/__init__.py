@@ -58,8 +58,6 @@ from .embed import (
     contrastive_loss,
     inner_bottleneck,
     reconstruction_loss,
-    scatter_softmax,
-    scatter_sum,
     seeded_latents,
     voxelize,
     vsa_decode,

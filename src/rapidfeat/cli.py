@@ -19,7 +19,7 @@ import numpy as np
 from . import scene_io
 from .cloud import PointCloud
 from .config import RunConfig, config_echo
-from .errors import ContractError, RapidError
+from .errors import ContractError, LabelsRequiredError, RapidError
 from .geometry import RigidTransform
 from .metrics import ConfusionMatrix, _mean_defined, accumulate, iou
 from .partition import PointwiseFeatureSet, _run_jobs, c_rapid, r_rapid
@@ -101,6 +101,8 @@ def _save(path: str, features: PointwiseFeatureSet, config: RunConfig) -> None:
 def cmd_extract(args: argparse.Namespace) -> int:
     config = RunConfig.load(args.config, _config_overrides(args))
     cloud, workers = _load_cloud(config), config.workers
+    if config.class_features_out is not None and cloud.label is None:
+        raise LabelsRequiredError("a class output requires labels: set --labels or input.labels")
     _save(config.features_out, r_rapid(cloud, config.sensor, config.rapid, workers=workers), config)
     if config.class_features_out is not None:
         _save(config.class_features_out, c_rapid(cloud, config.rapid, workers=workers), config)

@@ -29,8 +29,8 @@ KD-tree queries through the library's one KNN routine, so the loss costs
 O(m log m) per class instead of the O(m^2) of an all-pairs scan.
 
 Everything here is pure forward math with explicit weights; there is no
-training loop. Weights are built in memory, seeded or identity, and never
-filed: no command reads or writes a weight file.
+training loop. Weights are built in memory, by WeightSet.seeded or from the
+stage constructors, and never filed: no command reads or writes a weight file.
 """
 
 from __future__ import annotations
@@ -287,59 +287,31 @@ class WeightSet:
             raise ContractError(f"inner decoder ends at width {a}, not d = {d}")
 
     @classmethod
-    def _from_dims(cls, dims: EmbeddingDims, d_in: int, make, eps: float, activation: str):
-        """The weights of dims with each tensor from make(field, shape), drawn
-        in a fixed order: encoder stages, decoder stages, projections, kernels."""
+    def seeded(
+        cls, dims: EmbeddingDims, rng: np.random.Generator, in_width: Optional[int] = None
+    ) -> "WeightSet":
+        """Random weights for input features of in_width (default dims.width)
+        columns, drawn from the generator in a fixed order: encoder stages,
+        decoder stages, projections, kernels."""
+        d_in = dims.width if in_width is None else in_width
+        if not isinstance(d_in, (int, np.integer)) or d_in < 1:
+            raise ContractError(f"in_width must be an integer >= 1, got {in_width!r}")
         w, d = dims.stage_widths(), dims.width
 
         def linear(a: int, b: int) -> LinearStage:
-            return LinearStage(make("weight", (a, b)), make("bias", (b,)))
+            return LinearStage(rng.normal(0.0, 1.0 / np.sqrt(a), (a, b)), rng.normal(0.0, 0.01, b))
 
         def norm(b: int) -> NormStage:
-            return NormStage(*(make(f, (b,)) for f in ("gamma", "beta", "mean", "var")), eps)
+            gamma, beta = rng.uniform(0.5, 1.5, b), rng.normal(0.0, 0.01, b)
+            mean, var = rng.normal(0.0, 0.01, b), rng.uniform(0.5, 1.5, b)
+            return NormStage(gamma, beta, mean, var, 1e-5)
 
         inner_enc = tuple((linear(a, b), norm(b)) for a, b in zip(w, w[1:]))
         inner_dec = tuple(linear(a, b) for a, b in zip(w[::-1], w[-2::-1]))
         projections = [linear(a, d) for a in (d_in, d_in, d_in, d, d)]
         kernel = (dims.latents, w[-1], 3, 3, 3)
-        kernels = make("conv1", kernel), make("conv2", kernel)
-        return cls(*projections, inner_enc, *kernels, activation, inner_dec)
-
-    @classmethod
-    def seeded(
-        cls, dims: EmbeddingDims, rng: np.random.Generator, in_width: Optional[int] = None
-    ) -> "WeightSet":
-        """Random weights, drawn in a fixed order from the generator, for
-        input features of in_width (default dims.width) columns."""
-        d_in = dims.width if in_width is None else in_width
-        if not isinstance(d_in, (int, np.integer)) or d_in < 1:
-            raise ContractError(f"in_width must be an integer >= 1, got {in_width!r}")
-
-        def draw(field: str, shape: tuple[int, ...]) -> np.ndarray:
-            if field == "weight":
-                return rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
-            if field in ("gamma", "var"):
-                return rng.uniform(0.5, 1.5, shape)
-            return rng.normal(0.0, 0.2 if field.startswith("conv") else 0.01, size=shape)
-
-        return cls._from_dims(dims, d_in, draw, 1e-5, "relu")
-
-    @classmethod
-    def identity(cls, dims: EmbeddingDims) -> "WeightSet":
-        """Identity pipeline: requires reduced == width; batch-norm epsilon is
-        zero so the round trip is exact."""
-        if dims.reduced != dims.width:
-            raise ContractError("identity weights require reduced == width")
-
-        def unit(field: str, shape: tuple[int, ...]) -> np.ndarray:
-            if field == "weight":
-                return np.eye(*shape)
-            out = np.ones(shape) if field in ("gamma", "var") else np.zeros(shape)
-            if field.startswith("conv"):
-                out[:, :, 1, 1, 1] = 1.0
-            return out
-
-        return cls._from_dims(dims, dims.width, unit, 0.0, "identity")
+        kernels = rng.normal(0.0, 0.2, kernel), rng.normal(0.0, 0.2, kernel)
+        return cls(*projections, inner_enc, *kernels, "relu", inner_dec)
 
 
 def seeded_latents(dims: EmbeddingDims, rng: np.random.Generator) -> np.ndarray:
@@ -416,30 +388,6 @@ def _column_fold(ufunc: np.ufunc, rows: np.ndarray) -> np.ndarray:
     for j in range(1, rows.shape[1]):
         ufunc(out, rows[:, j], out=out)
     return out
-
-
-def scatter_softmax(scores: np.ndarray, groups: VoxelGroups) -> np.ndarray:
-    """Softmax over the points of each voxel, independently per column.
-
-    Within every voxel group the weights of each latent column sum to 1.
-    """
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != groups.num_points:
-        raise ContractError(f"scores must be (m, l) with m={groups.num_points}")
-    out = np.empty_like(s)
-    for _, idx, bounds, (block,) in _voxel_blocks(groups, s):
-        out[idx] = _block_softmax(block, bounds)
-    return out
-
-
-def scatter_sum(per_point: np.ndarray, groups: VoxelGroups) -> np.ndarray:
-    """Per-voxel sum of point rows, deterministic segment reduction."""
-    x = np.asarray(per_point, dtype=np.float64)
-    rows = x.reshape(groups.num_points, prod(x.shape[1:]))
-    out = np.empty((groups.num_voxels, rows.shape[1]))
-    for voxels, _, bounds, (block,) in _voxel_blocks(groups, rows):
-        out[voxels] = _segment_sums(block, bounds)
-    return out.reshape((groups.num_voxels,) + x.shape[1:])
 
 
 def _voxel_shape(weights: WeightSet, groups: VoxelGroups) -> tuple[int, int, int]:

@@ -154,7 +154,11 @@ def load_kitti_labels(path: PathLike, cloud: PointCloud) -> PointCloud:
 
 
 def save_kitti_labels(labels: np.ndarray, path: PathLike) -> None:
-    Path(path).write_bytes(np.asarray(labels).astype("<u4").tobytes())
+    """Write class ids as a label file; each must fit its 16 bits."""
+    labels = np.asarray(labels)
+    if not np.all((labels >= 0) & (labels < 2**16)):  # false for nan too
+        raise ContractError("a .label class id must lie in [0, 2**16)")
+    Path(path).write_bytes(labels.astype("<u4").tobytes())
 
 
 # ---------------------------------------------------------------------------

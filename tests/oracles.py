@@ -15,9 +15,10 @@ each compared byte for byte with what production returns:
 
 voxelize_unique     np.unique(axis=0) grouping  vs  voxelize
 scatter_softmax_rows / scatter_sum_rows
-                    axis-0 reduceat over point rows  vs  scatter_softmax / scatter_sum
-point_attention     the per-point (m, l, d) tensor H, whose scatter_sum_rows
-                    is vsa_encode's voxel tensor
+                    axis-0 reduceat over point rows; scatter_sum_rows of
+                    point_attention  vs  vsa_encode's voxel tensor
+point_attention     the per-point (m, l, d) tensor H: each point's
+                    scatter_softmax_rows attention row times its value row
 conv_oracle         one ravel_multi_index lookup per offset  vs  the slot-ordered
                     depthwise convolution
 kernel_map_pairs    one ravel_multi_index lookup per offset  vs  cell_neighbours of
@@ -41,6 +42,11 @@ scatter             the pointwise rows scattered from the matrices, as extract
                     built and stored them  vs  PointwiseFeatureSet's derived rows
 DenseConfusion      the (n, n) confusion matrix, IoU from its row and column
                     sums  vs  metrics' three per-class count vectors
+
+Test input built only through the public weight constructors:
+
+identity_weights    weights whose inner bottleneck maps a voxel tensor onto
+                    itself, for the exact round trip of inner_bottleneck
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from rapidfeat import (
+    EmbeddingDims,
     InsufficientPointsError,
     NeighborList,
     PointCloud,
@@ -65,6 +72,7 @@ from rapidfeat import (
     WeightSet,
     reflectivity_map,
 )
+from rapidfeat.embed import LinearStage, NormStage
 from rapidfeat.geometry import _SAMPLE_STRIDE, _ranked
 
 
@@ -243,6 +251,27 @@ def decode_per_point(
     e = np.exp(scores)
     att = e / e.sum(axis=1, keepdims=True)
     return np.einsum("ml,mld->md", att, v_star)
+
+
+def identity_weights(dims: EmbeddingDims) -> WeightSet:
+    """Weights for dims (reduced == width) whose inner bottleneck is the
+    identity: unit projections and linear stages, batch norms of zero mean,
+    unit variance and eps 0, kernels whose only tap is the centre one, and
+    the identity activation, in the stage layout of WeightSet.seeded."""
+    assert dims.reduced == dims.width, "identity weights need reduced == width"
+    d = dims.width
+
+    def linear() -> LinearStage:
+        return LinearStage(np.eye(d), np.zeros(d))
+
+    def norm() -> NormStage:
+        return NormStage(np.ones(d), np.zeros(d), np.zeros(d), np.ones(d), 0.0)
+
+    kernel = np.zeros((dims.latents, d, 3, 3, 3))
+    kernel[:, :, 1, 1, 1] = 1.0
+    encoder = tuple((linear(), norm()) for _ in range(dims.stages))
+    decoder = tuple(linear() for _ in range(dims.stages))
+    return WeightSet(*(linear() for _ in range(5)), encoder, kernel, kernel, "identity", decoder)
 
 
 def cell_blocks(cells: np.ndarray) -> np.ndarray:

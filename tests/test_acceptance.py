@@ -7,17 +7,19 @@ lines. Every tolerance is pinned here, not configurable.
 import json
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rapidfeat as rf
 from rapidfeat.cli import EXIT_OK, main
+from rapidfeat.embed import LinearStage
 from rapidfeat.scene_io import load_feature_file
 
 from conftest import default_scene, kitti_style_scan, random_cloud, small_geometry
-from oracles import point_attention
-from test_embed import oracle_contrastive
+from oracles import identity_weights, point_attention
+from test_embed import oracle_contrastive, unit_values
 
 
 def _report(n: int, text: str) -> None:
@@ -212,6 +214,9 @@ class TestCriterion05HandWorkedExample:
 
 class TestCriterion06ScatterIdentities:
     def test_softmax_and_sum(self):
+        # The softmax identity on vsa_encode's own attention walk: a zero
+        # value weight and a unit bias make every value row 1, so each voxel
+        # entry is the sum of its points' attention weights.
         rng = np.random.default_rng(10)
         worst_sum = 0.0
         worst_cons = 0.0
@@ -220,15 +225,16 @@ class TestCriterion06ScatterIdentities:
             pts = rng.uniform(-4, 4, size=(m, 3))
             groups = rf.voxelize(pts, float(rng.uniform(0.3, 2.0)))
             l = int(rng.integers(1, 6))
-            att = rf.scatter_softmax(rng.normal(size=(m, l)) * 5, groups)
-            sums = rf.scatter_sum(att, groups)
-            worst_sum = max(worst_sum, float(np.abs(sums - 1).max()))
-            assert np.abs(sums - 1.0).max() <= 1e-12
             d = int(rng.integers(1, 10))
-            dims = rf.EmbeddingDims(latents=l, width=max(d, 1), reduced=max(d, 1))
+            dims = rf.EmbeddingDims(latents=l, width=d, reduced=d)
             weights = rf.WeightSet.seeded(dims, rng, in_width=4)
             latents = rf.seeded_latents(dims, rng)
             feats = rng.normal(size=(m, 4))
+            key = weights.enc_key
+            sharp = replace(unit_values(weights), enc_key=LinearStage(key.weight * 5, key.bias))
+            sums = rf.vsa_encode(feats, latents, sharp, groups)
+            worst_sum = max(worst_sum, float(np.abs(sums - 1).max()))
+            assert np.abs(sums - 1.0).max() <= 1e-12
             h = point_attention(feats, latents, weights, groups)
             hv = rf.vsa_encode(feats, latents, weights, groups)
             err = float(np.abs(hv.sum(axis=0) - h.sum(axis=0)).max())
@@ -245,7 +251,7 @@ class TestCriterion07IdentityRoundTrip:
     def test_inner_bottleneck_identity(self):
         rng = np.random.default_rng(11)
         dims = rf.EmbeddingDims(latents=4, width=12, reduced=12, stages=3)
-        weights = rf.WeightSet.identity(dims)
+        weights = identity_weights(dims)
         groups = rf.voxelize(rng.uniform(-5, 5, size=(200, 3)), 0.8)
         hv = rng.normal(size=(groups.num_voxels, 4, 12))
         _, hv_hat = rf.inner_bottleneck(hv, weights, groups)

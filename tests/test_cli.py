@@ -454,26 +454,19 @@ class TestExtract:
         assert rows["class001-close"] == ["40", "5", "0"]
         assert rows["class002-close"] == ["6", "5", "18"]
 
-    def test_class_output_without_labels_is_data_error(self, tmp_path, config_file):
-        import struct
-
-        scan = tmp_path / "bare.bin"
-        scan.write_bytes(
-            struct.pack("<4f", 1, 2, 3, 0.5) * 60
-        )  # 60 coincident points, no labels
-        cfg = tmp_path / "c2.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "input": {"scan": str(scan)},
-                    "output": {
-                        "features": str(tmp_path / "r2.rapd"),
-                        "class_features": str(tmp_path / "c2.rapd"),
-                    },
-                }
-            )
-        )
-        assert main(["extract", "--config", str(cfg)]) == EXIT_DATA
+    def test_class_output_without_labels_is_data_error(self, tmp_path, monkeypatch, capsys):
+        # extract used to compute and write all of R before C found no labels,
+        # and left r2.rapd behind.
+        monkeypatch.setattr(cli, "r_rapid", lambda *args, **kwargs: pytest.fail("computed R"))
+        scan, cfg = tmp_path / "bare.bin", tmp_path / "empty.json"
+        save_kitti_scan(PointCloud(points=np.ones((60, 3)), remission=np.full(60, 0.5)), scan)
+        cfg.write_text("{}")
+        argv = ["extract", "--config", str(cfg), "--scan", str(scan),
+                "--out", str(tmp_path / "r2.rapd"), "--class-out", str(tmp_path / "c2.rapd")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "labels" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "r2.rapd").exists()
 
 
 class TestCheckInvariance:

@@ -18,8 +18,6 @@ from rapidfeat import (
     contrastive_loss,
     inner_bottleneck,
     reconstruction_loss,
-    scatter_softmax,
-    scatter_sum,
     seeded_latents,
     voxelize,
     vsa_decode,
@@ -40,9 +38,9 @@ from conftest import kitti_style_scan
 from oracles import (
     conv_oracle,
     decode_per_point,
+    identity_weights,
     kernel_map_pairs,
     point_attention,
-    scatter_softmax_rows,
     scatter_sum_rows,
     voxelize_unique,
 )
@@ -57,6 +55,13 @@ def make_instance(seed, m=40, d_in=8, dims=None, voxel=0.6):
     weights = WeightSet.seeded(dims, rng, in_width=d_in)
     latents = seeded_latents(dims, rng)
     return rng, pts, groups, feats, weights, latents, dims
+
+
+def unit_values(weights):
+    """weights with a zero value weight and a unit value bias: every value
+    row is 1, so vsa_encode returns each voxel's attention sums."""
+    v = weights.enc_value
+    return replace(weights, enc_value=LinearStage(np.zeros_like(v.weight), np.ones_like(v.bias)))
 
 
 @st.composite
@@ -128,8 +133,6 @@ class TestVoxelize:
     def test_empty_input_gives_empty_scatters(self):
         g = voxelize(np.zeros((0, 3)), 0.2)
         assert g.num_voxels == 0 and g.starts.shape == (0,)
-        assert scatter_sum(np.zeros((0, 4, 3)), g).shape == (0, 4, 3)
-        assert scatter_softmax(np.zeros((0, 4)), g).shape == (0, 4)
         _, _, _, _, weights, latents, dims = make_instance(0)
         fw = autoencoder_forward(np.zeros((0, 8)), latents, weights, g)
         assert fw.voxelwise.shape == (0, dims.latents, dims.width)
@@ -174,49 +177,55 @@ class TestVoxelize:
 
 
 class TestScatterSoftmax:
+    """The per-voxel softmax of vsa_encode's attention walk, read through
+    unit or chosen value rows."""
+
     def test_singleton_voxel_weight_one(self):
+        _, _, _, feats, weights, latents, _ = make_instance(0, m=2)
         g = voxelize(np.array([[0.0, 0, 0], [5.0, 0, 0]]), 0.2)
-        att = scatter_softmax(np.array([[3.0], [-2.0]]), g)
-        assert np.array_equal(att, [[1.0], [1.0]])
+        hv = vsa_encode(feats, latents, unit_values(weights), g)
+        assert np.array_equal(hv, np.ones_like(hv))
 
     def test_equal_scores_split_evenly(self):
+        # A zero key scores every point 0: two points of one voxel weigh 1/2
+        # each, and identity values e1 and e2 sum to [0.5, 0.5].
+        weights = identity_weights(EmbeddingDims(latents=3, width=2, reduced=2, stages=1))
+        key = LinearStage(np.zeros((2, 2)), np.zeros(2))
         g = voxelize(np.array([[0.0, 0, 0], [0.01, 0, 0]]), 0.2)
-        att = scatter_softmax(np.array([[0.7], [0.7]]), g)
-        assert np.array_equal(att, [[0.5], [0.5]])
+        latents = np.random.default_rng(0).normal(size=(3, 2))
+        hv = vsa_encode(np.eye(2), latents, replace(weights, enc_key=key), g)
+        assert np.array_equal(hv, np.full((1, 3, 2), 0.5))
 
     def test_group_sums_one(self, rng):
-        pts = rng.uniform(-2, 2, size=(200, 3))
-        g = voxelize(pts, 0.8)
-        att = scatter_softmax(rng.normal(size=(200, 5)) * 10, g)
-        sums = scatter_sum(att, g)
+        _, _, _, feats, weights, latents, _ = make_instance(0, m=200)
+        g = voxelize(rng.uniform(-2, 2, size=(200, 3)), 0.8)
+        key = weights.enc_key
+        sharp = replace(unit_values(weights), enc_key=LinearStage(key.weight * 10, key.bias))
+        sums = vsa_encode(feats, latents, sharp, g)
         assert np.abs(sums - 1.0).max() <= 1e-12
 
-    def test_shape_mismatch(self, rng):
-        g = voxelize(rng.uniform(size=(5, 3)), 0.5)
-        with pytest.raises(ContractError):
-            scatter_softmax(np.zeros((4, 2)), g)
+    def test_shape_mismatch(self):
+        _, _, groups, feats, weights, latents, _ = make_instance(2)
+        for wrong in (latents[:2], latents[:, :5], latents.T):
+            with pytest.raises(ContractError, match="latents"):
+                vsa_encode(feats, wrong, weights, groups)
 
 
 class TestScatterOracles:
     @settings(max_examples=40, deadline=None)
-    @given(cloud=grid_clouds(), latents=st.integers(1, 5))
-    def test_softmax_matches_row_oracle(self, cloud, latents):
+    @given(cloud=grid_clouds(), latents=st.integers(1, 5), width=st.integers(1, 6))
+    def test_sum_matches_row_oracle(self, cloud, latents, width):
         pts, seed = cloud
         g = voxelize(pts, 1.0)
-        scores = np.random.default_rng(seed).normal(size=(len(pts), latents)) * 8
-        got = scatter_softmax(scores, g)
-        assert got.flags.c_contiguous
-        assert got.tobytes() == scatter_softmax_rows(scores, g).tobytes()
-
-    @settings(max_examples=40, deadline=None)
-    @given(cloud=grid_clouds(), shape=st.sampled_from([(), (3,), (4, 5)]))
-    def test_sum_matches_row_oracle(self, cloud, shape):
-        pts, seed = cloud
-        g = voxelize(pts, 1.0)
-        x = np.random.default_rng(seed).normal(size=(len(pts),) + shape)
-        got = scatter_sum(x, g)
-        assert got.flags.c_contiguous and got.shape == (g.num_voxels,) + shape
-        assert got.tobytes() == scatter_sum_rows(x, g).tobytes()
+        rng = np.random.default_rng(seed)
+        dims = EmbeddingDims(latents=latents, width=width, reduced=width, stages=1)
+        weights = WeightSet.seeded(dims, rng, in_width=5)
+        lat = seeded_latents(dims, rng)
+        feats = rng.normal(size=(len(pts), 5)) * 4
+        got = vsa_encode(feats, lat, weights, g)
+        assert got.flags.c_contiguous and got.shape == (g.num_voxels, latents, width)
+        want = scatter_sum_rows(point_attention(feats, lat, weights, g), g)
+        assert got.tobytes() == want.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(cloud=grid_clouds())
@@ -229,7 +238,9 @@ class TestScatterOracles:
         rng = np.random.default_rng(seed)
         x = rng.choice([-0.0, 0.0], size=(len(pts), 4))
         x[:, 2:] = rng.choice([-0.0, 0.0, -1.5, 2.0 ** -1074, 1e300], size=(len(pts), 2))
-        assert scatter_sum(x, g).tobytes() == scatter_sum_rows(x, g).tobytes()
+        rows = x[g.order]  # in voxel order, as vsa_encode sums them
+        got = embed._segment_sums(rows, np.append(g.starts, g.num_points))
+        assert got.tobytes() == np.add.reduceat(rows, g.starts).tobytes()
 
 
 class TestVsaEncode:
@@ -280,7 +291,7 @@ class TestInnerBottleneck:
         dims = EmbeddingDims(latents=3, width=6, reduced=6, stages=2)
         rng = np.random.default_rng(5)
         groups = voxelize(rng.uniform(-2, 2, size=(30, 3)), 0.7)
-        weights = WeightSet.identity(dims)
+        weights = identity_weights(dims)
         hv = rng.normal(size=(groups.num_voxels, 3, 6))
         hbar, hv_hat = inner_bottleneck(hv, weights, groups)
         assert np.abs(hv_hat - hv).max() <= 1e-9
@@ -328,7 +339,7 @@ class TestInnerBottleneck:
     def test_conv_ffn_mixes_neighbor_voxels(self):
         # two voxels side by side: off-center taps couple them
         dims = EmbeddingDims(latents=1, width=2, reduced=2, stages=1)
-        weights = WeightSet.identity(dims)
+        weights = identity_weights(dims)
         kernel = np.zeros((1, 2, 3, 3, 3))
         kernel[:, :, 1, 1, 1] = 1.0
         kernel[:, :, 2, 1, 1] = 1.0  # +x neighbor tap
@@ -445,7 +456,7 @@ class TestKernelMapConv:
 class TestVsaDecode:
     def test_single_point_single_latent(self):
         dims = EmbeddingDims(latents=1, width=4, reduced=4, stages=1)
-        weights = WeightSet.identity(dims)
+        weights = identity_weights(dims)
         groups = voxelize(np.zeros((1, 3)), 1.0)
         hv = np.arange(4.0).reshape(1, 1, 4)
         feats = np.ones((1, 4))
@@ -519,11 +530,6 @@ class TestMultiBlock:
         # the layout meets the block sizes it is built for
         assert sum(VOXEL_RUN) == VOXEL_RUN[0] + _SCATTER_BLOCK and VOXEL_RUN[0] > _SCATTER_BLOCK
         assert groups.num_points > 4 * _SCATTER_BLOCK
-        scores = rng.normal(size=(len(pts), 4)) * 8
-        got = scatter_softmax(scores, groups)
-        assert got.tobytes() == scatter_softmax_rows(scores, groups).tobytes()
-        x = rng.normal(size=(len(pts), 4, 6))
-        assert scatter_sum(x, groups).tobytes() == scatter_sum_rows(x, groups).tobytes()
         dims = EmbeddingDims(latents=4, width=6, reduced=3, stages=1)
         weights = WeightSet.seeded(dims, rng, in_width=5)
         hv = rng.normal(size=(groups.num_voxels, dims.latents, dims.width))
@@ -559,7 +565,7 @@ class TestMultiBlock:
 
 
 class TestSmallVoxelBlocks:
-    """Every point walk (scatters, encode, decode) on voxel blocks of a few
+    """Every point walk (encode, decode) on voxel blocks of a few
     points: multi_block_cloud's voxels, most of them blocks of their own,
     beside 3,000 points in about 1,500 voxels of 1 to 9 points, which share
     blocks, so that the walks cross over a hundred block edges."""
@@ -574,14 +580,6 @@ class TestSmallVoxelBlocks:
         assert len(spans) > 100 and sum(s > 1 for s in spans) > 40
         assert max(np.diff(groups.starts, append=groups.num_points)) > 50 * request.param
         return groups, rng
-
-    def test_scatters_match_row_oracles(self, cloud):
-        groups, rng = cloud
-        scores = rng.normal(size=(groups.num_points, 4)) * 8
-        got = scatter_softmax(scores, groups)
-        assert got.tobytes() == scatter_softmax_rows(scores, groups).tobytes()
-        x = rng.normal(size=(groups.num_points, 4, 6))
-        assert scatter_sum(x, groups).tobytes() == scatter_sum_rows(x, groups).tobytes()
 
     @pytest.mark.parametrize("latents", [1, 4, 8, 12])
     def test_decode_matches_per_point_oracle(self, cloud, latents):
@@ -610,8 +608,6 @@ class TestInputsUnchanged:
         c, l, d = groups.num_voxels, dims.latents, dims.width
         hv = rng.normal(size=(c, l, d))
         xr = rng.normal(size=(c, l, dims.reduced))
-        per_point = rng.normal(size=(len(feats), l, d))
-        scores = rng.normal(size=(len(feats), l))
         lin, norm = weights.inner_encoder[0]
         normed = rng.normal(size=(c, l, lin.weight.shape[1]))
         stages = [weights.enc_key, weights.enc_value, weights.dec_query, weights.dec_key]
@@ -619,14 +615,12 @@ class TestInputsUnchanged:
         stages += weights.inner_decoder
         tensors = [getattr(stage, f.name) for stage in stages for f in fields(stage)]
         tensors += [weights.ffn_conv1, weights.ffn_conv2]
-        inputs = [feats, latents, hv, xr, normed, per_point, scores]
+        inputs = [feats, latents, hv, xr, normed]
         inputs += [t for t in tensors if isinstance(t, np.ndarray)]  # every tensor, not eps
         before = [a.copy() for a in inputs]
         lin(hv)
         norm(normed)
         _sparse_depthwise_conv(xr, groups, weights.ffn_conv1)
-        scatter_sum(per_point, groups)
-        scatter_softmax(scores, groups)
         vsa_encode(feats, latents, weights, groups)
         inner_bottleneck(hv, weights, groups)
         vsa_decode(hv, feats, weights, groups)
@@ -994,14 +988,10 @@ class TestWeightSetIO:
             replace(weights, inner_decoder=(first, LinearStage(np.ones((2, 6)), np.zeros(6))))
 
     def test_unknown_activation(self):
-        weights = WeightSet.identity(EmbeddingDims(2, 4, 4, 1))
+        weights = identity_weights(EmbeddingDims(2, 4, 4, 1))
         for activation in ("swish", ["relu"], None):
             with pytest.raises(ContractError, match="activation"):
                 replace(weights, activation=activation)
-
-    def test_identity_requires_equal_widths(self):
-        with pytest.raises(ContractError):
-            WeightSet.identity(EmbeddingDims(latents=2, width=6, reduced=3))
 
     def test_batchnorm_variance_positive(self):
         from rapidfeat.embed import NormStage

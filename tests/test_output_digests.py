@@ -12,7 +12,7 @@ pointwise rows, roi ids and valid widths. They were first computed from
 files of the earlier layout, which stored the rows, with that layout's own
 loader. A change of file layout alone leaves them as they are.
 
-The weight pins hash the tensors WeightSet.seeded and WeightSet.identity
+The weight pins hash the tensors WeightSet.seeded and oracles.identity_weights
 build, so a change to how the builders lay out or draw the weights shows
 here. Forward-pass bytes are not pinned: the GEMMs run through BLAS kernels
 whose summation order varies with the CPU.
@@ -30,6 +30,7 @@ from rapidfeat.cli import EXIT_OK, main
 from rapidfeat.scene_io import load_feature_file
 
 from conftest import kitti_style_scan
+from oracles import identity_weights
 
 # The minimal synthetic config of README.md, with the output paths set per test.
 README_CONFIG = {
@@ -176,5 +177,5 @@ def test_weight_digests(case):
     if builder == "seeded":
         weights = WeightSet.seeded(dims, np.random.default_rng(seed), in_width=in_width)
     else:
-        weights = WeightSet.identity(dims)
+        weights = identity_weights(dims)
     assert _weight_digest(weights) == WEIGHT_DIGESTS[case]

@@ -141,6 +141,17 @@ class TestKittiLabels:
         cloud = PointCloud(points=np.ones((3, 3)), remission=np.zeros(3))
         assert load_kitti_labels(path, cloud).label.tolist() == [3, 5, 250]
 
+    def test_class_ids_outside_16_bits_rejected(self, tmp_path):
+        # [-1, 70000, 3] used to be written and to read back as [65535, 4464, 3].
+        path = tmp_path / "bad.label"
+        for ids in ([-1, 70000, 3], [2**16], [np.nan]):
+            with pytest.raises(ContractError, match="16"):
+                save_kitti_labels(np.array(ids), path)
+            assert not path.exists()
+        save_kitti_labels(np.array([0, 2**16 - 1]), path)
+        cloud = PointCloud(points=np.ones((2, 3)), remission=np.zeros(2))
+        assert load_kitti_labels(path, cloud).label.tolist() == [0, 2**16 - 1]
+
 
 class TestSynthesizeScene:
     def test_zero_noise_plane_exact(self):
