@@ -41,6 +41,7 @@ from oracles import (
     identity_weights,
     kernel_map_pairs,
     point_attention,
+    scatter_softmax_rows,
     scatter_sum_rows,
     voxelize_unique,
 )
@@ -212,6 +213,19 @@ class TestScatterSoftmax:
 
 
 class TestScatterOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(cloud=grid_clouds(), latents=st.integers(1, 5))
+    def test_softmax_matches_row_oracle(self, cloud, latents):
+        # vsa_encode's softmax, block by block over the voxel walk, against
+        # the row oracle.
+        pts, seed = cloud
+        g = voxelize(pts, 1.0)
+        scores = np.random.default_rng(seed).normal(size=(len(pts), latents)) * 8
+        got = np.empty_like(scores)
+        for _, idx, bounds, (block,) in embed._voxel_blocks(g, scores):
+            got[idx] = embed._block_softmax(block, bounds)
+        assert got.tobytes() == scatter_softmax_rows(scores, g).tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(cloud=grid_clouds(), latents=st.integers(1, 5), width=st.integers(1, 6))
     def test_sum_matches_row_oracle(self, cloud, latents, width):
