@@ -22,7 +22,7 @@ fraction, a vector is a list of exactly its length, and a path is a string
 with no NUL. A number must be finite: NaN, Infinity and 1e400 (read as
 infinity) are errors, and an integer in a float field must fit a finite
 float, so a 400-digit one is too. Any other value raises ContractError. The
-reader is scene_io's, which reads the .rapd header and records the same way.
+reader is scene_io's, which reads the .rapd header the same way.
 
 The ring rule's vertical resolution is SensorGeometry.from_fov of the beam
 count and the field of view; no key overrides it. A synthetic scene, like a

@@ -7,11 +7,14 @@ On-disk formats:
 * KITTI label (.label): packed little-endian uint32 per point; the low 16
   bits are the semantic class, the high 16 bits (instance id) are discarded.
 * Feature container (.rapd): magic "RAPD", uint32 version, uint32 header
-  length, UTF-8 JSON header, a raw little-endian payload of the arrays the
-  header describes, then a uint32 CRC-32 of all bytes before it. It holds one
-  PointwiseFeatureSet: its RAPiD matrices (values finite, in [0, 1], ascending
-  in each row), then exactly one pointwise record (int32 roi ids and a row
-  width; rows derive from the matrices). Weights are never filed.
+  length, UTF-8 JSON header, a raw little-endian payload laid out by the
+  header, then a uint32 CRC-32 of all bytes before it. It holds one
+  PointwiseFeatureSet. The header holds kind, meta, points, width and one
+  entry (roi_id, k, rows, scale) per matrix; the payload holds each matrix's
+  float32 values (rows x k; finite, in [0, 1], ascending in each row) and
+  int64 anchors in header order, then the int32 roi ids of the points, and
+  ends there. The pointwise rows derive from the matrices; weights are never
+  filed.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ import sys
 import zlib
 from dataclasses import MISSING, asdict, dataclass, fields
 from functools import cache
+from itertools import accumulate
 from pathlib import Path
-from typing import Union, get_args, get_origin, get_type_hints
+from typing import Iterable, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -40,14 +44,14 @@ from .partition import PointwiseFeatureSet
 from .rapid import RapidMatrix, ReflectivityScale
 
 MAGIC = b"RAPD"
-CONTAINER_VERSION = 1
+CONTAINER_VERSION = 2
 
 PathLike = Union[str, Path]
 
 
 # ---------------------------------------------------------------------------
 # typed JSON reader: the one reader of the run config and of the container
-# header and records
+# header
 # ---------------------------------------------------------------------------
 
 
@@ -303,34 +307,18 @@ def synthesize_scene(spec: SyntheticSceneSpec) -> PointCloud:
 # ---------------------------------------------------------------------------
 
 
-class _PayloadBuilder:
-    """The arrays of a payload and their descriptors, laid out in order.
-    Each array is converted to its dtype only as it is written."""
-
-    def __init__(self) -> None:
-        self.arrays: list[tuple[np.ndarray, np.dtype]] = []
-        self.offset = 0
-
-    def add(self, array: np.ndarray, dtype: str) -> dict:
-        array, kind = np.asarray(array), np.dtype(dtype)
-        desc = {"dtype": dtype, "shape": list(array.shape), "offset": self.offset}
-        self.arrays.append((array, kind))
-        self.offset += kind.itemsize * array.size
-        return desc
-
-    def buffers(self):
-        for array, kind in self.arrays:
-            yield np.ascontiguousarray(array, dtype=kind).data
-
-
-def _write_container(path: PathLike, header: dict, payload: _PayloadBuilder) -> None:
-    """Write a container, its payload one converted array at a time, then its CRC-32 trailer."""
+def _write_container(
+    path: PathLike, header: dict, arrays: Iterable[tuple[np.ndarray, str]]
+) -> None:
+    """Write a container: its header, then its payload one (array, dtype) at a
+    time, each converted only as it is written, then its CRC-32 trailer."""
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     start = MAGIC + struct.pack("<II", CONTAINER_VERSION, len(head)) + head
     crc = zlib.crc32(start)
     with open(path, "wb") as fh:
         fh.write(start)
-        for chunk in payload.buffers():
+        for array, dtype in arrays:
+            chunk = np.ascontiguousarray(array, dtype=dtype).data
             fh.write(chunk)
             crc = zlib.crc32(chunk, crc)
         fh.write(struct.pack("<I", crc))
@@ -356,55 +344,36 @@ def _read_container(path: PathLike) -> tuple[dict, memoryview]:
     return header, body[12 + head_len :]
 
 
-@dataclass(frozen=True)
-class _ArrayDescriptor:
-    """Where an array sits in the payload, as the header describes it."""
-
-    dtype: str
-    shape: tuple[int, ...]
-    offset: int
-
-    def __post_init__(self) -> None:
-        if min(self.shape, default=0) < 0 or self.offset < 0:
-            raise ContractError(f"negative shape or offset in {self}")
+def _count(doc: dict, key: str, at: str = "") -> int:
+    """The size at key of doc, an integer in [0, 2^31) (the bound of a row
+    width, so that any (0, k) shape can be made); ContractError otherwise."""
+    n = _get(doc, key, int, at=at)
+    if not 0 <= n < 2**31:
+        raise ContractError(f"{at}{key} must be in [0, 2^31), got {n}")
+    return n
 
 
-def _read_array(payload: memoryview, rec: dict, name: str, dtype: str, at: str) -> np.ndarray:
-    """A read-only view of the array rec's descriptor arrays.name locates;
-    ContractError unless it has the writer's dtype and lies in the payload."""
-    key = f"{at}arrays.{name}"
-    desc = _fields(_ArrayDescriptor, _get(rec, f"arrays.{name}", dict, at=at), key)
-    if desc.dtype != dtype:
-        raise ContractError(f"{key}: dtype {desc.dtype!r} is not {dtype}")
-    start, count = desc.offset, math.prod(desc.shape)
-    if start + np.dtype(dtype).itemsize * count > len(payload):
-        raise ContractError(f"{key}: truncated payload")
-    try:
-        return np.frombuffer(payload, dtype, count, start).reshape(desc.shape)
-    except ValueError as exc:  # a zero-size shape numpy cannot represent
-        raise ContractError(f"{key}: {exc}") from exc
+def _arrays(payload: memoryview, layout: list[tuple[str, tuple[int, ...]]]) -> list[np.ndarray]:
+    """Read-only views of the consecutive (dtype, shape) arrays of layout;
+    ContractError unless the payload ends exactly where the last one does."""
+    sizes = [np.dtype(dtype).itemsize * math.prod(shape) for dtype, shape in layout]
+    if (size := sum(sizes)) != len(payload):
+        raise ContractError(f"payload of {len(payload)} bytes, not the {size} its header sizes")
+    offsets = accumulate(sizes, initial=0)
+    return [
+        np.frombuffer(payload, dtype, math.prod(shape), offset).reshape(shape)
+        for (dtype, shape), offset in zip(layout, offsets)
+    ]
 
 
-def _matrix_record(builder: _PayloadBuilder, mat: RapidMatrix) -> dict:
-    return {
-        "type": "matrix",
-        "roi_id": mat.roi_id,
-        "k": mat.k,
-        "scale": asdict(mat.scale),
-        "arrays": {
-            "values": builder.add(mat.values, "<f4"),
-            "anchors": builder.add(mat.anchors, "<i8"),
-        },
-    }
-
-
-def _matrix_from_record(rec: dict, payload: memoryview, at: str) -> RapidMatrix:
+def _matrix(entry: dict, at: str, values: np.ndarray, anchors: np.ndarray) -> RapidMatrix:
+    """The matrix a header entry names over its decoded values and anchors."""
     mat = RapidMatrix(
-        roi_id=_get(rec, "roi_id", str, at=at),
-        k=_get(rec, "k", int, at=at),
-        scale=_fields(ReflectivityScale, _get(rec, "scale", dict, at=at), f"{at}scale"),
-        values=_read_array(payload, rec, "values", "<f4", at).astype(np.float64),
-        anchors=_read_array(payload, rec, "anchors", "<i8", at).astype(np.int64),
+        roi_id=_get(entry, "roi_id", str, at=at),
+        k=values.shape[1],
+        scale=_fields(ReflectivityScale, _get(entry, "scale", dict, at=at), f"{at}scale"),
+        values=values.astype(np.float64),
+        anchors=anchors.astype(np.int64),
     )
     if not ((mat.values >= 0) & (mat.values <= 1)).all():  # false for nan too
         raise ContractError(f"{at}values must be finite and in [0, 1]")
@@ -417,48 +386,51 @@ def _matrix_from_record(rec: dict, payload: memoryview, at: str) -> RapidMatrix:
 class FeatureFile:
     """Decoded feature container: the feature set extract wrote and its meta."""
 
-    matrices: tuple[RapidMatrix, ...]  # pointwise.matrices
     pointwise: PointwiseFeatureSet
     meta: dict
 
+    @property
+    def matrices(self) -> tuple[RapidMatrix, ...]:
+        return self.pointwise.matrices
+
 
 def save_feature_file(path: PathLike, features: PointwiseFeatureSet, meta: dict) -> None:
-    """Persist a feature set (matrices, then pointwise record) and meta; lossless at float32."""
-    builder = _PayloadBuilder()
-    records = [_matrix_record(builder, m) for m in features.matrices]
-    roi = builder.add(features.roi, "<i4")
-    records.append({"type": "pointwise", "width": features.width, "arrays": {"roi": roi}})
-    header = {"kind": "rapid-features", "meta": meta, "records": records}
-    _write_container(path, header, builder)
+    """Persist a feature set and meta; lossless at float32. The header sizes
+    every array; the payload holds each matrix's values and anchors, then the roi ids."""
+    entries = [
+        {"roi_id": m.roi_id, "k": m.k, "rows": m.u, "scale": asdict(m.scale)}
+        for m in features.matrices
+    ]
+    header = {
+        "kind": "rapid-features", "meta": meta, "points": len(features.roi),
+        "width": features.width, "matrices": entries,
+    }
+    arrays = [a for m in features.matrices for a in ((m.values, "<f4"), (m.anchors, "<i8"))]
+    _write_container(path, header, [*arrays, (features.roi, "<i4")])
 
 
 def load_feature_file(path: PathLike) -> FeatureFile:
     """Decode a feature container; FormatError on a checksum mismatch, on any
-    malformed header, record or array descriptor, on no or two pointwise records
-    and on a record that breaks a contract, such as values out of [0, 1]."""
+    malformed header, on a payload that is not exactly the arrays the header
+    sizes and on a feature set that breaks a contract, such as values out of [0, 1]."""
     header, payload = _read_container(path)
-    matrices, stored = [], None
     try:
         if (kind := _get(header, "kind", str)) != "rapid-features":
             raise ContractError(f"container holds {kind!r}, not rapid-features")
         meta = _get(header, "meta", dict, {})
-        for i, rec in enumerate(_get(header, "records", tuple[dict, ...], ())):
-            at = f"records[{i}]."
-            if (rtype := _get(rec, "type", str, at=at)) == "matrix":
-                matrices.append(_matrix_from_record(rec, payload, at))
-            elif rtype != "pointwise":
-                raise ContractError(f"{at}type: unexpected record type {rtype!r}")
-            elif stored is not None:
-                raise ContractError(f"{at}type: more than one pointwise record")
-            else:
-                roi = _read_array(payload, rec, "roi", "<i4", at).astype(np.int32)
-                stored = (roi, _get(rec, "width", int, at=at))
-        if stored is None:
-            raise ContractError("no pointwise record")
-        pointwise = PointwiseFeatureSet(*stored, tuple(matrices))
+        entries = _get(header, "matrices", tuple[dict, ...])
+        ats = [f"matrices[{i}]." for i in range(len(entries))]
+        layout = []
+        for entry, at in zip(entries, ats):
+            rows, k = _count(entry, "rows", at), _count(entry, "k", at)
+            layout += [("<f4", (rows, k)), ("<i8", (rows,))]
+        *arrays, roi = _arrays(payload, [*layout, ("<i4", (_count(header, "points"),))])
+        pairs = zip(arrays[::2], arrays[1::2])
+        matrices = tuple(_matrix(e, at, v, a) for e, at, (v, a) in zip(entries, ats, pairs))
+        pointwise = PointwiseFeatureSet(roi.astype(np.int32), _get(header, "width", int), matrices)
     except ContractError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    return FeatureFile(matrices=pointwise.matrices, pointwise=pointwise, meta=meta)
+    return FeatureFile(pointwise, meta)
 
 
 def write_pgm(values01: np.ndarray, path: PathLike) -> None:

@@ -36,7 +36,7 @@ The bounded-memory oracles are the forms that build everything at once:
 
 tree_candidate_rows_whole  every anchor retrieved and re-ranked in one set
                     vs  the row-block walk of geometry._candidate_rows
-JoinedPayload       each array's tobytes, joined into one payload  vs  the
+joined_payload      each array's tobytes, joined into one payload  vs  the
                     container writer that streams converted arrays to the file
 scatter             the pointwise rows scattered from the matrices, as extract
                     built and stored them  vs  PointwiseFeatureSet's derived rows
@@ -337,24 +337,13 @@ def tree_candidate_rows_whole(
     return idx_out, d2_out
 
 
-class JoinedPayload:
-    """A container payload built as one bytes object: each array converted
-    with tobytes as it is added, the chunks joined when it is written. Put
-    in place of scene_io._PayloadBuilder, it gives the same file bytes."""
-
-    def __init__(self) -> None:
-        self.chunks: list[bytes] = []
-        self.offset = 0
-
-    def add(self, array: np.ndarray, dtype: str) -> dict:
-        data = np.ascontiguousarray(array, dtype=np.dtype(dtype)).tobytes()
-        desc = {"dtype": dtype, "shape": list(np.asarray(array).shape), "offset": self.offset}
-        self.chunks.append(data)
-        self.offset += len(data)
-        return desc
-
-    def buffers(self) -> list[bytes]:
-        return [b"".join(self.chunks)]
+def joined_payload(arrays) -> list[tuple[np.ndarray, str]]:
+    """A container payload as one array: each (array, dtype) converted with
+    tobytes, the chunks joined into one uint8 array. Handed to
+    scene_io._write_container in place of the arrays it streams, it gives
+    the same file bytes."""
+    data = b"".join(np.ascontiguousarray(a, dtype=np.dtype(d)).tobytes() for a, d in arrays)
+    return [(np.frombuffer(data, np.uint8), "u1")]
 
 
 def scatter(

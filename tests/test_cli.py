@@ -65,18 +65,11 @@ def _scene_with(index, **fields):
     return {**SCENE, "primitives": prims}
 
 
-def _with_descriptor(header, **fields):
-    """Header whose first record's values descriptor has fields replaced."""
-    rec, *rest = header["records"]
-    values = {**rec["arrays"]["values"], **fields}
-    arrays = {**rec["arrays"], "values": values}
-    return {**header, "records": [{**rec, "arrays": arrays}, *rest]}
-
-
 def _with_field(header, **fields):
-    """Header whose first record has fields replaced."""
-    rec, *rest = header["records"]
-    return {**header, "records": [{**rec, **fields}, *rest]}
+    """Header whose first matrix entry has fields replaced; a None value drops the field."""
+    entry, *rest = header["matrices"]
+    entry = {k: v for k, v in {**entry, **fields}.items() if v is not None}
+    return {**header, "matrices": [entry, *rest]}
 
 
 def _die_in_helper(task):
@@ -695,21 +688,29 @@ class TestHeatmap:
 
     def test_record_missing_keys_is_data_error(self, tmp_path, capsys):
         feat = tmp_path / "corrupt.rapd"
-        header = {"kind": "rapid-features", "records": [{"type": "matrix", "roi_id": "x"}]}
+        header = {"kind": "rapid-features", "matrices": [{"roi_id": "x", "rows": 0}]}
         write_raw_container(feat, header)
         code = main(["heatmap", str(feat), "--roi", "x", "--out", str(tmp_path / "i.pgm")])
         assert code == EXIT_DATA
         err = capsys.readouterr().err
-        assert "records[0].k is missing" in err
+        assert "matrices[0].k is missing" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "corrupt",
         [
             lambda header: [],
-            lambda header: {**header, "records": 5},
-            lambda header: _with_descriptor(header, dtype="bogus"),
-            lambda header: _with_descriptor(header, offset=-16),
+            lambda header: {**header, "matrices": 5},
+            lambda header: _with_field(header, rows=-1),
+            lambda header: _with_field(header, rows=2**62),
+            lambda header: _with_field(header, rows=3.0),
+            lambda header: _with_field(header, k=-2),
+            lambda header: _with_field(header, k=2**31),
+            lambda header: _with_field(header, k=2.5),
+            lambda header: {**header, "points": -3},
+            lambda header: {**header, "points": 2**31 - 1},
+            lambda header: {**header, "points": 3.0},
+            lambda header: _with_field(header, scale=None),
             lambda header: _with_field(header, k="two"),
             lambda header: _with_field(header, k=[2]),
             lambda header: _with_field(
@@ -723,9 +724,17 @@ class TestHeatmap:
         ],
         ids=[
             "header-list",
-            "records-int",
-            "dtype-bogus",
-            "offset-negative",
+            "matrices-int",
+            "rows-negative",
+            "rows-huge",
+            "rows-float",
+            "k-negative",
+            "k-huge",
+            "k-float",
+            "points-negative",
+            "points-huge",
+            "points-float",
+            "scale-missing",
             "k-string",
             "k-list",
             "scale-string",

@@ -52,13 +52,13 @@ README_CONFIG = {
 }
 
 README_DIGESTS = {
-    "r.rapd": "65246119760c3f0526e9738a7e297c4a889f331e7d57f797be69b21db96046f4",
-    "c.rapd": "36ad922e115a8170f0e88cffde39f5ab7d292312c1f022ffff3965523db0794f",
+    "r.rapd": "c7daad344e71a342b1f5b0448c8e7860f12b4b69a15be67eb6e0d3a08d137ecf",
+    "c.rapd": "59a077768f4007dc3678f3e3d8b4365d874b40322c30fdd745a35010c1073d9a",
 }
 
 KITTI_DIGESTS = {
-    "r.rapd": "d0e1a31b5f9c36d36906ef2897b499130b7234b2d1b0350732ef4dbf3d711c97",
-    "c.rapd": "79c0edb24c9a134cfe04702ed3066b104e4e78280e4d871dd45bd26dc5e94d95",
+    "r.rapd": "8381e16fc80747fa99e4eaa5edbdc3d67fd69569c7662fd46a1852684c693047",
+    "c.rapd": "d1f07bac220410ac0e04628e00031527b329316c1b01e5b50d6620eda98cf831",
 }
 
 README_DECODED = {

@@ -3,7 +3,7 @@
 import json
 import math
 import struct
-from dataclasses import replace
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,8 +39,6 @@ from rapidfeat.cli import EXIT_DATA, main
 from rapidfeat.scene_io import (
     CONTAINER_VERSION,
     MAGIC,
-    _PayloadBuilder,
-    _matrix_record,
     _read_container,
     _write_container,
     load_feature_file,
@@ -56,7 +54,7 @@ from conftest import (
     small_geometry,
     write_raw_container,
 )
-from oracles import JoinedPayload
+from oracles import joined_payload
 
 
 class TestKittiScan:
@@ -291,10 +289,8 @@ class TestFeatureContainer:
     def test_kind_mismatch(self, tmp_path, capsys):
         # A weight file, a kind no command writes or reads, is a data error.
         path = tmp_path / "w.rapd"
-        builder = _PayloadBuilder()
-        data = builder.add(np.ones(3), "<f8")
-        record = {"type": "tensor", "name": "t", "arrays": {"data": data}}
-        _write_container(path, {"kind": "weights", "meta": {}, "records": [record]}, builder)
+        header = {"kind": "weights", "meta": {}, "tensors": [{"name": "t", "shape": [3]}]}
+        _write_container(path, header, [(np.ones(3), "<f8")])
         with pytest.raises(FormatError, match="container holds 'weights'"):
             load_feature_file(path)
         argv = ["heatmap", str(path), "--roi", "t", "--out", str(tmp_path / "i.pgm")]
@@ -311,33 +307,39 @@ class TestFeatureContainer:
         with pytest.raises(FormatError):
             load_feature_file(path)
 
-    def test_truncated_payload(self, tmp_path, rng):
-        # Resealed, so that the array bounds check, not the checksum, stops it.
+    def test_truncated_payload(self, tmp_path, capsys, rng):
+        # Resealed, so that the layout check, not the checksum, stops it.
         path = tmp_path / "trunc.rapd"
         save_feature_file(path, feature_set([random_matrix(rng, 8, 4)]), {})
         raw = path.read_bytes()
         path.write_bytes(sealed(raw[: len(raw) - 4 - 10]))
-        with pytest.raises(FormatError, match="truncated payload"):
-            load_feature_file(path)
+        _rejected(path, "payload of 214 bytes, not the 224 its header sizes", tmp_path, capsys)
+
+    def test_appended_payload_bytes(self, tmp_path, capsys, rng):
+        # Resealed bytes past the last array: they used to load unread.
+        path = tmp_path / "long.rapd"
+        save_feature_file(path, feature_set([random_matrix(rng, 8, 4)]), {})
+        path.write_bytes(sealed(path.read_bytes()[:-4] + bytes(64)))
+        _rejected(path, "payload of 288 bytes, not the 224 its header sizes", tmp_path, capsys)
 
     def test_record_missing_keys(self, tmp_path, rng):
         path = tmp_path / "m.rapd"
         save_feature_file(path, feature_set([random_matrix(rng, 3, 2)]), {})
         header, payload = _read_container(path)
-        good, pointwise = header["records"]
-        bad_records = [
-            {k: v for k, v in good.items() if k != "type"},
-            {k: v for k, v in good.items() if k != "k"},
+        (good,) = header["matrices"]
+        bad_entries = [
             {**good, "scale": {"r_min": 0.0}},
-            {**good, "arrays": "values"},
-            {**good, "type": ["matrix"]},
-            {"type": "pointwise", "arrays": {"values": good["arrays"]["values"]}},
-            {"type": "tensor", "name": "t", "arrays": {"data": good["arrays"]["values"]}},
+            {**good, "rows": [3]},
             ["matrix"],
         ]
-        for rec in bad_records:
-            write_raw_container(path, {**header, "records": [rec, pointwise]}, payload)
+        for entry in bad_entries:
+            write_raw_container(path, {**header, "matrices": [entry]}, payload)
             with pytest.raises(FormatError):
+                load_feature_file(path)
+        for key in ("roi_id", "k", "rows", "scale"):
+            entry = {k: v for k, v in good.items() if k != key}
+            write_raw_container(path, {**header, "matrices": [entry]}, payload)
+            with pytest.raises(FormatError, match=rf"matrices\[0\]\.{key} is missing"):
                 load_feature_file(path)
 
     def test_malformed_header(self, tmp_path, rng):
@@ -348,8 +350,8 @@ class TestFeatureContainer:
             write_raw_container(path, bad, payload)
             with pytest.raises(FormatError):
                 load_feature_file(path)
-        for records in (5, "matrix", {"type": "matrix"}):
-            write_raw_container(path, {**header, "records": records}, payload)
+        for matrices in (5, "matrix", {"roi_id": "ring000-close"}):
+            write_raw_container(path, {**header, "matrices": matrices}, payload)
             with pytest.raises(FormatError):
                 load_feature_file(path)
 
@@ -359,7 +361,7 @@ class TestFeatureContainer:
         path = tmp_path / "n.rapd"
         save_feature_file(path, feature_set([random_matrix(rng, 3, 2)]), {})
         header, payload = _read_container(path)
-        head = json.dumps({**header, "records": [{**header["records"][0], "k": 0}]})
+        head = json.dumps({**header, "matrices": [{**header["matrices"][0], "k": 0}]})
         head = head.replace('"k": 0', '"k": ' + "9" * 5000).encode()
         start = MAGIC + struct.pack("<II", CONTAINER_VERSION, len(head))
         path.write_bytes(sealed(start + head + payload))
@@ -367,33 +369,28 @@ class TestFeatureContainer:
             load_feature_file(path)
 
     def test_malformed_array_descriptor(self, tmp_path, rng):
+        # The header sizes are all that describes the payload arrays: rows and
+        # k of each matrix, points of the roi ids.
         path = tmp_path / "d.rapd"
         save_feature_file(path, feature_set([random_matrix(rng, 3, 2)]), {})
         header, payload = _read_container(path)
-        rec, pointwise = header["records"]
-        desc = rec["arrays"]["values"]
-        bad_descriptors = [
-            {**desc, "dtype": "bogus"},
-            {**desc, "dtype": "|O"},
-            {**desc, "dtype": None},
-            {k: v for k, v in desc.items() if k != "dtype"},
-            {**desc, "offset": -16},
-            {**desc, "offset": 1.5},
-            {**desc, "offset": "0"},
-            {**desc, "offset": True},
-            {**desc, "shape": [3, -2]},
-            {**desc, "shape": [3.0, 2]},
-            {**desc, "shape": "3x2"},
-            {**desc, "shape": [2 ** 62, 2 ** 62]},
-            {**desc, "shape": [0, 2 ** 63]},
-            {**desc, "shape": [0] * 65},
-            [desc],
-        ]
-        for bad in bad_descriptors:
-            arrays = {**rec["arrays"], "values": bad}
-            records = [{**rec, "arrays": arrays}, pointwise]
-            write_raw_container(path, {**header, "records": records}, payload)
-            with pytest.raises(FormatError):
+        (entry,) = header["matrices"]
+
+        def sized(key, value):
+            if key == "points":
+                return {**header, "points": value}
+            return {**header, "matrices": [{**entry, key: value}]}
+
+        bad_sizes = [-1, -(2 ** 62), 2 ** 31, 2 ** 62, 2 ** 70, 1.5, 3.0, "3", True, None, [3]]
+        for key in ("rows", "k", "points"):
+            for bad in bad_sizes:
+                write_raw_container(path, sized(key, bad), payload)
+                with pytest.raises(FormatError, match=f"{key} must be"):
+                    load_feature_file(path)
+        # In range, but not the sizes of the payload's bytes.
+        for key, size in (("rows", 2 ** 31 - 1), ("k", 2 ** 31 - 1), ("k", 0), ("points", 5)):
+            write_raw_container(path, sized(key, size), payload)
+            with pytest.raises(FormatError, match="its header sizes"):
                 load_feature_file(path)
 
     def test_pointwise_record_roundtrip(self, tmp_path, scene_cloud):
@@ -479,35 +476,42 @@ class TestDecodedValues:
 
 
 class TestPointwiseRecord:
-    """The pointwise record holds roi ids and a width; its rows are derived
-    from the matrices, so a record the derivation cannot place is a data
-    error, exit 2. Every file holds exactly one such record."""
+    """The header's points and width size the roi ids and the rows; the rows
+    are derived from the matrices, so a set the derivation cannot place is a
+    data error, exit 2."""
 
     def test_no_pointwise_record(self, tmp_path, capsys, rng):
-        builder = _PayloadBuilder()
-        records = [_matrix_record(builder, random_matrix(rng, 3, 2))]
+        # A header without the points and width of the pointwise rows.
+        mat = random_matrix(rng, 3, 2)
+        entry = {"roi_id": mat.roi_id, "k": 2, "rows": 3, "scale": asdict(mat.scale)}
+        header = {"kind": "rapid-features", "meta": {}, "matrices": [entry]}
+        arrays = [(mat.values, "<f4"), (mat.anchors, "<i8")]
         path = tmp_path / "bare.rapd"
-        _write_container(path, {"kind": "rapid-features", "meta": {}, "records": records}, builder)
-        _rejected(path, "no pointwise record", tmp_path, capsys)
+        _write_container(path, header, arrays)
+        _rejected(path, "points is missing", tmp_path, capsys)
+        _write_container(path, {**header, "points": 3}, [*arrays, (np.zeros(3), "<i4")])
+        _rejected(path, "width is missing", tmp_path, capsys)
 
-    def test_old_layout(self, tmp_path, capsys):
-        # The layout that stored the rows as values and valid_width arrays.
-        fs = r_rapid(
-            PointCloud(np.random.default_rng(4).uniform(2, 30, (40, 3)), np.full(40, 0.5)),
-            SensorGeometry(2, 0.1),
-            RangeAwareConfig(k_close=3, k_mid=3, k_far=2),
-        )
-        builder = _PayloadBuilder()
-        records = [_matrix_record(builder, m) for m in fs.matrices]
-        arrays = {
-            "values": builder.add(fs.values, "<f4"),
-            "roi": builder.add(fs.roi, "<i4"),
-            "valid_width": builder.add(fs.valid_width, "<i4"),
-        }
-        records.append({"type": "pointwise", "arrays": arrays})
-        path = tmp_path / "old.rapd"
-        _write_container(path, {"kind": "rapid-features", "meta": {}, "records": records}, builder)
-        _rejected(path, r"records\[\d+\]\.width is missing", tmp_path, capsys)
+    def test_old_layout(self, tmp_path, capsys, rng):
+        # A version 1 file, which described each array by its dtype, shape
+        # and offset and tagged each record with a type: no reader is kept.
+        mat = random_matrix(rng, 3, 2)
+        values, anchors = mat.values.astype("<f4"), mat.anchors.astype("<i8")
+        roi = np.zeros(3, "<i4")
+
+        def desc(array, offset):
+            return {"dtype": array.dtype.str, "shape": list(array.shape), "offset": offset}
+
+        records = [
+            {"type": "matrix", "roi_id": mat.roi_id, "k": 2, "scale": asdict(mat.scale),
+             "arrays": {"values": desc(values, 0), "anchors": desc(anchors, 24)}},
+            {"type": "pointwise", "width": 2, "arrays": {"roi": desc(roi, 48)}},
+        ]
+        head = json.dumps({"kind": "rapid-features", "meta": {}, "records": records}).encode()
+        body = MAGIC + struct.pack("<II", 1, len(head)) + head
+        path = tmp_path / "v1.rapd"
+        path.write_bytes(sealed(body + values.tobytes() + anchors.tobytes() + roi.tobytes()))
+        _rejected(path, "unsupported container version 1$", tmp_path, capsys)
 
     @pytest.mark.parametrize(
         "anchors, k, width, match",
@@ -627,49 +631,12 @@ class TestContainerFuzz:
         raw = _container_bytes(tmp_path)
         path = tmp_path / "f.rapd"
         header, payload = _read_container(path)
-        header["records"][-1]["arrays"]["roi"]["shape"] = [39]
+        header["points"] = 39
         write_raw_container(path, header, payload)
         with pytest.raises(FormatError):
             load_feature_file(path)
         path.write_bytes(raw)
         assert len(load_feature_file(path).pointwise.roi) == 40
-
-    def test_second_pointwise_record(self, tmp_path):
-        # A repeated pointwise record whose valid_width points at the roi
-        # bytes: it used to load, the last record winning.
-        _container_bytes(tmp_path)
-        path = tmp_path / "f.rapd"
-        header, payload = _read_container(path)
-        first = header["records"][-1]
-        arrays = {**first["arrays"], "valid_width": first["arrays"]["roi"]}
-        header["records"].append({**first, "arrays": arrays})
-        write_raw_container(path, header, payload)
-        with pytest.raises(FormatError, match="more than one pointwise record"):
-            load_feature_file(path)
-
-    @pytest.mark.parametrize(
-        "record, array, dtype",
-        [
-            ("matrix", "values", "<i4"),
-            ("matrix", "anchors", "<f8"),
-            ("pointwise", "roi", "<f4"),
-        ],
-    )
-    def test_array_of_another_dtype(self, tmp_path, record, array, dtype):
-        # A dtype of the same item size keeps the payload bounds, so only the
-        # dtype check stops the bits being reinterpreted and cast (int roi
-        # ids read as floats cast to 0).
-        _container_bytes(tmp_path)
-        path = tmp_path / "f.rapd"
-        header, payload = _read_container(path)
-        rec = next(r for r in header["records"] if r["type"] == record)
-        rec["arrays"][array]["dtype"] = dtype
-        write_raw_container(path, header, payload)
-        with pytest.raises(FormatError, match="dtype"):
-            load_feature_file(path)
-        roi = next(r["roi_id"] for r in header["records"] if r["type"] == "matrix")
-        argv = ["heatmap", str(path), "--roi", roi, "--out", str(tmp_path / "i.pgm")]
-        assert main(argv) == EXIT_DATA
 
 
 class TestContainerBytes:
@@ -679,7 +646,12 @@ class TestContainerBytes:
 
     def test_streamed_equals_joined(self, tmp_path, monkeypatch):
         streamed = _container_bytes(tmp_path)
-        monkeypatch.setattr(scene_io, "_PayloadBuilder", JoinedPayload)
+        write = scene_io._write_container
+
+        def write_joined(path, header, arrays):
+            write(path, header, joined_payload(arrays))
+
+        monkeypatch.setattr(scene_io, "_write_container", write_joined)
         assert _container_bytes(tmp_path) == streamed
 
     def test_decode_encode_round_trip(self, tmp_path):
